@@ -226,53 +226,42 @@ def _preflight(config: RunConfig, metrics: Sequence[str]) -> None:
             raise InputError(f"metric {metric} needs --sentiment-lexicon")
 
 
-def _labelled_results(metric: str, corpora: Sequence[corpus_mod.Corpus]) -> list[lm.MetricResult]:
-    names = [c.domain_id for c in corpora]
-    results: list[lm.MetricResult] = []
+def _labelled_results(
+    metric: str,
+    corpora: Sequence[corpus_mod.Corpus],
+    overlap: corpus_mod.NgramOverlapMatrix | None = None,
+) -> list[lm.MetricResult]:
+    n = len(corpora)
+    matrix: list[list[float | None]] = [[None] * n for _ in range(n)]
     if metric == "LM1":
         sigs = [significant_words(c) for c in corpora]
-        for i, s in enumerate(sigs):
-            for j, t in enumerate(sigs):
+        for i in range(n):
+            for j in range(n):
                 if i != j:
-                    results.append(lm.make_result("LM1", names[i], names[j],
-                                                  float(lm.lm1_overlap(s, t))))
-        return results
-    if metric in ("LM2", "LM3"):
+                    matrix[i][j] = float(lm.lm1_overlap(sigs[i], sigs[j]))
+    elif metric in ("LM2", "LM3"):
         tables = [polarity_table(c) for c in corpora]
         func = lm.lm2_skld if metric == "LM2" else lm.lm3_chameleon
-        values: dict[tuple[int, int], float | None] = {}
-        for i in range(len(corpora)):
-            for j in range(i + 1, len(corpora)):
+        for i in range(n):
+            for j in range(i + 1, n):
                 try:
-                    values[(i, j)] = func(tables[i], tables[j])
+                    matrix[i][j] = matrix[j][i] = func(tables[i], tables[j])
                 except UnrankablePairError:
-                    values[(i, j)] = None
-        for i in range(len(corpora)):
-            for j in range(len(corpora)):
-                if i != j:
-                    value = values[(i, j) if i < j else (j, i)]
-                    results.append(lm.make_result(metric, names[i], names[j], value))
-        return results
-    if metric == "LM4":
+                    pass
+    elif metric == "LM4":
         polar_sets = [polar_words(polarity_table(c)) for c in corpora]
-        for i, source in enumerate(corpora):
-            for j, target in enumerate(corpora):
-                if i == j:
-                    continue
-                try:
-                    value = lm.lm4_entropy_change(source, target, polar_sets[i])
-                except UnrankablePairError:
-                    value = None
-                results.append(lm.make_result("LM4", names[i], names[j], value))
-        return results
-    if metric == "NGRAM":
-        overlap = corpus_mod.ngram_overlap_matrix(corpora)
-        for i, s in enumerate(names):
-            for j, t in enumerate(names):
-                if i != j:
-                    results.append(lm.make_result("NGRAM", s, t, overlap.values[i][j]))
-        return results
-    raise InputError(f"unknown labelled metric {metric!r}")
+        matrix = lm.lm4_matrix(corpora, polar_sets)
+    elif metric == "NGRAM":
+        matrix = overlap.values
+    else:
+        raise InputError(f"unknown labelled metric {metric!r}")
+    names = [c.domain_id for c in corpora]
+    return [
+        lm.make_result(metric, s, t, matrix[i][j])
+        for i, s in enumerate(names)
+        for j, t in enumerate(names)
+        if i != j
+    ]
 
 
 def _embedding_results(
@@ -334,13 +323,12 @@ def cmd_metrics(config: RunConfig) -> None:
     corpora = config.load_corpora()
     out_dir = config.out_dir()
     for metric in config.metrics:
-        if metric in LABELLED_METRICS or metric == "NGRAM":
+        if metric == "NGRAM":
+            overlap = corpus_mod.ngram_overlap_matrix(corpora)
+            results = _labelled_results(metric, corpora, overlap)
+            corpus_mod.write_overlap_matrix_csv(overlap, out_dir / "ngram_overlap_matrix.csv")
+        elif metric in LABELLED_METRICS:
             results = _labelled_results(metric, corpora)
-            if metric == "NGRAM":
-                corpus_mod.write_overlap_matrix_csv(
-                    corpus_mod.ngram_overlap_matrix(corpora),
-                    out_dir / "ngram_overlap_matrix.csv",
-                )
         else:
             results = _embedding_results(metric, config, corpora)
         path = out_dir / f"metric_{metric}.csv"

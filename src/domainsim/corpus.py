@@ -242,6 +242,29 @@ def top_k_ngrams(corpus: Corpus, order: int, k: int) -> list[tuple[str, ...]]:
     return sorted(grams, key=lambda g: (-grams[g], g))[:k]
 
 
+def _top_k_sets(
+    corpus: Corpus, k: int, orders: Iterable[int]
+) -> list[frozenset[tuple[str, ...]]]:
+    # One top-k set per order, orders sorted and de-duplicated.
+    orders = sorted(set(orders))
+    for order in orders:
+        _check_order(order)
+    if not orders:
+        raise InputError("orders must be non-empty")
+    return [frozenset(top_k_ngrams(corpus, order, k)) for order in orders]
+
+
+def _overlap(tops1: list[frozenset], tops2: list[frozenset]) -> float:
+    matched = 0
+    available = 0
+    for top1, top2 in zip(tops1, tops2):
+        matched += len(top1 & top2)
+        available += max(len(top1), len(top2))
+    if available == 0:
+        return 1.0
+    return matched / available
+
+
 def ngram_overlap(
     c1: Corpus,
     c2: Corpus,
@@ -256,21 +279,8 @@ def ngram_overlap(
     and corpora with at least k n-grams per order yield exact multiples of
     1/(k * number of orders)). Symmetric in its arguments.
     """
-    orders = sorted(set(orders))
-    for order in orders:
-        _check_order(order)
-    if not orders:
-        raise InputError("orders must be non-empty")
-    matched = 0
-    available = 0
-    for order in orders:
-        top1 = top_k_ngrams(c1, order, k)
-        top2 = top_k_ngrams(c2, order, k)
-        matched += len(set(top1) & set(top2))
-        available += max(len(top1), len(top2))
-    if available == 0:
-        return 1.0
-    return matched / available
+    orders = tuple(orders)
+    return _overlap(_top_k_sets(c1, k, orders), _top_k_sets(c2, k, orders))
 
 
 @dataclass(frozen=True)
@@ -289,15 +299,20 @@ def ngram_overlap_matrix(
     k: int = 10,
     orders: Iterable[int] = (2, 3, 4),
 ) -> NgramOverlapMatrix:
-    """Pairwise overlap fractions for a set of corpora; diagonal omitted."""
+    """Pairwise overlap fractions for a set of corpora; diagonal omitted.
+
+    Each corpus's top-k lists are computed once, not once per pair.
+    """
     names = tuple(c.domain_id for c in corpora)
     if len(set(names)) != len(names):
         raise InputError("duplicate domain ids in corpora")
+    orders = tuple(orders)
+    tops = [_top_k_sets(c, k, orders) for c in corpora]
     n = len(corpora)
     values: list[list[float | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = ngram_overlap(corpora[i], corpora[j], k=k, orders=orders)
+            v = _overlap(tops[i], tops[j])
             values[i][j] = v
             values[j][i] = v
     return NgramOverlapMatrix(names, tuple(tuple(row) for row in values))

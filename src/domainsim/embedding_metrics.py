@@ -56,9 +56,6 @@ class SentenceVectorSet:
     dims: int
     vectors: tuple[tuple[str, np.ndarray], ...]
 
-    def ids(self) -> set[str]:
-        return {rid for rid, _ in self.vectors}
-
     def mean_vector(self) -> np.ndarray:
         if not self.vectors:
             raise InputError(f"sentence vector set for {self.domain_id} is empty")
@@ -187,7 +184,7 @@ def word_metric(
             f"no common adjectives between {tab_s.domain_id} and {tab_t.domain_id}"
         )
     j = len(common) / len(adj_s | adj_t)
-    avg = sum(angular_similarity(tab_s[w], tab_t[w]) for w in common) / len(common)
+    avg = sum(angular_similarity(tab_s[w], tab_t[w]) for w in sorted(common)) / len(common)
     return make_result(metric_id, tab_s.domain_id, tab_t.domain_id, avg + j)
 
 

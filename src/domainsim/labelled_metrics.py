@@ -12,8 +12,10 @@ rescales values and never changes a ranking.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import InputError, UnrankablePairError
@@ -121,7 +123,7 @@ def lm2_skld(table_s: PolarityTable, table_t: PolarityTable, threshold: float = 
     """
     common, j = _common_polar(table_s, table_t, threshold)
     total = 0.0
-    for word in common:
+    for word in sorted(common):
         p1, n1 = (clamp_probability(x) for x in table_s[word])
         p2, n2 = (clamp_probability(x) for x in table_t[word])
         a = n1 * math.log(n1 / n2) + p1 * math.log(p1 / p2)
@@ -138,37 +140,123 @@ def lm3_chameleon(table_s: PolarityTable, table_t: PolarityTable, threshold: flo
     """
     common, j = _common_polar(table_s, table_t, threshold)
     total = 0.0
-    for word in common:
+    for word in sorted(common):
         p1, n1 = table_s[word]
         p2, n2 = table_t[word]
         total += abs(p1 - p2) + abs(n1 - n2)
     return total / len(common) + 1.0 / j
 
 
-def _weighted_counter_entropy(counter: Counter, polar: set[str], w: float, polar_only: bool) -> float:
+def _order_entropy(
+    counts: np.ndarray, polar: np.ndarray, log_table: np.ndarray, w: float, polar_only: bool
+) -> float:
     # H over p = c / total, split into n-grams containing a polar word (X,
     # weighted by w) and the rest (Y, weighted by 1/w, skipped for unigrams).
-    total = sum(counter.values())
+    total = int(counts.sum())
     if total == 0:
         return 0.0
     log_total = math.log(total)
-    count_x = 0
-    clogc_x = 0.0
-    count_y = 0
-    clogc_y = 0.0
-    for gram, c in counter.items():
-        clogc = c * math.log(c)
-        if any(tok in polar for tok in gram):
-            count_x += c
-            clogc_x += clogc
-        else:
-            count_y += c
-            clogc_y += clogc
-    h_x = (log_total * count_x - clogc_x) / total
+    clogc = counts * log_table[counts]
+    count_x = int(counts[polar].sum())
+    h_x = (log_total * count_x - _sequential_sum(clogc[polar])) / total
     if polar_only:
         return w * h_x
-    h_y = (log_total * count_y - clogc_y) / total
+    h_y = (log_total * (total - count_x) - _sequential_sum(clogc[~polar])) / total
     return w * h_x + h_y / w
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    # Left to right, like a Python += loop; np.sum adds pairwise.
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+class _NgramIndex:
+    """Shared integer ids for the n-grams (orders 1..4) of a set of corpora.
+
+    Per order, every distinct n-gram gets a global id and ``tokens[order]``
+    maps each id to the ids of its tokens; each corpus keeps ``(ids,
+    counts)`` arrays in the insertion order of its n-gram ``Counter``.
+
+    Invariant: every LM4 value is bit-identical to merging the two n-gram
+    ``Counter``s (``source + target``) and summing ``c * math.log(c)`` left
+    to right in a Python loop, so metric_LM4.csv never changes with the
+    implementation. It holds because the same float operations run in the
+    same order: a mixed corpus lists the source's n-grams (target counts
+    added), then the target-only n-grams in target order, as
+    ``Counter.__add__`` does; logarithms come from a table filled by
+    ``math.log`` (``np.log`` may differ in the last bit); and the sums use
+    the sequential ``np.add.accumulate``, not the pairwise ``np.sum``.
+    """
+
+    def __init__(self, corpora: Sequence[Corpus]):
+        self.domain_ids = [c.domain_id for c in corpora]
+        self.vocabulary: dict[str, int] = {}
+        self.tokens: dict[int, np.ndarray] = {}
+        self.ids: dict[int, list[np.ndarray]] = {}
+        self.counts: dict[int, list[np.ndarray]] = {}
+        max_count = 0
+        for order in ENTROPY_WEIGHTS:
+            gram_ids: dict[tuple[str, ...], int] = {}
+            self.ids[order] = []
+            self.counts[order] = []
+            for corpus in corpora:
+                counter = corpus.ngram_counts(order)
+                self.ids[order].append(np.fromiter(
+                    (gram_ids.setdefault(g, len(gram_ids)) for g in counter),
+                    dtype=np.int64, count=len(counter)))
+                counts = np.fromiter(counter.values(), dtype=np.int64, count=len(counter))
+                self.counts[order].append(counts)
+                max_count = max(max_count, int(counts.max(initial=0)))
+            self.tokens[order] = np.fromiter(
+                (self.vocabulary.setdefault(t, len(self.vocabulary)) for g in gram_ids for t in g),
+                dtype=np.int64, count=order * len(gram_ids)).reshape(len(gram_ids), order)
+        # log_table[c] = math.log(c) up to the largest count a mix of two corpora reaches.
+        self.log_table = np.array([0.0] + [math.log(c) for c in range(1, 2 * max_count + 1)])
+
+    def polar_grams(self, polar: set[str]) -> dict[int, np.ndarray]:
+        """Per order, a mask over all n-gram ids: does the n-gram contain a polar word?"""
+        tok_mask = np.zeros(len(self.vocabulary), dtype=bool)
+        tok_mask[[self.vocabulary[w] for w in polar if w in self.vocabulary]] = True
+        return {order: tok_mask[tok_ids].any(axis=1) for order, tok_ids in self.tokens.items()}
+
+    def entropy_changes(self, source: int, polar: set[str]) -> dict[int, float]:
+        """LM4 from the corpus at position ``source`` to every other corpus, by position.
+
+        Raises UnrankablePairError when the source has zero baseline entropy.
+        """
+        polar_grams = self.polar_grams(polar)
+        own: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        e_before = 0.0
+        for order, w in ENTROPY_WEIGHTS.items():
+            ids = self.ids[order][source]
+            counts = self.counts[order][source]
+            position = np.full(len(self.tokens[order]), -1, dtype=np.int64)
+            position[ids] = np.arange(len(ids))
+            polar_own = polar_grams[order][ids]
+            own[order] = (counts, polar_own, position)
+            e_before += _order_entropy(counts, polar_own, self.log_table, w, order == 1)
+        if e_before == 0.0:
+            raise UnrankablePairError(
+                f"source {self.domain_ids[source]} has zero baseline entropy"
+            )
+        changes = {}
+        for target in range(len(self.domain_ids)):
+            if target == source:
+                continue
+            e_after = 0.0
+            for order, w in ENTROPY_WEIGHTS.items():
+                counts, polar_own, position = own[order]
+                ids_t = self.ids[order][target]
+                counts_t = self.counts[order][target]
+                pos = position[ids_t]
+                shared = pos >= 0
+                only = ~shared
+                mixed = np.concatenate([counts, counts_t[only]])
+                mixed[pos[shared]] += counts_t[shared]
+                polar_mixed = np.concatenate([polar_own, polar_grams[order][ids_t[only]]])
+                e_after += _order_entropy(mixed, polar_mixed, self.log_table, w, order == 1)
+            changes[target] = abs(e_after - e_before) / e_before * 100.0
+        return changes
 
 
 def weighted_entropy(corpus: Corpus, polar: set[str], order: int, w: float) -> float:
@@ -178,8 +266,12 @@ def weighted_entropy(corpus: Corpus, polar: set[str], order: int, w: float) -> f
     the rest with weight ``1/w``; probabilities are over all n-grams of the
     order. For unigrams only the polar ones are considered.
     """
-    counter = corpus.ngram_counts(order)
-    return _weighted_counter_entropy(counter, polar, w, polar_only=(order == 1))
+    if order not in ENTROPY_WEIGHTS:
+        raise InputError(f"n-gram order must be in 1..4, got {order}")
+    index = _NgramIndex([corpus])
+    ids = index.ids[order][0]
+    polar_own = index.polar_grams(polar)[order][ids]
+    return _order_entropy(index.counts[order][0], polar_own, index.log_table, w, order == 1)
 
 
 def lm4_entropy_change(source: Corpus, target: Corpus, polar: set[str] | None = None) -> float:
@@ -192,16 +284,21 @@ def lm4_entropy_change(source: Corpus, target: Corpus, polar: set[str] | None = 
     """
     if polar is None:
         polar = polar_words(polarity_table(source))
-    e_before = 0.0
-    e_after = 0.0
-    for order, w in ENTROPY_WEIGHTS.items():
-        polar_only = order == 1
-        source_counts = source.ngram_counts(order)
-        e_before += _weighted_counter_entropy(source_counts, polar, w, polar_only)
-        mixed = source_counts + target.ngram_counts(order)
-        e_after += _weighted_counter_entropy(mixed, polar, w, polar_only)
-    if e_before == 0.0:
-        raise UnrankablePairError(
-            f"source {source.domain_id} has zero baseline entropy"
-        )
-    return abs(e_after - e_before) / e_before * 100.0
+    return _NgramIndex([source, target]).entropy_changes(0, polar)[1]
+
+
+def lm4_matrix(corpora: Sequence[Corpus], polar_sets: Sequence[set[str]]) -> list[list[float | None]]:
+    """LM4 for every ordered pair, ``[source][target]``, each source with its own polar set.
+
+    Equal to ``lm4_entropy_change`` pair by pair; None on the diagonal and
+    for every pair of a source with zero baseline entropy (unrankable).
+    """
+    index = _NgramIndex(corpora)
+    rows = []
+    for i, polar in enumerate(polar_sets):
+        try:
+            changes = index.entropy_changes(i, polar)
+        except UnrankablePairError:
+            changes = {}
+        rows.append([changes.get(j) for j in range(len(corpora))])
+    return rows

@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import POSITIVE, Corpus, Review
+from .corpus import Corpus, Review
 from .errors import InputError
 
 # Probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any
@@ -235,8 +235,3 @@ def filter_reviews(
         if abs(review_score(review.tokens, lexicon)) > threshold:
             kept.append(review)
     return kept
-
-
-def label_of(review: Review) -> bool:
-    """True for positive reviews; convenience for classifier code."""
-    return review.label == POSITIVE

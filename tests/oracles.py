@@ -118,6 +118,43 @@ def entropy_change(reviews_s: Reviews, reviews_t: Reviews) -> float | None:
     return abs(e_after - e_before) / e_before * 100.0
 
 
+def loop_entropy_change(reviews_s: Reviews, reviews_t: Reviews) -> float | None:
+    """entropy_change with the package's float arithmetic, term by term.
+
+    Sums c*log(c) over the source's n-grams (target counts added) and then
+    the target-only n-grams, in first-occurrence order, so it must agree
+    with the package to the last bit where entropy_change agrees only to
+    rounding.
+    """
+    polar = polar_set(reviews_s)
+    weights = {1: 1.0, 2: 5.0, 3: 5.0, 4: 5.0}
+
+    def entropy(grams: dict, w: float, unigram: bool) -> float:
+        total = sum(grams.values())
+        if total == 0:
+            return 0.0
+        sums = {True: [0, 0.0], False: [0, 0.0]}
+        for gram, count in grams.items():
+            slot = sums[any(tok in polar for tok in gram)]
+            slot[0] += count
+            slot[1] += count * math.log(count)
+        h_polar, h_rest = ((math.log(total) * n - clogc) / total for n, clogc in sums.values())
+        return w * h_polar if unigram else w * h_polar + h_rest / w
+
+    e_before = 0.0
+    e_after = 0.0
+    for n, w in weights.items():
+        grams_s = ngram_table(reviews_s, n)
+        grams_t = ngram_table(reviews_t, n)
+        mixed = {g: c + grams_t.get(g, 0) for g, c in grams_s.items()}
+        mixed.update((g, c) for g, c in grams_t.items() if g not in grams_s)
+        e_before += entropy(grams_s, w, n == 1)
+        e_after += entropy(mixed, w, n == 1)
+    if e_before == 0.0:
+        return None
+    return abs(e_after - e_before) / e_before * 100.0
+
+
 def top_k(grams: dict, k: int) -> list[tuple[str, ...]]:
     return [g for g, _ in sorted(grams.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
 

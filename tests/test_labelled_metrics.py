@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+import synth
 from conftest import build_corpus
 from domainsim.errors import InputError, UnrankablePairError
 from domainsim.labelled_metrics import (
@@ -17,6 +18,7 @@ from domainsim.labelled_metrics import (
     lm2_skld,
     lm3_chameleon,
     lm4_entropy_change,
+    lm4_matrix,
     make_result,
     weighted_entropy,
 )
@@ -204,6 +206,47 @@ def test_lm4_disjoint_vocabulary_regression_fixture():
     )
     assert abs(value - oracle) < 1e-9
     assert abs(value - 23.379450003602916) < 1e-9
+
+
+def matrix_for(corpora):
+    return lm4_matrix(corpora, [polar_words(polarity_table(c)) for c in corpora])
+
+
+def test_lm4_matrix_equals_pairwise_values_exactly():
+    corpora = synth.build_corpora(synth.synthetic_reviews(n_domains=20, reviews_per_domain=30, seed=4))
+    matrix = matrix_for(corpora)
+    for i, source in enumerate(corpora):
+        assert matrix[i][i] is None
+        for j, target in enumerate(corpora):
+            if i != j:
+                assert matrix[i][j] == lm4_entropy_change(source, target)
+
+
+def test_lm4_matrix_zero_baseline_source_unrankable_for_all_targets():
+    flat = build_corpus("flat", [("positive", "uni uni uni uni"), ("negative", "uni uni uni uni")])
+    a = build_corpus("a", [("positive", "good fine day"), ("negative", "bad poor day")] * 3)
+    b = build_corpus("b", [("positive", "good nice night"), ("negative", "awful poor night")] * 2)
+    matrix = matrix_for([flat, a, b])
+    assert matrix[0] == [None, None, None]
+    for i, source in ((1, a), (2, b)):
+        assert matrix[i][0] == lm4_entropy_change(source, flat)
+        assert matrix[i][0] is not None
+
+
+SHORT_ROWS = [("positive", "good day"), ("negative", "bad"), ("positive", "good fine night")]
+LEFT_ROWS = [("positive", "aa bb cc dd ee"), ("negative", "ff gg hh ii jj"), ("positive", "aa cc ee")]
+RIGHT_ROWS = [("positive", "kk ll mm nn oo"), ("negative", "pp qq rr ss tt"), ("negative", "qq ss")]
+
+
+@pytest.mark.parametrize("rows_s, rows_t", [(LEFT_ROWS, SHORT_ROWS), (LEFT_ROWS, RIGHT_ROWS)],
+                         ids=["target without 4-grams", "disjoint vocabularies"])
+def test_lm4_matrix_edge_corpora_match_pairwise_and_oracle(rows_s, rows_t):
+    corpora = [build_corpus("s", rows_s), build_corpus("t", rows_t)]
+    reviews = [[(label, text.split()) for label, text in rows] for rows in (rows_s, rows_t)]
+    matrix = matrix_for(corpora)
+    for i, j in ((0, 1), (1, 0)):
+        assert matrix[i][j] == lm4_entropy_change(corpora[i], corpora[j])
+        assert math.isclose(matrix[i][j], oracles.entropy_change(reviews[i], reviews[j]), rel_tol=1e-9)
 
 
 def test_metric_result_validates_direction():
