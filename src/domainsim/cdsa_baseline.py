@@ -10,6 +10,7 @@ match the accuracies of a tuned neural classifier.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ from .errors import InputError
 
 FEATURE_DIM = 1 << 16
 TARGET_SPLIT_SIZE = 2000
+EPOCHS = 4
+LEARNING_RATE = 0.5
 
 
 class AccuracyMatrix:
@@ -40,6 +43,8 @@ class AccuracyMatrix:
             raise InputError(
                 f"accuracy matrix shape {acc.shape} does not match {len(domains)} domains"
             )
+        if not np.all(np.isfinite(acc)):
+            raise InputError(f"accuracy value not finite: {acc[~np.isfinite(acc)][0]}")
         if np.any(acc < 0.0) or np.any(acc > 100.0):
             bad = acc[(acc < 0.0) | (acc > 100.0)][0]
             raise InputError(f"accuracy value out of range [0, 100]: {bad}")
@@ -66,21 +71,22 @@ def load_accuracy_matrix(path: str | Path) -> AccuracyMatrix:
     if not path.is_file():
         raise InputError(f"accuracy matrix file not found: {path}")
     with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
     if len(rows) < 2:
         raise InputError(f"{path}: matrix CSV needs a header and at least one row")
-    domains = tuple(h.strip() for h in rows[0][1:])
+    domains = tuple(h.strip() for h in rows[0][1][1:])
     if len(set(domains)) != len(domains):
         raise InputError(f"{path}: duplicate domain ids in header")
-    by_source: dict[str, list[str]] = {}
-    for row in rows[1:]:
+    by_source: dict[str, tuple[int, list[str]]] = {}
+    for line, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(domains) + 1:
             raise InputError(
                 f"{path}: row for {row[0]!r} has {len(row) - 1} cells, expected {len(domains)}"
             )
-        by_source[row[0].strip()] = row[1:]
+        by_source[row[0].strip()] = (line, row[1:])
     if set(by_source) != set(domains):
         missing = sorted(set(domains) - set(by_source))
         extra = sorted(set(by_source) - set(domains))
@@ -89,11 +95,17 @@ def load_accuracy_matrix(path: str | Path) -> AccuracyMatrix:
         )
     acc = np.empty((len(domains), len(domains)), dtype=np.float64)
     for i, source in enumerate(domains):
-        for j, cell in enumerate(by_source[source]):
+        line, cells = by_source[source]
+        for j, cell in enumerate(cells):
             try:
-                acc[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
-                raise InputError(f"{path}: non-numeric cell {cell!r} in row {source}") from None
+                raise InputError(
+                    f"{path}, line {line}: non-numeric cell {cell!r} in row {source}"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(f"{path}, line {line}: non-finite cell {cell!r} in row {source}")
+            acc[i, j] = value
     return AccuracyMatrix(domains, acc)
 
 
@@ -164,43 +176,132 @@ def write_chart_csv(rows: Sequence[ChartRow], path: str | Path) -> None:
             )
 
 
-def _hash_features(tokens: Sequence[str]) -> np.ndarray:
-    idx = {zlib.crc32(tok.encode("utf-8")) & (FEATURE_DIM - 1) for tok in tokens}
-    return np.fromiter(sorted(idx), dtype=np.int64, count=len(idx))
+class _FeatureHashes(dict):
+    """Token -> hashed feature id, each token hashed once.
+
+    Reviews then share one int object per id instead of holding one per
+    token occurrence, which keeps the featurisation's peak memory down.
+    """
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = zlib.crc32(token.encode("utf-8")) & (FEATURE_DIM - 1)
+        return bucket
 
 
-def _featurize(corpus: Corpus) -> list[tuple[np.ndarray, int]]:
-    return [
-        (_hash_features(r.tokens), 1 if r.label == POSITIVE else 0)
-        for r in corpus.reviews
-    ]
+def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Hashed bag-of-words features of every review of every corpus, once.
+
+    Returns ``(features, widths, labels, pad)``. Reviews are numbered
+    corpus by corpus in corpus order. Row r of the int32 ``features``
+    matrix holds review r's distinct hashed ids, ascending, as dense column
+    numbers (``np.unique`` keeps their order), laid out for ``_row_sums``
+    over its first ``widths[r]`` columns; every other cell is the pad
+    column ``pad``, whose weight is kept at zero. ``labels[r]`` is 1.0 for
+    a positive review, else 0.0.
+
+    numpy sums a row of fewer than 128 values in 8 interleaved
+    accumulators, one block of 8 columns at a time, combines them, and then
+    adds the last n mod 8 values in order; a longer row is split in halves
+    recursively. So a review with L < 128 features keeps its whole blocks
+    of 8 in place, moves its last L mod 8 features to the start of the
+    final 7 of a common width 8K + 7 (K the most whole blocks of any such
+    review), and has zeros in the blocks between: zero blocks leave every
+    accumulator unchanged and zeros after the tail add nothing, so each sum
+    is bit-identical to ``weights[idx].sum()`` over the L weights alone.
+    Zeros anywhere else change the association and the last bits of the
+    sum. A review with 128 features or more is summed at its exact length.
+    """
+    hash_of = _FeatureHashes()
+    hashed: list[int] = []
+    lengths: list[int] = []
+    labels: list[float] = []
+    for corpus in corpora:
+        for review in corpus.reviews:
+            ids = sorted(set(map(hash_of.__getitem__, review.tokens)))
+            hashed.extend(ids)
+            lengths.append(len(ids))
+            labels.append(1.0 if review.label == POSITIVE else 0.0)
+    distinct, columns = np.unique(np.array(hashed, dtype=np.int64), return_inverse=True)
+    pad = len(distinct)
+    counts = np.array(lengths, dtype=np.int64)
+    short = counts < 128
+    in_place = np.where(short, counts // 8 * 8, counts)
+    short_width = int(in_place[short].max(initial=0)) + 7
+    widths = np.where(short, short_width, counts)
+    position = np.arange(len(columns)) - np.repeat(np.cumsum(counts) - counts, counts)
+    tail = position >= np.repeat(in_place, counts)
+    position[tail] += np.repeat(short_width - 7 - in_place, counts)[tail]
+    features = np.full((len(counts), int(widths.max())), pad, dtype=np.int32)
+    features[np.repeat(np.arange(len(counts)), counts), position] = columns
+    return features, widths, np.array(labels), pad
 
 
-def _train_logistic(
-    examples: list[tuple[np.ndarray, int]],
-    rng: np.random.Generator,
-    epochs: int = 4,
-    lr: float = 0.5,
-) -> tuple[np.ndarray, float]:
-    # Online logistic regression on binary hashed-presence features.
-    weights = np.zeros(FEATURE_DIM, dtype=np.float64)
-    bias = 0.0
-    for _ in range(epochs):
-        for i in rng.permutation(len(examples)):
-            idx, y = examples[i]
-            z = float(weights[idx].sum()) + bias
-            z = min(35.0, max(-35.0, z))
-            grad = 1.0 / (1.0 + np.exp(-z)) - y
-            weights[idx] -= lr * grad
-            bias -= lr * grad
-    return weights, bias
+def _row_sums(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each row's sum over its first ``widths[r]`` columns, one call per width.
+
+    With rows laid out by ``_featurize`` this is every review's dot product
+    with the gathered weights, bit for bit; all reviews shorter than 128
+    features share one width.
+    """
+    if widths.min() == values.shape[1]:
+        return values.sum(axis=1)
+    sums = np.empty(len(values))
+    for width in np.unique(widths):
+        rows = np.flatnonzero(widths == width)
+        sums[rows] = values[rows, :width].sum(axis=1)
+    return sums
 
 
-def _accuracy(weights: np.ndarray, bias: float, examples: Sequence[tuple[np.ndarray, int]]) -> float:
-    correct = sum(
-        1 for idx, y in examples if ((float(weights[idx].sum()) + bias) > 0.0) == bool(y)
-    )
-    return correct / len(examples)
+def _train_lockstep(
+    features: np.ndarray,
+    widths: np.ndarray,
+    labels: np.ndarray,
+    pad: int,
+    train_sets: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Online logistic regression of one model per training set, all in lockstep.
+
+    Model m makes ``EPOCHS`` passes over ``train_sets[m]`` (review numbers),
+    each in the order of ``rngs[m].permutation``, and at every example
+    updates the weights of the example's features and its bias by
+    ``LEARNING_RATE * (sigmoid(z) - y)``, z clipped to [-35, 35]. Step t
+    makes the t-th update of every model that has one, as numpy operations
+    over a (models x width) gather from the weight matrix. The models share
+    no weights and each model's updates keep their order, so every model
+    does exactly the arithmetic of training it alone, one example at a
+    time. Slots are sorted by training-set size, so the models still
+    training at step t are a prefix of the slots. Returns the weights, one
+    row per model plus the zero pad column, and the biases.
+    """
+    n_models = len(train_sets)
+    sizes = np.array([len(ids) for ids in train_sets])
+    order = np.argsort(-sizes, kind="stable")
+    slot_sizes = sizes[order]
+    weights = np.zeros((n_models, pad + 1))
+    flat = weights.reshape(-1)
+    offsets = (order * (pad + 1))[:, None]
+    bias = np.zeros(n_models)
+    schedule = np.empty((slot_sizes[0], n_models), dtype=np.int32)
+    for _ in range(EPOCHS):
+        for slot, m in enumerate(order):
+            schedule[: sizes[m], slot] = train_sets[m][rngs[m].permutation(sizes[m])]
+        active = n_models
+        for t in range(len(schedule)):
+            while slot_sizes[active - 1] <= t:
+                active -= 1
+            reviews = schedule[t, :active]
+            row_widths = widths[reviews]
+            idx = features[reviews, : row_widths.max()] + offsets[:active]
+            values = flat[idx]
+            z = np.minimum(np.maximum(_row_sums(values, row_widths) + bias[:active], -35.0), 35.0)
+            step = LEARNING_RATE * (1.0 / (1.0 + np.exp(-z)) - labels[reviews])
+            flat[idx] = values - step[:, None]
+            bias[:active] -= step
+            weights[:, pad] = 0.0
+    model_bias = np.empty(n_models)
+    model_bias[order] = bias
+    return weights, model_bias
 
 
 def train_eval_baseline(
@@ -215,9 +316,27 @@ def train_eval_baseline(
     ``splits`` disjoint target splits. Deterministic for a given seed. When
     a corpus is too small for the standard 2000-review splits, proportional
     splits are used and a warning is emitted.
+
+    All (splits + 1) * N models train in lockstep (``_train_lockstep``) and
+    then score their test reviews in batches, and the matrix is
+    bit-identical to training and scoring one model and one example at a
+    time (``sequential_baseline`` in ``tests/oracles.py``). Two rules keep
+    it so. Every dot product is a numpy ``sum`` of the gathered weights,
+    padded only as ``_row_sums`` allows; ``np.add.reduceat`` adds in
+    another order and differs from ``sum`` on most rows. The sigmoid uses
+    ``np.exp``, whose array and scalar results agree; ``math.exp`` differs
+    from it in the last bit on a few percent of inputs.
+
+    Memory: the weight matrix holds (splits + 1) * N rows of (distinct
+    hashed ids + 1) float64, at most 120 x 65537 x 8 B = 63 MB for 20
+    domains and 5 splits; the feature matrix 4 B per review per column of
+    the widest review; the training order 4 B per model per example of the
+    largest training set, one epoch at a time.
     """
     if len(corpora) < 2:
         raise InputError("baseline needs at least 2 corpora")
+    if splits < 1:
+        raise InputError(f"baseline needs at least 1 split, got {splits}")
     domains = tuple(c.domain_id for c in corpora)
     if len(set(domains)) != len(domains):
         raise InputError("duplicate domain ids in corpora")
@@ -239,42 +358,52 @@ def train_eval_baseline(
         if len(c) < splits:
             raise InputError(f"corpus {c.domain_id} has fewer reviews than {splits} splits")
 
-    features = [_featurize(c) for c in corpora]
+    features, widths, labels, pad = _featurize(corpora)
+    positive = labels == 1.0
     n = len(corpora)
+    starts = np.cumsum([0] + [len(c) for c in corpora])
 
-    # Deterministic split of every corpus into `splits` test folds.
-    fold_indices = []
+    # Deterministic split of every corpus into `splits` test folds: fold f
+    # is the f-th array_split chunk of a seeded permutation of its reviews.
+    shuffled = []
+    fold_ids = []
     for t in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1, t]))
-        fold_indices.append(np.array_split(rng.permutation(len(features[t])), splits))
+        perm = rng.permutation(len(corpora[t]))
+        shuffled.append(starts[t] + perm)
+        fold_ids.append(np.repeat(np.arange(splits), [len(f) for f in np.array_split(perm, splits)]))
+    fold_of = np.empty(len(labels), dtype=np.int64)
+    fold_of[np.concatenate(shuffled)] = np.concatenate(fold_ids)
+
+    # Model s * (splits + 1) + h holds out fold h of corpus s for h < splits;
+    # model s * (splits + 1) + splits trains on all of corpus s.
+    train_sets = []
+    rngs = []
+    for s in range(n):
+        for held_out in range(splits):
+            train_sets.append(shuffled[s][fold_ids[s] != held_out])
+            rngs.append(np.random.default_rng(np.random.SeedSequence([seed, 2, s, held_out])))
+        train_sets.append(np.arange(starts[s], starts[s + 1]))
+        rngs.append(np.random.default_rng(np.random.SeedSequence([seed, 3, s])))
+    weights, bias = _train_lockstep(features, widths, labels, pad, train_sets, rngs)
+
+    def correct(model: int, rows) -> np.ndarray:
+        sums = _row_sums(weights[model][features[rows]], widths[rows])
+        return (sums + bias[model] > 0.0) == positive[rows]
 
     acc = np.empty((n, n), dtype=np.float64)
     for s in range(n):
-        examples = features[s]
-        # In-domain: k-fold, train on the remaining folds each time.
         fold_accs = []
         for held_out in range(splits):
-            train_set = [
-                examples[i]
-                for f in range(splits)
-                if f != held_out
-                for i in fold_indices[s][f]
-            ]
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 2, s, held_out]))
-            weights, bias = _train_logistic(train_set, rng)
-            test_set = [examples[i] for i in fold_indices[s][held_out]]
-            fold_accs.append(_accuracy(weights, bias, test_set))
+            rows = shuffled[s][fold_ids[s] == held_out]
+            fold_accs.append(np.count_nonzero(correct(s * (splits + 1) + held_out, rows)) / len(rows))
         acc[s, s] = 100.0 * float(np.mean(fold_accs))
 
-        # Cross-domain: one model on the full source, averaged over target splits.
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 3, s]))
-        weights, bias = _train_logistic(examples, rng)
         for t in range(n):
             if t == s:
                 continue
-            split_accs = [
-                _accuracy(weights, bias, [features[t][i] for i in fold])
-                for fold in fold_indices[t]
-            ]
-            acc[s, t] = 100.0 * float(np.mean(split_accs))
+            rows = slice(starts[t], starts[t + 1])
+            folds = fold_of[rows]
+            hits = np.bincount(folds[correct(s * (splits + 1) + splits, rows)], minlength=splits)
+            acc[s, t] = 100.0 * float(np.mean(hits / np.bincount(folds, minlength=splits)))
     return AccuracyMatrix(domains, acc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,13 +110,28 @@ class RunConfig:
             self.seed = args.seed
 
     def _validate(self) -> None:
-        if not isinstance(self.domains, dict):
-            raise InputError("config 'domains' must map domain ids to corpus paths")
+        for key in ("domains", "vectors"):
+            mapping = getattr(self, key)
+            if not isinstance(mapping, dict) or not all(
+                isinstance(name, str) and isinstance(path, str) for name, path in mapping.items()
+            ):
+                raise InputError(f"config {key!r} must map names to path strings")
+        optional = ("stopwords", "adjectives", "sentiment_lexicon", "accuracy_matrix")
+        for key in ("format", "out", *optional):
+            value = getattr(self, key)
+            if not (isinstance(value, str) or (value is None and key in optional)):
+                raise InputError(f"config {key!r} must be a string")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise InputError(f"config 'seed' must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.metrics, list):
+            raise InputError("config 'metrics' must be a list of metric ids")
         for metric in self.metrics:
-            if metric not in ALL_METRICS:
+            if not isinstance(metric, str) or metric not in ALL_METRICS:
                 raise InputError(f"unknown metric {metric!r} (known: {', '.join(ALL_METRICS)})")
+        if not isinstance(self.k, list):
+            raise InputError("config 'k' must be a list of positive integers")
         for k in self.k:
-            if not isinstance(k, int) or k < 1:
+            if not _is_int(k) or k < 1:
                 raise InputError(f"K values must be positive integers, got {k!r}")
 
     def out_dir(self) -> Path:
@@ -153,6 +169,10 @@ class RunConfig:
         if path.suffix.lower() in (".tsv", ".txt") and _looks_like_tsv(path):
             return load_sentiment_lexicon_tsv(path)
         return load_sentiwordnet(path)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _looks_like_tsv(path: Path) -> bool:
@@ -307,6 +327,10 @@ def read_metric_csv(path: str | Path) -> list[lm.MetricResult]:
         for row in reader:
             try:
                 value = float(row["value"]) if row["value"] else None
+                if value is not None and not math.isfinite(value):
+                    raise InputError(
+                        f"{path}, line {reader.line_num}: non-finite metric value {row['value']!r}"
+                    )
                 results.append(
                     lm.MetricResult(row["metric_id"], row["source"], row["target"],
                                     value, row["direction"])

@@ -2,12 +2,17 @@
 
 These recompute everything directly from raw (label, token list) reviews
 with plain dicts and -p*log(p) sums, sharing no code with the package, so
-they can arbitrate the optimized implementations.
+they can arbitrate the optimized implementations. ``sequential_baseline``
+is the CDSA baseline as it was before it trained its models in lockstep:
+one model and one example at a time, in plain Python loops.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
+
+import numpy as np
 
 Reviews = list[tuple[str, list[str]]]
 
@@ -175,3 +180,85 @@ def ngram_overlap(
     if available == 0:
         return 1.0
     return matched / available
+
+
+FEATURE_DIM = 1 << 16
+
+
+def _hash_features(tokens) -> np.ndarray:
+    idx = {zlib.crc32(tok.encode("utf-8")) & (FEATURE_DIM - 1) for tok in tokens}
+    return np.fromiter(sorted(idx), dtype=np.int64, count=len(idx))
+
+
+def _featurize(corpus) -> list[tuple[np.ndarray, int]]:
+    return [
+        (_hash_features(r.tokens), 1 if r.label == "positive" else 0)
+        for r in corpus.reviews
+    ]
+
+
+def _train_logistic(
+    examples: list[tuple[np.ndarray, int]],
+    rng: np.random.Generator,
+    epochs: int = 4,
+    lr: float = 0.5,
+) -> tuple[np.ndarray, float]:
+    # Online logistic regression on binary hashed-presence features.
+    weights = np.zeros(FEATURE_DIM, dtype=np.float64)
+    bias = 0.0
+    for _ in range(epochs):
+        for i in rng.permutation(len(examples)):
+            idx, y = examples[i]
+            z = float(weights[idx].sum()) + bias
+            z = min(35.0, max(-35.0, z))
+            grad = 1.0 / (1.0 + np.exp(-z)) - y
+            weights[idx] -= lr * grad
+            bias -= lr * grad
+    return weights, bias
+
+
+def _accuracy(weights: np.ndarray, bias: float, examples) -> float:
+    correct = sum(
+        1 for idx, y in examples if ((float(weights[idx].sum()) + bias) > 0.0) == bool(y)
+    )
+    return correct / len(examples)
+
+
+def sequential_baseline(corpora, splits: int = 5, seed: int = 0) -> np.ndarray:
+    """The baseline's N x N accuracy array (%), one model and one example at a time."""
+    features = [_featurize(c) for c in corpora]
+    n = len(corpora)
+
+    fold_indices = []
+    for t in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1, t]))
+        fold_indices.append(np.array_split(rng.permutation(len(features[t])), splits))
+
+    acc = np.empty((n, n), dtype=np.float64)
+    for s in range(n):
+        examples = features[s]
+        fold_accs = []
+        for held_out in range(splits):
+            train_set = [
+                examples[i]
+                for f in range(splits)
+                if f != held_out
+                for i in fold_indices[s][f]
+            ]
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 2, s, held_out]))
+            weights, bias = _train_logistic(train_set, rng)
+            test_set = [examples[i] for i in fold_indices[s][held_out]]
+            fold_accs.append(_accuracy(weights, bias, test_set))
+        acc[s, s] = 100.0 * float(np.mean(fold_accs))
+
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 3, s]))
+        weights, bias = _train_logistic(examples, rng)
+        for t in range(n):
+            if t == s:
+                continue
+            split_accs = [
+                _accuracy(weights, bias, [features[t][i] for i in fold])
+                for fold in fold_indices[t]
+            ]
+            acc[s, t] = 100.0 * float(np.mean(split_accs))
+    return acc

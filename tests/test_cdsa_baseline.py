@@ -47,6 +47,9 @@ def test_load_matrix_reorders_rows_to_header(tmp_path):
         ("domain,A,B\nA,90,70\n", "differ"),
         ("domain,A,B\nA,90,x\nB,60,80\n", "non-numeric"),
         ("domain,A,A\nA,90,70\nA,60,80\n", "duplicate"),
+        ("domain,A,B\nA,90,nan\nB,60,80\n", "line 2: non-finite cell 'nan'"),
+        ("domain,A,B\nA,90,70\nB,inf,80\n", "line 3: non-finite cell 'inf'"),
+        ("domain,A,B\nB,60,80\nA,-inf,70\n", "line 3: non-finite cell '-inf' in row A"),
     ],
 )
 def test_load_matrix_rejects_bad_input(tmp_path, content, match):
@@ -54,6 +57,12 @@ def test_load_matrix_rejects_bad_input(tmp_path, content, match):
     path.write_text(content)
     with pytest.raises(InputError, match=match):
         load_accuracy_matrix(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_rejects_non_finite_values(bad):
+    with pytest.raises(InputError, match="not finite"):
+        AccuracyMatrix(("A", "B"), np.array([[90.0, bad], [60.0, 80.0]]))
 
 
 def test_matrix_roundtrip_two_decimals(tmp_path):
@@ -197,6 +206,8 @@ def test_baseline_input_validation():
     corpus = build_corpus("a", [("positive", "x"), ("negative", "y")])
     with pytest.raises(InputError, match="at least 2"):
         train_eval_baseline([corpus])
+    with pytest.raises(InputError, match="at least 1 split"):
+        train_eval_baseline([corpus, corpus], splits=0)
     tiny = build_corpus("b", [("positive", "x"), ("negative", "y")])
     with pytest.raises(InputError, match="fewer reviews"):
         with pytest.warns(UserWarning):

@@ -246,6 +246,32 @@ def test_baseline_command(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("splits", ["0", "-2"])
+def test_baseline_rejects_fewer_than_one_split(workspace, capsys, splits):
+    _, config = workspace
+    assert main(["baseline", "--config", str(config), "--splits", splits]) == 1
+    assert "at least 1 split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_evaluate_rejects_non_finite_metric_values(workspace, capsys, bad):
+    tmp_path, config = workspace
+    assert main(["metrics", "--config", str(config), "--metrics", "LM1"]) == 0
+    path = tmp_path / "out" / "metric_LM1.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = bad
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    matrix_path = tmp_path / "matrix.csv"
+    _matrix_csv(matrix_path, ["A", "B", "C"],
+                [[90, 70, 60], [65, 88, 72], [71, 69, 91]])
+    code = main(["evaluate", "--config", str(config), "--metrics", "LM1",
+                 "--accuracy-matrix", str(matrix_path)])
+    assert code == 1
+    assert f"{path}, line 3: non-finite metric value '{bad}'" in capsys.readouterr().err
+
+
 def test_identical_runs_are_byte_identical(workspace):
     tmp_path, config_path = workspace
     config = json.loads(config_path.read_text())
@@ -284,6 +310,23 @@ def test_unknown_metric_and_config_keys_rejected(workspace, capsys):
     bad.write_text(json.dumps({"domans": {}}))
     assert main(["ingest", "--config", str(bad)]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "x"), ("seed", True), ("seed", -1), ("seed", 1.5),
+    ("k", ["2"]), ("k", [True]), ("k", 3),
+    ("metrics", [5]), ("metrics", {"LM1": 1}),
+    ("domains", {"A": 5}), ("domains", ["A"]), ("vectors", {"ULM1": 3}),
+    ("out", 7), ("stopwords", 1), ("format", None),
+])
+def test_config_values_of_the_wrong_type_exit_one(workspace, capsys, key, value):
+    tmp_path, config_path = workspace
+    config = json.loads(config_path.read_text())
+    config[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    assert main(["baseline", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_end_to_end_with_synthetic_generator(tmp_path):
