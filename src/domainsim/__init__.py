@@ -11,7 +11,6 @@ from .cdsa_baseline import (
 )
 from .corpus import (
     Corpus,
-    NgramOverlapMatrix,
     Review,
     load_corpus,
     ngram_overlap,
@@ -43,7 +42,6 @@ from .evaluation import (
     truth_ranking,
 )
 from .labelled_metrics import (
-    MetricResult,
     jaccard,
     lm1_overlap,
     lm2_skld,
@@ -64,5 +62,6 @@ from .lexstats import (
     review_score,
     significant_words,
 )
+from .pairs import PairMatrix
 
 __version__ = "0.1.0"

@@ -14,8 +14,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from . import embedding_metrics as emb
@@ -28,7 +31,7 @@ from .cdsa_baseline import (
     write_accuracy_matrix_csv,
     write_chart_csv,
 )
-from .errors import InputError, UnrankablePairError
+from .errors import InputError
 from .evaluation import build_markdown_report, recommendation_report, write_eval_csv
 from .lexstats import (
     load_sentiment_lexicon_tsv,
@@ -37,9 +40,9 @@ from .lexstats import (
     polarity_table,
     significant_words,
 )
+from .pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix, mirrored
 
-LABELLED_METRICS = ("LM1", "LM2", "LM3", "LM4")
-ALL_METRICS = LABELLED_METRICS + ("NGRAM",) + emb.WORD_VECTOR_METRICS + emb.SENTENCE_VECTOR_METRICS
+METRIC_CSV_HEADER = ("metric_id", "source", "target", "value", "direction")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -126,8 +129,8 @@ class RunConfig:
         if not isinstance(self.metrics, list):
             raise InputError("config 'metrics' must be a list of metric ids")
         for metric in self.metrics:
-            if not isinstance(metric, str) or metric not in ALL_METRICS:
-                raise InputError(f"unknown metric {metric!r} (known: {', '.join(ALL_METRICS)})")
+            if not isinstance(metric, str) or metric not in METRICS:
+                raise InputError(f"unknown metric {metric!r} (known: {', '.join(METRICS)})")
         if not isinstance(self.k, list):
             raise InputError("config 'k' must be a list of positive integers")
         for k in self.k:
@@ -230,114 +233,136 @@ def cmd_ingest(config: RunConfig) -> None:
     print(f"wrote {out} ({len(corpora)} domains)")
 
 
-def _preflight(config: RunConfig, metrics: Sequence[str]) -> None:
-    for metric in metrics:
-        if metric in emb.WORD_VECTOR_METRICS or metric in emb.SENTENCE_VECTOR_METRICS:
-            vec_dir = config.vectors.get(metric)
-            if not vec_dir:
-                raise InputError(f"metric {metric} needs --vectors {metric}=DIR")
-            for name in config.domains:
-                path = Path(vec_dir) / f"{name}.vec"
-                if not path.is_file():
-                    raise InputError(f"metric {metric}: missing vector file {path}")
-        if metric in emb.WORD_VECTOR_METRICS and not config.adjectives:
-            raise InputError(f"metric {metric} needs --adjectives")
-        if metric in emb.SENTENCE_VECTOR_METRICS and not config.sentiment_lexicon:
-            raise InputError(f"metric {metric} needs --sentiment-lexicon")
+def _vector_file(config: RunConfig, metric: str, domain: str) -> Path:
+    return Path(config.vectors[metric]) / f"{domain}.vec"
 
 
-def _labelled_results(
-    metric: str,
-    corpora: Sequence[corpus_mod.Corpus],
-    overlap: corpus_mod.NgramOverlapMatrix | None = None,
-) -> list[lm.MetricResult]:
-    n = len(corpora)
-    matrix: list[list[float | None]] = [[None] * n for _ in range(n)]
-    if metric == "LM1":
-        sigs = [significant_words(c) for c in corpora]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    matrix[i][j] = float(lm.lm1_overlap(sigs[i], sigs[j]))
-    elif metric in ("LM2", "LM3"):
-        tables = [polarity_table(c) for c in corpora]
-        func = lm.lm2_skld if metric == "LM2" else lm.lm3_chameleon
-        for i in range(n):
-            for j in range(i + 1, n):
-                try:
-                    matrix[i][j] = matrix[j][i] = func(tables[i], tables[j])
-                except UnrankablePairError:
-                    pass
-    elif metric == "LM4":
-        polar_sets = [polar_words(polarity_table(c)) for c in corpora]
-        matrix = lm.lm4_matrix(corpora, polar_sets)
-    elif metric == "NGRAM":
-        matrix = overlap.values
-    else:
-        raise InputError(f"unknown labelled metric {metric!r}")
-    names = [c.domain_id for c in corpora]
-    return [
-        lm.make_result(metric, s, t, matrix[i][j])
-        for i, s in enumerate(names)
-        for j, t in enumerate(names)
-        if i != j
+def _word_vector_values(corpora, config: RunConfig, metric: str) -> np.ndarray:
+    adjectives = emb.load_adjectives(config.adjectives)
+    tables = [
+        emb.load_word_vectors(_vector_file(config, metric, c.domain_id), c.domain_id)
+        for c in corpora
     ]
+    return emb.word_metric_matrix(tables, adjectives)
 
 
-def _embedding_results(
-    metric: str,
-    config: RunConfig,
-    corpora: Sequence[corpus_mod.Corpus],
-) -> list[lm.MetricResult]:
-    vec_dir = Path(config.vectors[metric])
-    if metric in emb.WORD_VECTOR_METRICS:
-        adjectives = emb.load_adjectives(config.adjectives)
-        tables = [
-            emb.load_word_vectors(vec_dir / f"{c.domain_id}.vec", c.domain_id)
-            for c in corpora
-        ]
-        return emb.word_metric_matrix(tables, adjectives, metric)
+def _sentence_vector_values(corpora, config: RunConfig, metric: str, mode: str) -> np.ndarray:
     lexicon = config.load_lexicon()
-    mode = emb.SELECTION_MODES[metric]
     sets = []
     for corpus in corpora:
-        vectors = emb.load_sentence_vectors(vec_dir / f"{corpus.domain_id}.vec", corpus.domain_id)
+        vectors = emb.load_sentence_vectors(
+            _vector_file(config, metric, corpus.domain_id), corpus.domain_id)
         sets.append(emb.select_test_vectors(corpus, lexicon, vectors, mode=mode))
-    return emb.sentence_metric_matrix(sets, metric)
+    return emb.sentence_metric_matrix(sets)
 
 
-def write_metric_csv(results: Sequence[lm.MetricResult], path: Path) -> None:
+# Metric id -> (direction, compute(corpora, config, metric) -> N×N values,
+# the config input a vector metric needs besides its --vectors directory).
+# Each compute looks its functions up when it runs, through this module's
+# globals or a module attribute, so a wrapper set on such an attribute
+# (perfbench/traced_cli.py sets them) sees every call.
+# Sentence metrics pick reviews by mode: the encoder-based ULM7 ranks them by
+# sentiment magnitude ("top"); the train/infer style ULM2 and ULM5 use a
+# deterministic held-out tail ("heldout").
+METRICS = {
+    "LM1": (HIGHER_IS_MORE_SIMILAR, lambda corpora, *_: mirrored(
+        [significant_words(c) for c in corpora], lm.lm1_overlap), None),
+    "LM2": (LOWER_IS_MORE_SIMILAR, lambda corpora, *_: mirrored(
+        [polarity_table(c) for c in corpora], lm.lm2_skld), None),
+    "LM3": (LOWER_IS_MORE_SIMILAR, lambda corpora, *_: mirrored(
+        [polarity_table(c) for c in corpora], lm.lm3_chameleon), None),
+    "LM4": (LOWER_IS_MORE_SIMILAR, lambda corpora, *_: lm.lm4_matrix(
+        corpora, [polar_words(polarity_table(c)) for c in corpora]), None),
+    "NGRAM": (HIGHER_IS_MORE_SIMILAR,
+              lambda corpora, *_: corpus_mod.ngram_overlap_matrix(corpora), None),
+    **{m: (HIGHER_IS_MORE_SIMILAR, _word_vector_values, "adjectives")
+       for m in ("ULM1", "ULM3", "ULM4", "ULM6")},
+    **{m: (HIGHER_IS_MORE_SIMILAR, partial(_sentence_vector_values, mode=mode), "sentiment_lexicon")
+       for m, mode in (("ULM2", "heldout"), ("ULM5", "heldout"), ("ULM7", "top"))},
+}
+
+
+def _preflight(config: RunConfig, metrics: Sequence[str]) -> None:
+    for metric in metrics:
+        needs = METRICS[metric][2]
+        if needs is None:
+            continue
+        if not config.vectors.get(metric):
+            raise InputError(f"metric {metric} needs --vectors {metric}=DIR")
+        for name in config.domains:
+            path = _vector_file(config, metric, name)
+            if not path.is_file():
+                raise InputError(f"metric {metric}: missing vector file {path}")
+        if not getattr(config, needs):
+            raise InputError(f"metric {metric} needs --{needs.replace('_', '-')}")
+
+
+def write_metric_csv(pairs: PairMatrix, path: Path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric_id", "source", "target", "value", "direction"])
-        for r in results:
-            writer.writerow(
-                [r.metric_id, r.source, r.target,
-                 "" if r.value is None else repr(r.value), r.direction]
-            )
+        writer.writerow(METRIC_CSV_HEADER)
+        for i, source in enumerate(pairs.domains):
+            for j, target in enumerate(pairs.domains):
+                if i != j:
+                    # repr of a Python float, not of np.float64, which would print np.float64(...).
+                    value = float(pairs.values[i, j])
+                    writer.writerow([pairs.metric_id, source, target,
+                                     "" if math.isnan(value) else repr(value), pairs.direction])
 
 
-def read_metric_csv(path: str | Path) -> list[lm.MetricResult]:
+def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> PairMatrix:
+    """Load ``metric``'s values over ``domains``, in that order, which breaks ranking ties.
+
+    Rejects, naming file and line, a row that is malformed, belongs to
+    another metric or direction, pairs a domain with itself, repeats a pair
+    or holds a non-finite value (only an empty cell means unrankable); then
+    a file whose domains differ from ``domains`` or that misses a pair.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"metric file not found: {path}")
-    results = []
+    direction = METRICS[metric][0]
+    index = {d: i for i, d in enumerate(domains)}
+    values = np.full((len(domains), len(domains)), np.nan)
+    seen: set[tuple[str, str]] = set()
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            fields = [row.get(key) for key in METRIC_CSV_HEADER]
+            if None in fields:
+                raise InputError(f"{where}: bad metric row")
+            row_metric, source, target, cell, row_direction = fields
             try:
-                value = float(row["value"]) if row["value"] else None
-                if value is not None and not math.isfinite(value):
-                    raise InputError(
-                        f"{path}, line {reader.line_num}: non-finite metric value {row['value']!r}"
-                    )
-                results.append(
-                    lm.MetricResult(row["metric_id"], row["source"], row["target"],
-                                    value, row["direction"])
+                value = float(cell) if cell else math.nan
+            except ValueError:
+                raise InputError(f"{where}: bad metric row") from None
+            if cell and not math.isfinite(value):
+                raise InputError(f"{where}: non-finite metric value {cell!r}")
+            if (row_metric, row_direction) != (metric, direction):
+                raise InputError(
+                    f"{where}: row of metric {row_metric} ({row_direction}),"
+                    f" expected {metric} ({direction})"
                 )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise InputError(f"{path}, line {reader.line_num}: bad metric row") from exc
-    return results
+            if source == target:
+                raise InputError(f"{where}: self-pair ({source}, {target})")
+            if (source, target) in seen:
+                raise InputError(f"{where}: duplicate pair ({source}, {target})")
+            seen.add((source, target))
+            if source in index and target in index:
+                values[index[source], index[target]] = value
+    named = {d for pair in seen for d in pair}
+    if named != set(domains):
+        raise InputError(
+            f"domain sets differ between accuracy matrix and metric {metric}:"
+            f" matrix-only {sorted(set(domains) - named)},"
+            f" metric-only {sorted(named - set(domains))}"
+        )
+    for source in domains:
+        for target in domains:
+            if source != target and (source, target) not in seen:
+                raise InputError(f"{path}: missing pair ({source}, {target})")
+    return PairMatrix(metric, direction, tuple(domains), values)
 
 
 def cmd_metrics(config: RunConfig) -> None:
@@ -346,18 +371,15 @@ def cmd_metrics(config: RunConfig) -> None:
     _preflight(config, config.metrics)
     corpora = config.load_corpora()
     out_dir = config.out_dir()
+    domains = tuple(c.domain_id for c in corpora)
     for metric in config.metrics:
+        direction, compute, _ = METRICS[metric]
+        pairs = PairMatrix(metric, direction, domains, compute(corpora, config, metric))
         if metric == "NGRAM":
-            overlap = corpus_mod.ngram_overlap_matrix(corpora)
-            results = _labelled_results(metric, corpora, overlap)
-            corpus_mod.write_overlap_matrix_csv(overlap, out_dir / "ngram_overlap_matrix.csv")
-        elif metric in LABELLED_METRICS:
-            results = _labelled_results(metric, corpora)
-        else:
-            results = _embedding_results(metric, config, corpora)
+            corpus_mod.write_overlap_matrix_csv(pairs, out_dir / "ngram_overlap_matrix.csv")
         path = out_dir / f"metric_{metric}.csv"
-        write_metric_csv(results, path)
-        print(f"wrote {path} ({len(results)} pairs)")
+        write_metric_csv(pairs, path)
+        print(f"wrote {path} ({len(domains) * (len(domains) - 1)} pairs)")
 
 
 def _resolve_matrix(config: RunConfig) -> AccuracyMatrix:
@@ -372,19 +394,11 @@ def _resolve_matrix(config: RunConfig) -> AccuracyMatrix:
 def cmd_evaluate(config: RunConfig) -> None:
     matrix = _resolve_matrix(config)
     out_dir = config.out_dir()
-    results_by_metric: dict[str, list[lm.MetricResult]] = {}
-    for metric in config.metrics:
-        results = read_metric_csv(out_dir / f"metric_{metric}.csv")
-        metric_domains = sorted({r.source for r in results} | {r.target for r in results})
-        if set(metric_domains) != set(matrix.domains):
-            missing = sorted(set(matrix.domains) - set(metric_domains))
-            extra = sorted(set(metric_domains) - set(matrix.domains))
-            raise InputError(
-                f"domain sets differ between accuracy matrix and metric {metric}:"
-                f" matrix-only {missing}, metric-only {extra}"
-            )
-        results_by_metric[metric] = results
-    chart_rows, reports = recommendation_report(matrix, results_by_metric, config.k)
+    pairs_by_metric = {
+        metric: read_metric_csv(out_dir / f"metric_{metric}.csv", metric, matrix.domains)
+        for metric in config.metrics
+    }
+    chart_rows, reports = recommendation_report(matrix, pairs_by_metric, config.k)
     write_chart_csv(chart_rows, out_dir / "recommendation_chart.csv")
     if reports:
         write_eval_csv(reports, out_dir / "eval_report.csv")

@@ -19,7 +19,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InputError
+from .pairs import PairMatrix, mirrored
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -283,49 +286,26 @@ def ngram_overlap(
     return _overlap(_top_k_sets(c1, k, orders), _top_k_sets(c2, k, orders))
 
 
-@dataclass(frozen=True)
-class NgramOverlapMatrix:
-    """Symmetric matrix of pairwise top-k n-gram match fractions."""
-
-    domains: tuple[str, ...]
-    values: tuple[tuple[float | None, ...], ...]
-
-    def value(self, a: str, b: str) -> float | None:
-        return self.values[self.domains.index(a)][self.domains.index(b)]
-
-
 def ngram_overlap_matrix(
     corpora: Sequence[Corpus],
     k: int = 10,
     orders: Iterable[int] = (2, 3, 4),
-) -> NgramOverlapMatrix:
-    """Pairwise overlap fractions for a set of corpora; diagonal omitted.
+) -> np.ndarray:
+    """N×N overlap fractions for a set of corpora; NaN on the diagonal.
 
     Each corpus's top-k lists are computed once, not once per pair.
     """
-    names = tuple(c.domain_id for c in corpora)
-    if len(set(names)) != len(names):
-        raise InputError("duplicate domain ids in corpora")
     orders = tuple(orders)
-    tops = [_top_k_sets(c, k, orders) for c in corpora]
-    n = len(corpora)
-    values: list[list[float | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _overlap(tops[i], tops[j])
-            values[i][j] = v
-            values[j][i] = v
-    return NgramOverlapMatrix(names, tuple(tuple(row) for row in values))
+    return mirrored([_top_k_sets(c, k, orders) for c in corpora], _overlap)
 
 
-def write_overlap_matrix_csv(matrix: NgramOverlapMatrix, path: str | Path) -> None:
+def write_overlap_matrix_csv(matrix: PairMatrix, path: str | Path) -> None:
     """Write the overlap matrix as CSV, upper triangle only, 2 decimals."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["domain", *matrix.domains])
         for i, name in enumerate(matrix.domains):
             row: list[str] = [name]
-            for j in range(len(matrix.domains)):
-                v = matrix.values[i][j]
-                row.append(f"{v:.2f}" if j > i and v is not None else "")
+            for j, v in enumerate(matrix.values[i]):
+                row.append(f"{v:.2f}" if j > i and not np.isnan(v) else "")
             writer.writerow(row)

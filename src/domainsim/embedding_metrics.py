@@ -21,16 +21,8 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import InputError, UnrankablePairError
-from .labelled_metrics import MetricResult, make_result
 from .lexstats import SentimentLexicon, filter_reviews, review_score
-
-WORD_VECTOR_METRICS = ("ULM1", "ULM3", "ULM4", "ULM6")
-SENTENCE_VECTOR_METRICS = ("ULM2", "ULM5", "ULM7")
-
-# Review selection mode per sentence metric: the encoder-based metric ranks
-# reviews by sentiment magnitude, the train/infer style metrics use a
-# deterministic held-out tail.
-SELECTION_MODES = {"ULM2": "heldout", "ULM5": "heldout", "ULM7": "top"}
+from .pairs import mirrored
 
 
 @dataclass(frozen=True)
@@ -184,8 +176,7 @@ def word_metric(
     tab_s: WordVectorTable,
     tab_t: WordVectorTable,
     adjectives: AdjectiveLexicon,
-    metric_id: str = "ULM1",
-) -> MetricResult:
+) -> float:
     """Average angular similarity over common adjectives, plus the Jaccard term.
 
     The Jaccard coefficient is over the two domains' adjective vocabularies
@@ -201,14 +192,10 @@ def word_metric(
         )
     j = len(common) / len(adj_s | adj_t)
     avg = sum(angular_similarity(tab_s[w], tab_t[w]) for w in sorted(common)) / len(common)
-    return make_result(metric_id, tab_s.domain_id, tab_t.domain_id, avg + j)
+    return avg + j
 
 
-def sentence_metric(
-    set_s: SentenceVectorSet,
-    set_t: SentenceVectorSet,
-    metric_id: str = "ULM2",
-) -> MetricResult:
+def sentence_metric(set_s: SentenceVectorSet, set_t: SentenceVectorSet) -> float:
     """Angular similarity between the mean vectors of two sentence-vector sets."""
     v1 = set_s.mean_vector()
     v2 = set_t.mean_vector()
@@ -217,8 +204,7 @@ def sentence_metric(
             f"mean sentence vector numerically zero for pair"
             f" ({set_s.domain_id}, {set_t.domain_id})"
         )
-    value = angular_similarity(v1, v2)
-    return make_result(metric_id, set_s.domain_id, set_t.domain_id, value)
+    return angular_similarity(v1, v2)
 
 
 def select_test_vectors(
@@ -265,40 +251,14 @@ def select_test_vectors(
     )
 
 
-def _mirrored_matrix(items: Sequence, metric_id: str, pair_value) -> list[MetricResult]:
-    names = [item.domain_id for item in items]
-    values: dict[tuple[int, int], float | None] = {}
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            try:
-                values[(i, j)] = pair_value(items[i], items[j])
-            except UnrankablePairError:
-                values[(i, j)] = None
-    results = []
-    for i in range(len(items)):
-        for j in range(len(items)):
-            if i != j:
-                value = values[(i, j) if i < j else (j, i)]
-                results.append(make_result(metric_id, names[i], names[j], value))
-    return results
-
-
 def word_metric_matrix(
     tables: Sequence[WordVectorTable],
     adjectives: AdjectiveLexicon,
-    metric_id: str,
-) -> list[MetricResult]:
-    """All ordered-pair results for a word-vector metric, values mirrored."""
-    return _mirrored_matrix(
-        tables, metric_id, lambda a, b: word_metric(a, b, adjectives, metric_id).value
-    )
+) -> np.ndarray:
+    """N×N word-vector metric values, mirrored; NaN for unrankable pairs."""
+    return mirrored(tables, lambda a, b: word_metric(a, b, adjectives))
 
 
-def sentence_metric_matrix(
-    sets: Sequence[SentenceVectorSet],
-    metric_id: str,
-) -> list[MetricResult]:
-    """All ordered-pair results for a sentence-vector metric, values mirrored."""
-    return _mirrored_matrix(
-        sets, metric_id, lambda a, b: sentence_metric(a, b, metric_id).value
-    )
+def sentence_metric_matrix(sets: Sequence[SentenceVectorSet]) -> np.ndarray:
+    """N×N sentence-vector metric values, mirrored; NaN for unrankable pairs."""
+    return mirrored(sets, sentence_metric)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cdsa_baseline import AccuracyMatrix, ChartRow, chart
 from .errors import InputError
-from .labelled_metrics import LOWER_IS_MORE_SIMILAR, MetricResult
+from .pairs import PairMatrix
 
 TRUTH_METRIC_ID = "CDSA"
 
@@ -41,48 +41,9 @@ class EvalReport:
     per_target: dict[str, tuple[int, int]]
 
 
-def rank_sources(
-    results: Iterable[MetricResult],
-    target: str,
-    domains: Sequence[str],
-) -> RankedList:
-    """Rank candidate sources for a target from metric results.
-
-    Results must cover every (source, target) pair for the metric; pairs
-    with no value rank last. Ties break toward the lower domain index in
-    ``domains``.
-    """
-    index = {d: i for i, d in enumerate(domains)}
-    if target not in index:
-        raise InputError(f"target {target!r} not in domain list")
-    relevant: dict[str, MetricResult] = {}
-    metric_ids = set()
-    for result in results:
-        if result.target != target or result.source == target:
-            continue
-        if result.source in relevant:
-            raise InputError(f"duplicate result for pair ({result.source}, {target})")
-        if result.source not in index:
-            raise InputError(f"result source {result.source!r} not in domain list")
-        relevant[result.source] = result
-        metric_ids.add(result.metric_id)
-    expected = set(domains) - {target}
-    missing = expected - set(relevant)
-    if missing:
-        raise InputError(
-            f"missing results for target {target}: {sorted(missing, key=index.get)}"
-        )
-    if len(metric_ids) != 1:
-        raise InputError(f"results for target {target} mix metric ids: {sorted(metric_ids)}")
-    metric_id = metric_ids.pop()
-    direction = next(iter(relevant.values())).direction
-    ranked = [s for s in relevant if relevant[s].value is not None]
-    unranked = sorted((s for s in relevant if relevant[s].value is None), key=index.get)
-    if direction == LOWER_IS_MORE_SIMILAR:
-        ranked.sort(key=lambda s: (relevant[s].value, index[s]))
-    else:
-        ranked.sort(key=lambda s: (-relevant[s].value, index[s]))
-    return RankedList(target, metric_id, tuple(ranked + unranked))
+def rank_sources(pairs: PairMatrix, target: str) -> RankedList:
+    """Candidate sources for a target, best first, by ``PairMatrix.ranking``."""
+    return RankedList(target, pairs.metric_id, pairs.ranking(target))
 
 
 def truth_ranking(matrix: AccuracyMatrix, target: str) -> RankedList:
@@ -149,32 +110,26 @@ def aggregate(
     )
 
 
-def rankings_for_metric(
-    results: Sequence[MetricResult],
-    domains: Sequence[str],
-) -> dict[str, RankedList]:
-    """Per-target rankings from a metric's full ordered-pair result set."""
-    by_target: dict[str, list[MetricResult]] = {d: [] for d in domains}
-    for result in results:
-        if result.target in by_target:
-            by_target[result.target].append(result)
-    return {t: rank_sources(rs, t, domains) for t, rs in by_target.items()}
-
-
 def recommendation_report(
     matrix: AccuracyMatrix,
-    results_by_metric: Mapping[str, Sequence[MetricResult]],
+    pairs_by_metric: Mapping[str, PairMatrix],
     ks: Sequence[int] = (3, 5, 7, 10),
 ) -> tuple[list[ChartRow], list[EvalReport]]:
-    """Chart rows plus per-metric evaluation reports for each K."""
+    """Chart rows plus per-metric evaluation reports for each K.
+
+    Each metric's domains must be the matrix's, in the same order, because
+    domain order breaks ranking ties.
+    """
     n = len(matrix.domains)
     for k in ks:
         if not 1 <= k <= n - 1:
             raise InputError(f"K exceeds N-1: K={k}, N-1={n - 1}")
     chart_rows = chart(matrix)
     reports = []
-    for metric_id, results in results_by_metric.items():
-        predictions = rankings_for_metric(results, matrix.domains)
+    for metric_id, pairs in pairs_by_metric.items():
+        if pairs.domains != matrix.domains:
+            raise InputError(f"metric {metric_id} domains differ from the accuracy matrix's")
+        predictions = {t: rank_sources(pairs, t) for t in matrix.domains}
         for k in ks:
             reports.append(aggregate(metric_id, matrix, predictions, k))
     return chart_rows, reports

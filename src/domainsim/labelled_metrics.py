@@ -12,7 +12,6 @@ rescales values and never changes a ranking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,63 +27,9 @@ from .lexstats import (
     polarity_table,
 )
 
-HIGHER_IS_MORE_SIMILAR = "higher_is_more_similar"
-LOWER_IS_MORE_SIMILAR = "lower_is_more_similar"
-
-METRIC_DIRECTIONS: dict[str, str] = {
-    "LM1": HIGHER_IS_MORE_SIMILAR,
-    "LM2": LOWER_IS_MORE_SIMILAR,
-    "LM3": LOWER_IS_MORE_SIMILAR,
-    "LM4": LOWER_IS_MORE_SIMILAR,
-    "ULM1": HIGHER_IS_MORE_SIMILAR,
-    "ULM2": HIGHER_IS_MORE_SIMILAR,
-    "ULM3": HIGHER_IS_MORE_SIMILAR,
-    "ULM4": HIGHER_IS_MORE_SIMILAR,
-    "ULM5": HIGHER_IS_MORE_SIMILAR,
-    "ULM6": HIGHER_IS_MORE_SIMILAR,
-    "ULM7": HIGHER_IS_MORE_SIMILAR,
-    "NGRAM": HIGHER_IS_MORE_SIMILAR,
-}
-
 # Entropy weights per n-gram order: unigrams unweighted, higher orders
 # weight polar-containing n-grams by 5 and the rest by 1/5.
 ENTROPY_WEIGHTS: dict[int, float] = {1: 1.0, 2: 5.0, 3: 5.0, 4: 5.0}
-
-
-def direction_for(metric_id: str) -> str:
-    try:
-        return METRIC_DIRECTIONS[metric_id]
-    except KeyError:
-        raise InputError(f"unknown metric id {metric_id!r}") from None
-
-
-@dataclass(frozen=True)
-class MetricResult:
-    """A named metric's value for an ordered (source, target) domain pair.
-
-    ``value`` is None for unrankable pairs (reported as "no value" and
-    ranked last). ``direction`` states whether larger values mean more
-    similar domains.
-    """
-
-    metric_id: str
-    source: str
-    target: str
-    value: float | None
-    direction: str
-
-    def __post_init__(self) -> None:
-        if self.direction not in (HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR):
-            raise InputError(f"invalid direction {self.direction!r}")
-        expected = METRIC_DIRECTIONS.get(self.metric_id)
-        if expected is not None and expected != self.direction:
-            raise InputError(
-                f"direction for {self.metric_id} must be {expected}, got {self.direction}"
-            )
-
-
-def make_result(metric_id: str, source: str, target: str, value: float | None) -> MetricResult:
-    return MetricResult(metric_id, source, target, value, direction_for(metric_id))
 
 
 def lm1_overlap(sig_s: SignificantWordSet, sig_t: SignificantWordSet) -> int:
@@ -287,18 +232,19 @@ def lm4_entropy_change(source: Corpus, target: Corpus, polar: set[str] | None = 
     return _NgramIndex([source, target]).entropy_changes(0, polar)[1]
 
 
-def lm4_matrix(corpora: Sequence[Corpus], polar_sets: Sequence[set[str]]) -> list[list[float | None]]:
-    """LM4 for every ordered pair, ``[source][target]``, each source with its own polar set.
+def lm4_matrix(corpora: Sequence[Corpus], polar_sets: Sequence[set[str]]) -> np.ndarray:
+    """LM4 for every ordered pair, ``[source, target]``, each source with its own polar set.
 
-    Equal to ``lm4_entropy_change`` pair by pair; None on the diagonal and
+    Equal to ``lm4_entropy_change`` pair by pair; NaN on the diagonal and
     for every pair of a source with zero baseline entropy (unrankable).
     """
     index = _NgramIndex(corpora)
-    rows = []
+    values = np.full((len(corpora), len(corpora)), np.nan)
     for i, polar in enumerate(polar_sets):
         try:
             changes = index.entropy_changes(i, polar)
         except UnrankablePairError:
-            changes = {}
-        rows.append([changes.get(j) for j in range(len(corpora))])
-    return rows
+            continue
+        for j, change in changes.items():
+            values[i, j] = change
+    return values

@@ -5,6 +5,8 @@ with plain dicts and -p*log(p) sums, sharing no code with the package, so
 they can arbitrate the optimized implementations. ``sequential_baseline``
 is the CDSA baseline as it was before it trained its models in lockstep:
 one model and one example at a time, in plain Python loops.
+``sorted_ranking`` is the per-target source ranking as it was before
+``PairMatrix.ranking``: a Python sort on (value, domain index) keys.
 """
 
 from __future__ import annotations
@@ -180,6 +182,24 @@ def ngram_overlap(
     if available == 0:
         return 1.0
     return matched / available
+
+
+def sorted_ranking(
+    relevant: dict[str, float | None], domains: list[str], direction: str
+) -> tuple[str, ...]:
+    """Sources best first from their values for one target; None is unrankable.
+
+    Ties break toward the lower index in ``domains``; unrankable sources
+    come last in domain order.
+    """
+    index = {d: i for i, d in enumerate(domains)}
+    ranked = [s for s in relevant if relevant[s] is not None]
+    unranked = sorted((s for s in relevant if relevant[s] is None), key=index.get)
+    if direction == "lower_is_more_similar":
+        ranked.sort(key=lambda s: (relevant[s], index[s]))
+    else:
+        ranked.sort(key=lambda s: (-relevant[s], index[s]))
+    return tuple(ranked + unranked)
 
 
 FEATURE_DIM = 1 << 16

@@ -10,6 +10,8 @@ import pytest
 import synth
 from domainsim import cli
 from domainsim.cli import main
+from domainsim.errors import InputError
+from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR
 
 
 def _write_domain(path: Path, name: str, rows):
@@ -270,6 +272,92 @@ def test_evaluate_rejects_non_finite_metric_values(workspace, capsys, bad):
                  "--accuracy-matrix", str(matrix_path)])
     assert code == 1
     assert f"{path}, line 3: non-finite metric value '{bad}'" in capsys.readouterr().err
+
+
+def _evaluate_three_domains(tmp_path, config, metric):
+    matrix_path = tmp_path / "matrix.csv"
+    _matrix_csv(matrix_path, ["A", "B", "C"],
+                [[90, 70, 60], [65, 88, 72], [71, 69, 91]])
+    return main(["evaluate", "--config", str(config), "--metrics", metric,
+                 "--accuracy-matrix", str(matrix_path)])
+
+
+def test_evaluate_rejects_another_metrics_rows(workspace, capsys):
+    tmp_path, config = workspace
+    assert main(["metrics", "--config", str(config), "--metrics", "LM1,LM2"]) == 0
+    out = tmp_path / "out"
+    (out / "metric_LM2.csv").write_bytes((out / "metric_LM1.csv").read_bytes())
+    assert _evaluate_three_domains(tmp_path, config, "LM2") == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'metric_LM2.csv'}, line 2: row of metric LM1" in err
+
+
+def test_evaluate_rejects_a_self_pair_row(workspace, capsys):
+    tmp_path, config = workspace
+    assert main(["metrics", "--config", str(config), "--metrics", "LM1"]) == 0
+    path = tmp_path / "out" / "metric_LM1.csv"
+    with path.open("a") as fh:
+        fh.write("LM1,A,A,5.0,higher_is_more_similar\n")
+    assert _evaluate_three_domains(tmp_path, config, "LM1") == 1
+    assert f"{path}, line 8: self-pair (A, A)" in capsys.readouterr().err
+
+
+DOMAINS3 = ("A", "B", "C")
+LM2_ROWS = [
+    ["LM2", s, t, f"{i + 1}.5", LOWER_IS_MORE_SIMILAR]
+    for i, (s, t) in enumerate((s, t) for s in DOMAINS3 for t in DOMAINS3 if s != t)
+]
+
+
+def _write_metric_rows(path: Path, rows) -> Path:
+    lines = ["metric_id,source,target,value,direction", *(",".join(row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_read_metric_csv_fills_values_in_the_given_domain_order(tmp_path):
+    rows = [row[:] for row in LM2_ROWS]
+    rows[1][3] = ""  # (A, C) is unrankable
+    path = _write_metric_rows(tmp_path / "metric_LM2.csv", rows)
+    pairs = cli.read_metric_csv(path, "LM2", ("C", "A", "B"))
+    assert (pairs.metric_id, pairs.direction, pairs.domains) == (
+        "LM2", LOWER_IS_MORE_SIMILAR, ("C", "A", "B"))
+    assert np.isnan(np.diag(pairs.values)).all()
+    assert np.isnan(pairs.values[1, 0])
+    assert pairs.values[1, 2] == 1.5 and pairs.values[0, 2] == 6.5 and pairs.values[2, 1] == 3.5
+
+
+@pytest.mark.parametrize("row, message", [
+    (["LM2", "A", "B", "9.0", LOWER_IS_MORE_SIMILAR], "duplicate pair (A, B)"),
+    (["LM3", "C", "B", "9.0", LOWER_IS_MORE_SIMILAR],
+     f"row of metric LM3 ({LOWER_IS_MORE_SIMILAR}), expected LM2 ({LOWER_IS_MORE_SIMILAR})"),
+    (["LM2", "C", "B", "9.0", HIGHER_IS_MORE_SIMILAR],
+     f"row of metric LM2 ({HIGHER_IS_MORE_SIMILAR}), expected LM2 ({LOWER_IS_MORE_SIMILAR})"),
+    (["LM2", "C", "C", "9.0", LOWER_IS_MORE_SIMILAR], "self-pair (C, C)"),
+    (["LM2", "C", "B"], "bad metric row"),
+    (["LM2", "C", "B", "high", LOWER_IS_MORE_SIMILAR], "bad metric row"),
+], ids=["duplicate", "other-metric", "other-direction", "self-pair", "short-row", "non-numeric"])
+def test_read_metric_csv_rejects_bad_rows(tmp_path, row, message):
+    path = _write_metric_rows(tmp_path / "metric_LM2.csv", LM2_ROWS + [row])
+    with pytest.raises(InputError) as info:
+        cli.read_metric_csv(path, "LM2", DOMAINS3)
+    assert str(info.value) == f"{path}, line 8: {message}"
+
+
+def test_read_metric_csv_rejects_missing_pair(tmp_path):
+    path = _write_metric_rows(tmp_path / "metric_LM2.csv", LM2_ROWS[:2] + LM2_ROWS[3:])
+    with pytest.raises(InputError, match=r"missing pair \(B, A\)"):
+        cli.read_metric_csv(path, "LM2", DOMAINS3)
+
+
+def test_metric_registry_directions():
+    directions = {metric: direction for metric, (direction, _, _) in cli.METRICS.items()}
+    lower = {"LM2", "LM3", "LM4"}
+    assert directions == {
+        metric: LOWER_IS_MORE_SIMILAR if metric in lower else HIGHER_IS_MORE_SIMILAR
+        for metric in ("LM1", "LM2", "LM3", "LM4", "NGRAM",
+                       "ULM1", "ULM2", "ULM3", "ULM4", "ULM5", "ULM6", "ULM7")
+    }
 
 
 def test_identical_runs_are_byte_identical(workspace):

@@ -18,6 +18,7 @@ from domainsim.corpus import (
     write_overlap_matrix_csv,
 )
 from domainsim.errors import InputError
+from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 
 def test_normalize_strips_punctuation_numbers_and_stopwords():
@@ -272,10 +273,10 @@ def test_ngram_overlap_rejects_empty_orders():
 def test_overlap_matrix_upper_triangle_csv(tmp_path):
     c1 = build_corpus("a", [("positive", "alpha beta gamma")])
     c2 = build_corpus("b", [("positive", "alpha beta gamma")])
-    matrix = ngram_overlap_matrix([c1, c2])
-    assert matrix.value("a", "b") == 1.0
+    values = ngram_overlap_matrix([c1, c2])
+    assert values[0, 1] == values[1, 0] == 1.0
     out = tmp_path / "overlap.csv"
-    write_overlap_matrix_csv(matrix, out)
+    write_overlap_matrix_csv(PairMatrix("NGRAM", HIGHER_IS_MORE_SIMILAR, ("a", "b"), values), out)
     lines = out.read_text().splitlines()
     assert lines[0] == "domain,a,b"
     assert lines[1] == "a,,1.00"

@@ -122,15 +122,13 @@ def test_word_metric_identity():
                "noun": np.array([5.0, 5.0])}
     t1 = WordVectorTable("a", 2, entries)
     t2 = WordVectorTable("b", 2, dict(entries))
-    result = word_metric(t1, t2, ADJ)
-    assert abs(result.value - 2.0) < 1e-12
-    assert result.metric_id == "ULM1"
+    assert abs(word_metric(t1, t2, ADJ) - 2.0) < 1e-12
 
 
 def test_word_metric_orthogonal_single_adjective():
     t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 0.0])})
     t2 = WordVectorTable("b", 2, {"good": np.array([0.0, 1.0])})
-    assert abs(word_metric(t1, t2, ADJ).value - 1.5) < 1e-12
+    assert abs(word_metric(t1, t2, ADJ) - 1.5) < 1e-12
 
 
 def test_word_metric_jaccard_term():
@@ -138,7 +136,7 @@ def test_word_metric_jaccard_term():
     t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 1.0]), "bad": np.array([1.0, 0.0])})
     t2 = WordVectorTable("b", 2, {"good": np.array([1.0, 2.0]), "fair": np.array([0.0, 1.0])})
     expected = angular_similarity(t1["good"], t2["good"]) + 1.0 / 3.0
-    assert abs(word_metric(t1, t2, ADJ).value - expected) < 1e-12
+    assert abs(word_metric(t1, t2, ADJ) - expected) < 1e-12
 
 
 def test_word_metric_no_common_adjectives_unrankable():
@@ -151,10 +149,10 @@ def test_word_metric_no_common_adjectives_unrankable():
 def test_word_metric_ignores_non_adjectives():
     t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 0.0])})
     t2 = WordVectorTable("b", 2, {"good": np.array([1.0, 0.1])})
-    base = word_metric(t1, t2, ADJ).value
+    base = word_metric(t1, t2, ADJ)
     t1b = WordVectorTable("a", 2, {**t1.entries, "noun": np.array([9.0, 9.0])})
     t2b = WordVectorTable("b", 2, {**t2.entries, "verb": np.array([1.0, 9.0])})
-    assert word_metric(t1b, t2b, ADJ).value == base
+    assert word_metric(t1b, t2b, ADJ) == base
     assert 0.0 < base <= 2.0
 
 
@@ -171,21 +169,21 @@ def test_word_metric_ranking_invariant_under_rotation():
     def rotate(tab):
         return WordVectorTable(tab.domain_id, 4,
                                {w: rotation @ v for w, v in tab.entries.items()})
-    plain = [word_metric(base, o, adjectives).value for o in others]
-    rotated = [word_metric(rotate(base), rotate(o), adjectives).value for o in others]
+    plain = [word_metric(base, o, adjectives) for o in others]
+    rotated = [word_metric(rotate(base), rotate(o), adjectives) for o in others]
     assert np.argsort(plain).tolist() == np.argsort(rotated).tolist()
     assert np.allclose(plain, rotated, atol=1e-9)
 
 
 def test_sentence_metric_values():
     s1 = SentenceVectorSet("a", 2, (("a:0", np.array([1.0, 0.0])), ("a:1", np.array([0.0, 1.0]))))
-    assert abs(sentence_metric(s1, s1).value - 1.0) < 1e-12
+    assert abs(sentence_metric(s1, s1) - 1.0) < 1e-12
     s2 = SentenceVectorSet("b", 2, (("b:0", np.array([1.0, 1.0])),))
     # Mean of s1 is (0.5, 0.5), parallel to (1, 1).
-    assert abs(sentence_metric(s1, s2).value - 1.0) < 1e-12
+    assert abs(sentence_metric(s1, s2) - 1.0) < 1e-12
     s3 = SentenceVectorSet("c", 2, (("c:0", np.array([1.0, 0.0])),))
     s4 = SentenceVectorSet("d", 2, (("d:0", np.array([0.0, 1.0])),))
-    assert abs(sentence_metric(s3, s4).value - 0.5) < 1e-12
+    assert abs(sentence_metric(s3, s4) - 0.5) < 1e-12
 
 
 def test_sentence_metric_zero_mean_unrankable():
@@ -269,8 +267,8 @@ def test_word_metric_matrix_mirrors_and_marks_unrankable():
     t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 0.0])})
     t2 = WordVectorTable("b", 2, {"good": np.array([0.0, 1.0])})
     t3 = WordVectorTable("c", 2, {"noun": np.array([1.0, 1.0])})
-    results = word_metric_matrix([t1, t2, t3], ADJ, "ULM3")
-    by_pair = {(r.source, r.target): r.value for r in results}
-    assert len(results) == 6
-    assert by_pair[("a", "b")] == by_pair[("b", "a")] == pytest.approx(1.5)
-    assert by_pair[("a", "c")] is None and by_pair[("c", "a")] is None
+    values = word_metric_matrix([t1, t2, t3], ADJ)
+    assert values.shape == (3, 3)
+    assert values[0, 1] == values[1, 0] == pytest.approx(1.5)
+    assert np.isnan(values[0, 2]) and np.isnan(values[2, 0])
+    assert np.isnan(np.diag(values)).all()

@@ -12,53 +12,49 @@ from domainsim.evaluation import (
     precision_at_k,
     rank_sources,
     ranking_accuracy,
-    rankings_for_metric,
     recommendation_report,
     truth_ranking,
     write_eval_csv,
 )
-from domainsim.labelled_metrics import make_result
+from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix
 
 DOMAINS = ("A", "B", "C", "D")
+DIRECTIONS = {"LM2": LOWER_IS_MORE_SIMILAR, "ULM1": HIGHER_IS_MORE_SIMILAR}
 
 
-def results_for(metric_id, target, values):
-    return [make_result(metric_id, source, target, value) for source, value in values.items()]
+def pairs_for(metric_id, target, values, domains=DOMAINS):
+    """A PairMatrix whose column for ``target`` holds ``values``; None is unrankable."""
+    matrix = np.full((len(domains), len(domains)), np.nan)
+    for source, value in values.items():
+        if value is not None:
+            matrix[domains.index(source), domains.index(target)] = value
+    return PairMatrix(metric_id, DIRECTIONS[metric_id], domains, matrix)
+
+
+def constant_pairs(metric_id, direction, domains, value):
+    matrix = np.full((len(domains), len(domains)), value)
+    np.fill_diagonal(matrix, np.nan)
+    return PairMatrix(metric_id, direction, domains, matrix)
 
 
 def test_rank_sources_lower_is_better():
-    results = results_for("LM2", "A", {"B": 1.2, "C": 3.0, "D": 2.0})
-    assert rank_sources(results, "A", DOMAINS).order == ("B", "D", "C")
+    pairs = pairs_for("LM2", "A", {"B": 1.2, "C": 3.0, "D": 2.0})
+    assert rank_sources(pairs, "A") == RankedList("A", "LM2", ("B", "D", "C"))
 
 
 def test_rank_sources_higher_is_better():
-    results = results_for("ULM1", "A", {"B": 1.9, "C": 1.2, "D": 1.5})
-    assert rank_sources(results, "A", DOMAINS).order == ("B", "D", "C")
+    pairs = pairs_for("ULM1", "A", {"B": 1.9, "C": 1.2, "D": 1.5})
+    assert rank_sources(pairs, "A").order == ("B", "D", "C")
 
 
 def test_rank_sources_tie_breaks_by_domain_index():
-    results = results_for("ULM1", "A", {"C": 1.0, "B": 1.0, "D": 0.5})
-    assert rank_sources(results, "A", DOMAINS).order == ("B", "C", "D")
+    pairs = pairs_for("ULM1", "A", {"C": 1.0, "B": 1.0, "D": 0.5})
+    assert rank_sources(pairs, "A").order == ("B", "C", "D")
 
 
 def test_rank_sources_unrankable_last_in_index_order():
-    results = results_for("LM2", "A", {"B": None, "D": 2.0, "C": None})
-    assert rank_sources(results, "A", DOMAINS).order == ("D", "B", "C")
-
-
-def test_rank_sources_missing_pair_errors():
-    results = results_for("LM2", "A", {"B": 1.0})
-    with pytest.raises(InputError, match="missing results"):
-        rank_sources(results, "A", DOMAINS)
-
-
-def test_rank_sources_rejects_duplicates_and_mixed_metrics():
-    results = results_for("LM2", "A", {"B": 1.0, "C": 2.0, "D": 3.0})
-    with pytest.raises(InputError, match="duplicate"):
-        rank_sources(results + [results[0]], "A", DOMAINS)
-    mixed = results_for("LM2", "A", {"B": 1.0, "C": 2.0}) + results_for("LM3", "A", {"D": 3.0})
-    with pytest.raises(InputError, match="mix metric ids"):
-        rank_sources(mixed, "A", DOMAINS)
+    pairs = pairs_for("LM2", "A", {"B": None, "D": 2.0, "C": None})
+    assert rank_sources(pairs, "A").order == ("D", "B", "C")
 
 
 def test_truth_ranking_reference_fixture_head():
@@ -129,9 +125,9 @@ def test_ranking_accuracy_never_exceeds_precision():
 def test_scores_invariant_under_monotone_value_transform():
     domains = ("A", "B", "C", "D", "E")
     values = {"B": 0.4, "C": 1.1, "D": 0.2, "E": 2.5}
-    base = rank_sources(results_for("ULM1", "A", values), "A", domains)
+    base = rank_sources(pairs_for("ULM1", "A", values, domains), "A")
     squashed = rank_sources(
-        results_for("ULM1", "A", {s: np.tanh(v) for s, v in values.items()}), "A", domains
+        pairs_for("ULM1", "A", {s: np.tanh(v) for s, v in values.items()}, domains), "A"
     )
     assert base.order == squashed.order
 
@@ -178,12 +174,10 @@ def test_aggregate_requires_all_targets():
 
 def test_recommendation_report_shapes():
     matrix = reference_accuracy_matrix()
-    results = []
-    for source in matrix.domains:
-        for target in matrix.domains:
-            if source != target:
-                results.append(make_result("LM1", source, target, float(len(source))))
-    chart_rows, reports = recommendation_report(matrix, {"LM1": results}, (3, 5, 7, 10))
+    values = np.array([[float(len(source))] * 20 for source in matrix.domains])
+    np.fill_diagonal(values, np.nan)
+    pairs = PairMatrix("LM1", HIGHER_IS_MORE_SIMILAR, matrix.domains, values)
+    chart_rows, reports = recommendation_report(matrix, {"LM1": pairs}, (3, 5, 7, 10))
     assert len(chart_rows) == 20
     assert [r.k for r in reports] == [3, 5, 7, 10]
     assert all(r.metric_id == "LM1" for r in reports)
@@ -212,12 +206,8 @@ def test_markdown_report_contains_tables():
         [70.0, 80.0, 60.0],
         [65.0, 62.0, 85.0],
     ]))
-    results = []
-    for s in matrix.domains:
-        for t in matrix.domains:
-            if s != t:
-                results.append(make_result("NGRAM", s, t, 0.5))
-    chart_rows, reports = recommendation_report(matrix, {"NGRAM": results}, ks=(1, 2))
+    pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, matrix.domains, 0.5)
+    chart_rows, reports = recommendation_report(matrix, {"NGRAM": pairs}, ks=(1, 2))
     text = build_markdown_report(chart_rows, reports)
     assert "Best Source" in text
     assert "## NGRAM" in text
@@ -233,13 +223,17 @@ def test_write_eval_csv_formats(tmp_path):
     assert path.read_text().splitlines()[1] == "LM1,1,100.00,1.000"
 
 
-def test_rankings_for_metric_builds_per_target_lists():
+def test_rank_sources_builds_per_target_lists():
     domains = ("A", "B", "C")
-    results = []
-    for s in domains:
-        for t in domains:
-            if s != t:
-                results.append(make_result("NGRAM", s, t, 0.3))
-    rankings = rankings_for_metric(results, domains)
-    assert set(rankings) == set(domains)
-    assert rankings["A"].order == ("B", "C")
+    pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, domains, 0.3)
+    assert [rank_sources(pairs, t).order for t in domains] == [("B", "C"), ("A", "C"), ("A", "B")]
+    with pytest.raises(InputError, match="not in domain list"):
+        rank_sources(pairs, "Z")
+
+
+def test_recommendation_report_requires_matrix_domain_order():
+    # Domain order breaks ties, so a metric in another order would rank differently.
+    matrix = AccuracyMatrix(("A", "B", "C"), np.full((3, 3), 80.0))
+    pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, ("C", "B", "A"), 0.3)
+    with pytest.raises(InputError, match="domains differ"):
+        recommendation_report(matrix, {"NGRAM": pairs}, ks=(1,))

@@ -10,16 +10,12 @@ import synth
 from conftest import build_corpus
 from domainsim.errors import InputError, UnrankablePairError
 from domainsim.labelled_metrics import (
-    HIGHER_IS_MORE_SIMILAR,
-    LOWER_IS_MORE_SIMILAR,
-    MetricResult,
     jaccard,
     lm1_overlap,
     lm2_skld,
     lm3_chameleon,
     lm4_entropy_change,
     lm4_matrix,
-    make_result,
     weighted_entropy,
 )
 from domainsim.lexstats import PolarityTable, SignificantWordSet, polar_words, polarity_table
@@ -216,10 +212,10 @@ def test_lm4_matrix_equals_pairwise_values_exactly():
     corpora = synth.build_corpora(synth.synthetic_reviews(n_domains=20, reviews_per_domain=30, seed=4))
     matrix = matrix_for(corpora)
     for i, source in enumerate(corpora):
-        assert matrix[i][i] is None
+        assert np.isnan(matrix[i, i])
         for j, target in enumerate(corpora):
             if i != j:
-                assert matrix[i][j] == lm4_entropy_change(source, target)
+                assert matrix[i, j] == lm4_entropy_change(source, target)
 
 
 def test_lm4_matrix_zero_baseline_source_unrankable_for_all_targets():
@@ -227,10 +223,10 @@ def test_lm4_matrix_zero_baseline_source_unrankable_for_all_targets():
     a = build_corpus("a", [("positive", "good fine day"), ("negative", "bad poor day")] * 3)
     b = build_corpus("b", [("positive", "good nice night"), ("negative", "awful poor night")] * 2)
     matrix = matrix_for([flat, a, b])
-    assert matrix[0] == [None, None, None]
+    assert np.isnan(matrix[0]).all()
     for i, source in ((1, a), (2, b)):
-        assert matrix[i][0] == lm4_entropy_change(source, flat)
-        assert matrix[i][0] is not None
+        assert matrix[i, 0] == lm4_entropy_change(source, flat)
+        assert not np.isnan(matrix[i, 0])
 
 
 SHORT_ROWS = [("positive", "good day"), ("negative", "bad"), ("positive", "good fine night")]
@@ -245,16 +241,6 @@ def test_lm4_matrix_edge_corpora_match_pairwise_and_oracle(rows_s, rows_t):
     reviews = [[(label, text.split()) for label, text in rows] for rows in (rows_s, rows_t)]
     matrix = matrix_for(corpora)
     for i, j in ((0, 1), (1, 0)):
-        assert matrix[i][j] == lm4_entropy_change(corpora[i], corpora[j])
-        assert math.isclose(matrix[i][j], oracles.entropy_change(reviews[i], reviews[j]), rel_tol=1e-9)
+        assert matrix[i, j] == lm4_entropy_change(corpora[i], corpora[j])
+        assert math.isclose(matrix[i, j], oracles.entropy_change(reviews[i], reviews[j]), rel_tol=1e-9)
 
-
-def test_metric_result_validates_direction():
-    assert make_result("LM1", "a", "b", 3.0).direction == HIGHER_IS_MORE_SIMILAR
-    assert make_result("LM4", "a", "b", None).direction == LOWER_IS_MORE_SIMILAR
-    with pytest.raises(InputError):
-        MetricResult("LM2", "a", "b", 1.0, HIGHER_IS_MORE_SIMILAR)
-    with pytest.raises(InputError):
-        MetricResult("LM2", "a", "b", 1.0, "sideways")
-    with pytest.raises(InputError):
-        make_result("LM99", "a", "b", 1.0)
