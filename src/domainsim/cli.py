@@ -13,10 +13,11 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,19 +143,36 @@ class RunConfig:
         path.mkdir(parents=True, exist_ok=True)
         return path
 
-    def stopword_set(self):
-        if self.stopwords:
-            return corpus_mod.load_stopwords(self.stopwords)
-        return None
 
-    def load_corpora(self) -> list[corpus_mod.Corpus]:
-        if not self.domains:
+class Workspace:
+    """One command's inputs and shared intermediates, each built on first use.
+
+    Built fresh from the ``RunConfig`` of every command, so nothing is kept
+    between commands or between ``main`` calls in one process. The polarity
+    tables are shared by LM2-LM4, the qualifying reviews by ULM2, ULM5 and
+    ULM7, and a parsed vector file by every metric whose vector directory
+    holds it.
+    """
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        # Per vector directory, the selected metrics that have yet to read it.
+        self._readers = Counter(
+            Path(config.vectors[m]) for m in config.metrics
+            if METRICS[m][2] and config.vectors.get(m)
+        )
+        self._vector_files: dict[Path, dict] = {}
+
+    @cached_property
+    def corpora(self) -> list[corpus_mod.Corpus]:
+        config = self.config
+        if not config.domains:
             raise InputError("no domains configured (use --domains or the config file)")
-        stopwords = self.stopword_set()
+        stopwords = corpus_mod.load_stopwords(config.stopwords) if config.stopwords else None
         corpora = []
-        for name, path in self.domains.items():
+        for name, path in config.domains.items():
             try:
-                corpus = corpus_mod.load_corpus(path, self.format, stopwords)
+                corpus = corpus_mod.load_corpus(path, config.format, stopwords)
             except InputError as exc:
                 raise InputError(f"domain {name}: {exc}") from exc
             if corpus.domain_id != name:
@@ -164,14 +182,50 @@ class RunConfig:
             corpora.append(corpus)
         return corpora
 
-    def load_lexicon(self):
-        if not self.sentiment_lexicon:
+    @cached_property
+    def adjectives(self):
+        return emb.load_adjectives(self.config.adjectives)
+
+    @cached_property
+    def lexicon(self):
+        if not self.config.sentiment_lexicon:
             raise InputError("sentiment lexicon required (use --sentiment-lexicon)")
-        path = Path(self.sentiment_lexicon)
+        path = Path(self.config.sentiment_lexicon)
         # The standard distribution format starts with a comment block.
         if path.suffix.lower() in (".tsv", ".txt") and _looks_like_tsv(path):
             return load_sentiment_lexicon_tsv(path)
         return load_sentiwordnet(path)
+
+    @cached_property
+    def polarity_tables(self):
+        return [polarity_table(c) for c in self.corpora]
+
+    @cached_property
+    def qualifying_reviews(self):
+        """Per corpus, ``filter_reviews(corpus, lexicon)``: each review is scored once."""
+        lexicon = self.lexicon
+        return [emb.filter_reviews(c, lexicon) for c in self.corpora]
+
+    def vector_files(self, metric: str, load: Callable) -> Iterator:
+        """Yield ``load(path, domain)`` for ``metric``'s vector file of each corpus, in order.
+
+        A file is parsed once per command. It is kept while a later metric
+        reads the same directory and dropped as the last one reads it, so
+        with one directory per metric no parsed file outlives its metric.
+        """
+        directory = Path(self.config.vectors[metric])
+        self._readers[directory] -= 1
+        keep = self._readers[directory] > 0
+        files = (self._vector_files.setdefault(directory, {}) if keep
+                 else self._vector_files.pop(directory, {}))
+        for corpus in self.corpora:
+            key = (load, corpus.domain_id)
+            parsed = files.pop(key, None)
+            if parsed is None:
+                parsed = load(_vector_file(self.config, metric, corpus.domain_id), corpus.domain_id)
+            if keep:
+                files[key] = parsed
+            yield parsed
 
 
 def _is_int(value) -> bool:
@@ -216,9 +270,9 @@ def _parse_int(value: str, flag: str) -> int:
         raise InputError(f"{flag} expects integers, got {value!r}") from None
 
 
-def cmd_ingest(config: RunConfig) -> None:
-    corpora = config.load_corpora()
-    out = config.out_dir() / "ingest_summary.csv"
+def cmd_ingest(workspace: Workspace) -> None:
+    corpora = workspace.corpora
+    out = workspace.config.out_dir() / "ingest_summary.csv"
     with out.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -237,26 +291,24 @@ def _vector_file(config: RunConfig, metric: str, domain: str) -> Path:
     return Path(config.vectors[metric]) / f"{domain}.vec"
 
 
-def _word_vector_values(corpora, config: RunConfig, metric: str) -> np.ndarray:
-    adjectives = emb.load_adjectives(config.adjectives)
-    tables = [
-        emb.load_word_vectors(_vector_file(config, metric, c.domain_id), c.domain_id)
-        for c in corpora
-    ]
+def _word_vector_values(workspace: Workspace, metric: str) -> np.ndarray:
+    adjectives = workspace.adjectives
+    tables = list(workspace.vector_files(metric, emb.load_word_vectors))
     return emb.word_metric_matrix(tables, adjectives)
 
 
-def _sentence_vector_values(corpora, config: RunConfig, metric: str, mode: str) -> np.ndarray:
-    lexicon = config.load_lexicon()
-    sets = []
-    for corpus in corpora:
-        vectors = emb.load_sentence_vectors(
-            _vector_file(config, metric, corpus.domain_id), corpus.domain_id)
-        sets.append(emb.select_test_vectors(corpus, lexicon, vectors, mode=mode))
+def _sentence_vector_values(workspace: Workspace, metric: str, mode: str) -> np.ndarray:
+    # One sentence-vector file is alive at a time unless a later metric reads it too.
+    sets = [
+        emb.select_test_vectors(corpus, qualifying, vectors, mode=mode)
+        for corpus, qualifying, vectors in zip(
+            workspace.corpora, workspace.qualifying_reviews,
+            workspace.vector_files(metric, emb.load_sentence_vectors))
+    ]
     return emb.sentence_metric_matrix(sets)
 
 
-# Metric id -> (direction, compute(corpora, config, metric) -> N×N values,
+# Metric id -> (direction, compute(workspace, metric) -> N×N values,
 # the config input a vector metric needs besides its --vectors directory).
 # Each compute looks its functions up when it runs, through this module's
 # globals or a module attribute, so a wrapper set on such an attribute
@@ -265,16 +317,15 @@ def _sentence_vector_values(corpora, config: RunConfig, metric: str, mode: str) 
 # sentiment magnitude ("top"); the train/infer style ULM2 and ULM5 use a
 # deterministic held-out tail ("heldout").
 METRICS = {
-    "LM1": (HIGHER_IS_MORE_SIMILAR, lambda corpora, *_: mirrored(
-        [significant_words(c) for c in corpora], lm.lm1_overlap), None),
-    "LM2": (LOWER_IS_MORE_SIMILAR, lambda corpora, *_: mirrored(
-        [polarity_table(c) for c in corpora], lm.lm2_skld), None),
-    "LM3": (LOWER_IS_MORE_SIMILAR, lambda corpora, *_: mirrored(
-        [polarity_table(c) for c in corpora], lm.lm3_chameleon), None),
-    "LM4": (LOWER_IS_MORE_SIMILAR, lambda corpora, *_: lm.lm4_matrix(
-        corpora, [polar_words(polarity_table(c)) for c in corpora]), None),
+    "LM1": (HIGHER_IS_MORE_SIMILAR, lambda ws, _: mirrored(
+        [significant_words(c) for c in ws.corpora], lm.lm1_overlap), None),
+    "LM2": (LOWER_IS_MORE_SIMILAR, lambda ws, _: mirrored(ws.polarity_tables, lm.lm2_skld), None),
+    "LM3": (LOWER_IS_MORE_SIMILAR,
+            lambda ws, _: mirrored(ws.polarity_tables, lm.lm3_chameleon), None),
+    "LM4": (LOWER_IS_MORE_SIMILAR, lambda ws, _: lm.lm4_matrix(
+        ws.corpora, [polar_words(t) for t in ws.polarity_tables]), None),
     "NGRAM": (HIGHER_IS_MORE_SIMILAR,
-              lambda corpora, *_: corpus_mod.ngram_overlap_matrix(corpora), None),
+              lambda ws, _: corpus_mod.ngram_overlap_matrix(ws.corpora), None),
     **{m: (HIGHER_IS_MORE_SIMILAR, _word_vector_values, "adjectives")
        for m in ("ULM1", "ULM3", "ULM4", "ULM6")},
     **{m: (HIGHER_IS_MORE_SIMILAR, partial(_sentence_vector_values, mode=mode), "sentiment_lexicon")
@@ -365,16 +416,16 @@ def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> Pa
     return PairMatrix(metric, direction, tuple(domains), values)
 
 
-def cmd_metrics(config: RunConfig) -> None:
+def cmd_metrics(workspace: Workspace) -> None:
+    config = workspace.config
     if not config.metrics:
         raise InputError("no metrics selected (use --metrics)")
     _preflight(config, config.metrics)
-    corpora = config.load_corpora()
+    domains = tuple(c.domain_id for c in workspace.corpora)
     out_dir = config.out_dir()
-    domains = tuple(c.domain_id for c in corpora)
     for metric in config.metrics:
         direction, compute, _ = METRICS[metric]
-        pairs = PairMatrix(metric, direction, domains, compute(corpora, config, metric))
+        pairs = PairMatrix(metric, direction, domains, compute(workspace, metric))
         if metric == "NGRAM":
             corpus_mod.write_overlap_matrix_csv(pairs, out_dir / "ngram_overlap_matrix.csv")
         path = out_dir / f"metric_{metric}.csv"
@@ -382,17 +433,18 @@ def cmd_metrics(config: RunConfig) -> None:
         print(f"wrote {path} ({len(domains) * (len(domains) - 1)} pairs)")
 
 
-def _resolve_matrix(config: RunConfig) -> AccuracyMatrix:
+def _resolve_matrix(workspace: Workspace) -> AccuracyMatrix:
+    config = workspace.config
     if config.accuracy_matrix in (None, "", "reference"):
         return reference_accuracy_matrix()
     if config.accuracy_matrix == "generate":
-        corpora = config.load_corpora()
-        return train_eval_baseline(corpora, seed=config.seed)
+        return train_eval_baseline(workspace.corpora, seed=config.seed)
     return load_accuracy_matrix(config.accuracy_matrix)
 
 
-def cmd_evaluate(config: RunConfig) -> None:
-    matrix = _resolve_matrix(config)
+def cmd_evaluate(workspace: Workspace) -> None:
+    config = workspace.config
+    matrix = _resolve_matrix(workspace)
     out_dir = config.out_dir()
     pairs_by_metric = {
         metric: read_metric_csv(out_dir / f"metric_{metric}.csv", metric, matrix.domains)
@@ -410,10 +462,10 @@ def cmd_evaluate(config: RunConfig) -> None:
     print(f"wrote recommendation chart and {len(reports)} evaluation rows to {out_dir}")
 
 
-def cmd_chart(config: RunConfig) -> None:
-    matrix = _resolve_matrix(config)
+def cmd_chart(workspace: Workspace) -> None:
+    matrix = _resolve_matrix(workspace)
     chart_rows, _ = recommendation_report(matrix, {}, ks=())
-    out_dir = config.out_dir()
+    out_dir = workspace.config.out_dir()
     write_chart_csv(chart_rows, out_dir / "recommendation_chart.csv")
     (out_dir / "recommendation_report.md").write_text(
         build_markdown_report(chart_rows, []), encoding="utf-8"
@@ -421,10 +473,9 @@ def cmd_chart(config: RunConfig) -> None:
     print(f"wrote chart for {len(chart_rows)} domains to {out_dir}")
 
 
-def cmd_baseline(config: RunConfig, splits: int) -> None:
-    corpora = config.load_corpora()
-    matrix = train_eval_baseline(corpora, splits=splits, seed=config.seed)
-    out = config.out_dir() / "accuracy_matrix.csv"
+def cmd_baseline(workspace: Workspace, splits: int) -> None:
+    matrix = train_eval_baseline(workspace.corpora, splits=splits, seed=workspace.config.seed)
+    out = workspace.config.out_dir() / "accuracy_matrix.csv"
     write_accuracy_matrix_csv(matrix, out)
     print(f"wrote {out} ({len(matrix.domains)}x{len(matrix.domains)})")
 
@@ -472,17 +523,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        config = RunConfig.load(args)
+        workspace = Workspace(RunConfig.load(args))
         if args.command == "ingest":
-            cmd_ingest(config)
+            cmd_ingest(workspace)
         elif args.command == "metrics":
-            cmd_metrics(config)
+            cmd_metrics(workspace)
         elif args.command == "evaluate":
-            cmd_evaluate(config)
+            cmd_evaluate(workspace)
         elif args.command == "chart":
-            cmd_chart(config)
+            cmd_chart(workspace)
         elif args.command == "baseline":
-            cmd_baseline(config, args.splits)
+            cmd_baseline(workspace, args.splits)
         return EXIT_OK
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

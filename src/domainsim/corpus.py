@@ -88,9 +88,8 @@ class Corpus:
     """A domain's reviews with cached per-polarity token and n-gram counts.
 
     Immutable after construction; safe to share across threads. ``counts``
-    maps each word to its (positive, negative) occurrence counts, and
-    ``doc_counts`` to the number of positive/negative reviews containing it.
-    N-gram counters (orders 1..4) are built lazily per order and cached.
+    maps each word to its (positive, negative) occurrence counts. N-gram
+    counters (orders 1..4) are built lazily per order and cached.
     """
 
     def __init__(self, domain_id: str, reviews: Sequence[Review]):
@@ -99,15 +98,11 @@ class Corpus:
         self.domain_id = domain_id
         self.reviews: tuple[Review, ...] = tuple(reviews)
         counts: dict[str, list[int]] = {}
-        doc_counts: dict[str, list[int]] = {}
         for review in self.reviews:
             slot = 0 if review.label == POSITIVE else 1
             for token in review.tokens:
                 counts.setdefault(token, [0, 0])[slot] += 1
-            for token in set(review.tokens):
-                doc_counts.setdefault(token, [0, 0])[slot] += 1
         self.counts: dict[str, tuple[int, int]] = {w: (c[0], c[1]) for w, c in counts.items()}
-        self.doc_counts: dict[str, tuple[int, int]] = {w: (c[0], c[1]) for w, c in doc_counts.items()}
         self._ngram_cache: dict[int, Counter] = {}
 
     def __len__(self) -> int:

@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, Review
 from .errors import InputError, UnrankablePairError
-from .lexstats import SentimentLexicon, filter_reviews, review_score
+# Not called here: the CLI calls filter_reviews, and the benchmark traces both, by these names.
+from .lexstats import filter_reviews, review_score  # noqa: F401
 from .pairs import mirrored
 
 
@@ -197,30 +198,35 @@ def word_metric(
 
 def sentence_metric(set_s: SentenceVectorSet, set_t: SentenceVectorSet) -> float:
     """Angular similarity between the mean vectors of two sentence-vector sets."""
-    v1 = set_s.mean_vector()
-    v2 = set_t.mean_vector()
+    return _mean_similarity((set_s.domain_id, set_s.mean_vector()),
+                            (set_t.domain_id, set_t.mean_vector()))
+
+
+def _mean_similarity(mean_s: tuple[str, np.ndarray], mean_t: tuple[str, np.ndarray]) -> float:
+    # Each argument is a (domain id, mean sentence vector) pair.
+    (domain_s, v1), (domain_t, v2) = mean_s, mean_t
     if float(np.linalg.norm(v1)) < 1e-12 or float(np.linalg.norm(v2)) < 1e-12:
         raise UnrankablePairError(
-            f"mean sentence vector numerically zero for pair"
-            f" ({set_s.domain_id}, {set_t.domain_id})"
+            f"mean sentence vector numerically zero for pair ({domain_s}, {domain_t})"
         )
     return angular_similarity(v1, v2)
 
 
 def select_test_vectors(
     corpus: Corpus,
-    lexicon: SentimentLexicon,
+    qualifying: Sequence[tuple[Review, float]],
     vecs: SentenceVectorSet,
     count: int = 500,
     mode: str = "heldout",
 ) -> SentenceVectorSet:
     """Pick the sentence vectors of the reviews used for a pair comparison.
 
-    Candidate reviews pass the sentiment filter (score magnitude above 0.01,
-    at most 100 tokens). ``top`` mode ranks them by score magnitude
-    descending (ties by corpus order) and takes ``count``; ``heldout`` mode
-    takes the last ``count`` qualifying reviews in corpus order. If fewer
-    than ``count`` qualify, all are used and a warning is emitted.
+    ``qualifying`` is ``filter_reviews(corpus, lexicon)``: the
+    ``(review, score)`` pairs passing the sentiment filter (score magnitude
+    above 0.01, at most 100 tokens), in corpus order. ``top`` mode ranks
+    them by score magnitude descending (ties by corpus order) and takes
+    ``count``; ``heldout`` mode takes the last ``count`` in corpus order. If
+    fewer than ``count`` qualify, all are used and a warning is emitted.
     """
     if mode not in ("top", "heldout"):
         raise InputError(f"unknown selection mode {mode!r} (expected top or heldout)")
@@ -231,11 +237,9 @@ def select_test_vectors(
             f"sentence vectors for {corpus.domain_id} miss {len(missing)} review id(s),"
             f" e.g. {missing[:3]}"
         )
-    qualifying = filter_reviews(corpus, lexicon)
     if mode == "top":
-        order = {r.review_id: i for i, r in enumerate(corpus.reviews)}
-        qualifying.sort(key=lambda r: (-abs(review_score(r.tokens, lexicon)), order[r.review_id]))
-        selected = qualifying[:count]
+        # The sort is stable, so equal magnitudes keep corpus order.
+        selected = sorted(qualifying, key=lambda scored: -abs(scored[1]))[:count]
     else:
         selected = qualifying[-count:]
     if len(qualifying) < count:
@@ -247,7 +251,7 @@ def select_test_vectors(
     return SentenceVectorSet(
         corpus.domain_id,
         vecs.dims,
-        tuple((r.review_id, by_id[r.review_id]) for r in selected),
+        tuple((r.review_id, by_id[r.review_id]) for r, _ in selected),
     )
 
 
@@ -260,5 +264,8 @@ def word_metric_matrix(
 
 
 def sentence_metric_matrix(sets: Sequence[SentenceVectorSet]) -> np.ndarray:
-    """N×N sentence-vector metric values, mirrored; NaN for unrankable pairs."""
-    return mirrored(sets, sentence_metric)
+    """N×N sentence-vector metric values, mirrored; NaN for unrankable pairs.
+
+    Equal to ``sentence_metric`` on every pair, with each set's mean taken once.
+    """
+    return mirrored([(s.domain_id, s.mean_vector()) for s in sets], _mean_similarity)

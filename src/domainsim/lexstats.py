@@ -31,8 +31,7 @@ class PolarityTable:
     """Per-word (P, N) probabilities for one domain, with P + N = 1.
 
     P is the fraction of the word's occurrences that fall in positive
-    reviews (or, in ``docfreq`` mode, the fraction of reviews containing the
-    word that are positive).
+    reviews.
     """
 
     domain_id: str
@@ -45,25 +44,17 @@ class PolarityTable:
         return self.entries[word]
 
 
-def polarity_table(corpus: Corpus, min_count: int = 1, mode: str = "occurrence") -> PolarityTable:
-    """Build the per-word polarity table for a corpus.
+def polarity_table(corpus: Corpus, mode: str = "occurrence") -> PolarityTable:
+    """Build the per-word polarity table for a corpus from raw token occurrences per label.
 
-    ``mode`` selects what gets counted: ``occurrence`` uses raw token
-    occurrences per label, ``docfreq`` uses the number of reviews per label
-    containing the word. Words with fewer than ``min_count`` total counts
-    are omitted.
+    ``occurrence`` is the only ``mode``; any other raises ``InputError``.
     """
-    if mode == "occurrence":
-        source = corpus.counts
-    elif mode == "docfreq":
-        source = corpus.doc_counts
-    else:
-        raise InputError(f"unknown polarity mode {mode!r} (expected occurrence or docfreq)")
+    if mode != "occurrence":
+        raise InputError(f"unknown polarity mode {mode!r} (expected occurrence)")
     entries = {}
-    for word, (c_p, c_n) in source.items():
+    for word, (c_p, c_n) in corpus.counts.items():
         total = c_p + c_n
-        if total >= min_count:
-            entries[word] = (c_p / total, c_n / total)
+        entries[word] = (c_p / total, c_n / total)
     return PolarityTable(corpus.domain_id, entries)
 
 
@@ -222,16 +213,17 @@ def filter_reviews(
     lexicon: SentimentLexicon,
     threshold: float = 0.01,
     max_len: int = 100,
-) -> list[Review]:
-    """Reviews with sentiment magnitude above the threshold and length within bounds.
+) -> list[tuple[Review, float]]:
+    """``(review, review_score)`` pairs, in corpus order, of the reviews that qualify.
 
-    Keeps reviews with ``|score| > threshold`` and at most ``max_len``
-    tokens. May return an empty list.
+    Keeps reviews with at most ``max_len`` tokens and ``|score| >
+    threshold``; longer reviews are not scored. May return an empty list.
     """
     kept = []
     for review in corpus.reviews:
         if len(review.tokens) > max_len:
             continue
-        if abs(review_score(review.tokens, lexicon)) > threshold:
-            kept.append(review)
+        score = review_score(review.tokens, lexicon)
+        if abs(score) > threshold:
+            kept.append((review, score))
     return kept

@@ -7,6 +7,8 @@ is the CDSA baseline as it was before it trained its models in lockstep:
 one model and one example at a time, in plain Python loops.
 ``sorted_ranking`` is the per-target source ranking as it was before
 ``PairMatrix.ranking``: a Python sort on (value, domain index) keys.
+``select_reviews`` is the sentence metrics' review selection as it was
+before each review was scored once per command.
 """
 
 from __future__ import annotations
@@ -200,6 +202,28 @@ def sorted_ranking(
     else:
         ranked.sort(key=lambda s: (-relevant[s], index[s]))
     return tuple(ranked + unranked)
+
+
+def select_reviews(corpus, score, count: int = 500, mode: str = "heldout") -> list[str]:
+    """Ids of the reviews ``select_test_vectors`` picks; ``score(tokens)`` is the review score.
+
+    The filter keeps reviews of at most 100 tokens whose |score| exceeds
+    0.01; ``top`` sorts them by (-|score|, corpus index) and keeps the
+    first ``count``, ``heldout`` keeps the last ``count`` in corpus order.
+    """
+    qualifying = []
+    for review in corpus.reviews:
+        if len(review.tokens) > 100:
+            continue
+        if abs(score(review.tokens)) > 0.01:
+            qualifying.append(review)
+    if mode == "top":
+        order = {r.review_id: i for i, r in enumerate(corpus.reviews)}
+        qualifying.sort(key=lambda r: (-abs(score(r.tokens)), order[r.review_id]))
+        selected = qualifying[:count]
+    else:
+        selected = qualifying[-count:]
+    return [r.review_id for r in selected]
 
 
 FEATURE_DIM = 1 << 16

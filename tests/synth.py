@@ -15,6 +15,7 @@ import numpy as np
 
 from domainsim.corpus import Corpus, Review
 from domainsim.embedding_metrics import AdjectiveLexicon, SentenceVectorSet, WordVectorTable
+from domainsim.lexstats import SentimentLexicon
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -122,3 +123,50 @@ def synthetic_sentence_sets(
         )
         sets.append(SentenceVectorSet(corpus.domain_id, dims, vectors))
     return sets
+
+
+def synthetic_lexicon(seed: int = 7) -> SentimentLexicon:
+    """Pool words scored towards their side on a 0.05 grid, so equal review scores are common."""
+    rng = np.random.default_rng(seed)
+    _, pos, neg = _pools()
+    entries = {}
+    for words, side in ((pos, 0), (neg, 1)):
+        for word in words:
+            strong = float(rng.integers(5, 21)) / 20.0
+            weak = float(rng.integers(0, 5)) / 20.0
+            entries[word] = (strong, weak) if side == 0 else (weak, strong)
+    return SentimentLexicon(entries)
+
+
+def write_vector_inputs(
+    data: dict[str, list[tuple[str, str]]],
+    directory: Path,
+    dims: int = 8,
+    seed: int = 5,
+) -> dict[str, str]:
+    """Write the inputs of the vector metrics for ``data``'s domains under ``directory``.
+
+    Returns paths keyed ``adjectives`` (the sentiment pool words), ``lexicon``
+    (a TSV of ``synthetic_lexicon(seed)``), and ``words`` and ``sentences``,
+    directories holding one ``<domain>.vec`` file per domain.
+    """
+    corpora = build_corpora(data)
+    adjectives = AdjectiveLexicon(sentiment_pool_words())
+    paths = {"adjectives": directory / "adjectives.txt", "lexicon": directory / "lexicon.tsv",
+             "words": directory / "words", "sentences": directory / "sentences"}
+    paths["words"].mkdir(parents=True, exist_ok=True)
+    paths["sentences"].mkdir(exist_ok=True)
+    paths["adjectives"].write_text("\n".join(sorted(adjectives.words)) + "\n", encoding="utf-8")
+    lexicon = synthetic_lexicon(seed)
+    paths["lexicon"].write_text("".join(
+        f"{word}\t{pos!r}\t{neg!r}\n" for word, (pos, neg) in lexicon.entries.items()
+    ), encoding="utf-8")
+    files = [(paths["words"] / f"{t.domain_id}.vec", t.entries.items())
+             for t in synthetic_word_tables(corpora, adjectives, dims, seed)]
+    files += [(paths["sentences"] / f"{s.domain_id}.vec", s.vectors)
+              for s in synthetic_sentence_sets(corpora, dims, seed)]
+    for path, entries in files:
+        with path.open("w", encoding="utf-8") as fh:
+            for key, vec in entries:
+                fh.write(key + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+    return {key: str(path) for key, path in paths.items()}

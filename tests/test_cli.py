@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import os
+import subprocess
+import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import synth
-from domainsim import cli
+from domainsim import cli, lexstats
+from domainsim import embedding_metrics as emb
 from domainsim.cli import main
 from domainsim.errors import InputError
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR
@@ -438,3 +445,115 @@ def test_end_to_end_with_synthetic_generator(tmp_path):
                  "--accuracy-matrix", str(matrix_path)]) == 0
     eval_rows = _read_csv(tmp_path / "out" / "eval_report.csv")
     assert len(eval_rows) == 10
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SHORTFALL = "ignore:.*requested reviews qualify:UserWarning"
+
+
+@pytest.fixture()
+def vector_inputs(tmp_path):
+    """Three synthetic domains and two sets of vector inputs with different contents."""
+    data = synth.synthetic_reviews(n_domains=3, reviews_per_domain=40, seed=6)
+    corpora = synth.write_jsonl(data, tmp_path / "corpora")
+    first = synth.write_vector_inputs(data, tmp_path / "first", seed=5)
+    second = synth.write_vector_inputs(data, tmp_path / "second", seed=6)
+    return tmp_path, corpora, first, second
+
+
+def _metrics_argv(corpora, inputs, vectors: dict[str, str], out: Path) -> list[str]:
+    return ["metrics", "--domains", ",".join(f"{d}={p}" for d, p in corpora.items()),
+            "--metrics", ",".join(vectors),
+            "--vectors", ",".join(f"{m}={d}" for m, d in vectors.items()),
+            "--adjectives", inputs["adjectives"], "--sentiment-lexicon", inputs["lexicon"],
+            "--out", str(out)]
+
+
+def _all_vector_metrics(inputs) -> dict[str, str]:
+    return {f"ULM{i}": inputs["words"] if i in (1, 3, 4, 6) else inputs["sentences"]
+            for i in range(1, 8)}
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.filterwarnings(SHORTFALL)
+def test_metrics_parse_each_vector_file_score_each_review_and_load_the_lexicon_once(
+        vector_inputs, monkeypatch):
+    tmp_path, corpora, first, _ = vector_inputs
+    seen = {"files": Counter(), "reviews": Counter(), "lexicon": Counter()}
+
+    def count(kind, owner, name, key):
+        func = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            seen[kind][key(*args)] += 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count("files", emb, "load_word_vectors", lambda path, *_: str(path))
+    count("files", emb, "load_sentence_vectors", lambda path, *_: str(path))
+    count("reviews", lexstats, "review_score", lambda tokens, _: id(tokens))
+    count("lexicon", cli, "load_sentiment_lexicon_tsv", lambda path: str(path))
+    vectors = {"ULM1": first["words"], "ULM2": first["sentences"],
+               "ULM3": first["words"], "ULM7": first["sentences"]}
+    assert main(_metrics_argv(corpora, first, vectors, tmp_path / "out")) == 0
+    assert seen["files"] == Counter(
+        str(Path(first[kind]) / f"{domain}.vec") for kind in ("words", "sentences")
+        for domain in corpora)
+    assert len(seen["reviews"]) == 3 * 40 and set(seen["reviews"].values()) == {1}
+    assert seen["lexicon"] == Counter([first["lexicon"]])
+
+
+def test_metrics_key_vector_files_by_directory_and_drop_them_after_their_last_metric(
+        vector_inputs, monkeypatch):
+    tmp_path, corpora, first, second = vector_inputs
+    directories = {"ULM1": first["words"], "ULM3": second["words"]}
+    for metric, directory in directories.items():
+        assert main(_metrics_argv(corpora, first, {metric: directory}, tmp_path / metric)) == 0
+    loaded = []
+    load, matrix = emb.load_word_vectors, emb.word_metric_matrix
+
+    def recording_load(*args):
+        table = load(*args)
+        loaded.append(weakref.ref(table))
+        return table
+
+    alive = []
+
+    def counting_matrix(tables, adjectives):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in loaded))
+        return matrix(tables, adjectives)
+
+    monkeypatch.setattr(emb, "load_word_vectors", recording_load)
+    monkeypatch.setattr(emb, "word_metric_matrix", counting_matrix)
+    assert main(_metrics_argv(corpora, first, directories, tmp_path / "both")) == 0
+    values = {}
+    for metric in directories:
+        name = f"metric_{metric}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / metric / name).read_bytes()
+        values[metric] = [row["value"] for row in _read_csv(tmp_path / metric / name)]
+    assert values["ULM1"] != values["ULM3"]
+    # ULM1's tables are gone once no later metric reads their directory.
+    assert alive == [3, 3]
+
+
+@pytest.mark.filterwarnings(SHORTFALL)
+def test_metrics_runs_in_one_process_match_each_run_alone(vector_inputs):
+    tmp_path, corpora, first, second = vector_inputs
+    runs = {"first": first, "second": second}
+    for name, inputs in runs.items():
+        argv = _metrics_argv(corpora, inputs, _all_vector_metrics(inputs), tmp_path / f"in-{name}")
+        assert main(argv) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, inputs in runs.items():
+        out = tmp_path / f"alone-{name}"
+        argv = _metrics_argv(corpora, inputs, _all_vector_metrics(inputs), out)
+        done = subprocess.run([sys.executable, "-m", "domainsim", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert _outputs(tmp_path / f"in-{name}") == _outputs(out)
+    assert _outputs(tmp_path / "in-first") != _outputs(tmp_path / "in-second")

@@ -18,7 +18,7 @@ from domainsim.embedding_metrics import (
     word_metric_matrix,
 )
 from domainsim.errors import InputError, UnrankablePairError
-from domainsim.lexstats import SentimentLexicon
+from domainsim.lexstats import SentimentLexicon, filter_reviews
 
 
 def test_load_word_vectors_basic(tmp_path):
@@ -204,6 +204,10 @@ def _scored_corpus(n, strong_positions=()):
 SCORING = SentimentLexicon({"strong": (0.9, 0.0), "mild": (0.2, 0.0)})
 
 
+def _qualifying(corpus):
+    return filter_reviews(corpus, SCORING)
+
+
 def _vectors_for(corpus):
     rng = np.random.default_rng(1)
     return SentenceVectorSet(
@@ -214,7 +218,7 @@ def _vectors_for(corpus):
 def test_select_test_vectors_takes_requested_count(tmp_path):
     corpus = _scored_corpus(600)
     vecs = _vectors_for(corpus)
-    picked = select_test_vectors(corpus, SCORING, vecs, count=500)
+    picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=500)
     assert len(picked.vectors) == 500
 
 
@@ -222,21 +226,21 @@ def test_select_test_vectors_shortfall_warns():
     corpus = _scored_corpus(300)
     vecs = _vectors_for(corpus)
     with pytest.warns(UserWarning, match="only 300"):
-        picked = select_test_vectors(corpus, SCORING, vecs, count=500)
+        picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=500)
     assert len(picked.vectors) == 300
 
 
 def test_select_test_vectors_top_mode_ranks_by_magnitude():
     corpus = _scored_corpus(2, strong_positions={1})
     vecs = _vectors_for(corpus)
-    picked = select_test_vectors(corpus, SCORING, vecs, count=1, mode="top")
+    picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=1, mode="top")
     assert [rid for rid, _ in picked.vectors] == ["d:1"]
 
 
 def test_select_test_vectors_heldout_takes_tail():
     corpus = _scored_corpus(5)
     vecs = _vectors_for(corpus)
-    picked = select_test_vectors(corpus, SCORING, vecs, count=2, mode="heldout")
+    picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=2, mode="heldout")
     assert [rid for rid, _ in picked.vectors] == ["d:3", "d:4"]
 
 
@@ -244,13 +248,13 @@ def test_select_test_vectors_requires_coverage():
     corpus = _scored_corpus(3)
     vecs = SentenceVectorSet("d", 3, (("d:0", np.ones(3)),))
     with pytest.raises(InputError, match="miss 2"):
-        select_test_vectors(corpus, SCORING, vecs, count=2)
+        select_test_vectors(corpus, _qualifying(corpus), vecs, count=2)
 
 
 def test_select_test_vectors_rejects_bad_mode():
     corpus = _scored_corpus(3)
     with pytest.raises(InputError, match="selection mode"):
-        select_test_vectors(corpus, SCORING, _vectors_for(corpus), mode="middle")
+        select_test_vectors(corpus, _qualifying(corpus), _vectors_for(corpus), mode="middle")
 
 
 def test_load_adjectives(tmp_path):

@@ -30,22 +30,6 @@ def test_polarity_table_direct_ratios():
     assert table["grim"] == (0.0, 1.0)
 
 
-def test_polarity_table_min_count_filters():
-    corpus = build_corpus("d", [("positive", "solo common common")])
-    table = polarity_table(corpus, min_count=2)
-    assert "solo" not in table
-    assert "common" in table
-
-
-def test_polarity_table_docfreq_mode():
-    corpus = build_corpus("d", [
-        ("positive", "word word word"),
-        ("negative", "word"),
-    ])
-    assert polarity_table(corpus)["word"] == (0.75, 0.25)
-    assert polarity_table(corpus, mode="docfreq")["word"] == (0.5, 0.5)
-
-
 def test_polarity_table_rejects_unknown_mode():
     corpus = build_corpus("d", [("positive", "x")])
     with pytest.raises(InputError, match="mode"):
@@ -177,7 +161,7 @@ def test_filter_reviews_threshold_and_length():
     ]
     corpus = build_corpus("d", [(label, text.strip()) for label, text in rows])
     kept = filter_reviews(corpus, lexicon)
-    assert [r.review_id for r in kept] == ["d:1"]
+    assert [(r.review_id, score) for r, score in kept] == [("d:1", -0.5)]
 
 
 def test_filter_reviews_boundary_is_strict():

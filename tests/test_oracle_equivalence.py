@@ -1,4 +1,4 @@
-"""LM2, LM3, LM4, NGRAM and the CDSA baseline checked against the oracles.
+"""LM2, LM3, LM4, NGRAM, the review selection and the CDSA baseline checked against the oracles.
 
 Every ordered pair of a seeded 20-domain synthetic set is compared, so both
 orientations of each pair and both rankable and unrankable pairs are
@@ -8,7 +8,9 @@ cancels digits (up to ~1e-11 relative on these corpora). LM4 must also
 equal, bit for bit, the oracle that repeats the package's arithmetic term
 by term. NGRAM is a ratio of integer counts and must match exactly. The
 baseline's accuracy matrix must equal, bit for bit, the one from training
-and scoring one model and one example at a time.
+and scoring one model and one example at a time. The sentence metrics must
+pick the same reviews as when each review was scored once per pick, and
+their matrix must equal the pair-by-pair ``sentence_metric``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,21 @@ import synth
 from conftest import build_corpus
 from domainsim.cdsa_baseline import _featurize, _row_sums, _train_lockstep, train_eval_baseline
 from domainsim.corpus import ngram_overlap_matrix
+from domainsim.embedding_metrics import (
+    SentenceVectorSet,
+    select_test_vectors,
+    sentence_metric,
+    sentence_metric_matrix,
+)
 from domainsim.errors import UnrankablePairError
 from domainsim.labelled_metrics import lm2_skld, lm3_chameleon, lm4_matrix
-from domainsim.lexstats import polar_words, polarity_table
+from domainsim.lexstats import (
+    SentimentLexicon,
+    filter_reviews,
+    polar_words,
+    polarity_table,
+    review_score,
+)
 
 RELATIVE_TOLERANCE = 1e-9
 SEEDS = (1, 2)
@@ -80,6 +94,72 @@ def test_ngram_matches_oracle_exactly(domains):
     matrix = ngram_overlap_matrix(corpora)
     for i, j in ordered_pairs(len(corpora)):
         assert matrix[i, j] == oracles.ngram_overlap(reviews[i], reviews[j]), (i, j)
+
+
+def selected_ids(corpus, lexicon, count, mode):
+    vectors = SentenceVectorSet(
+        corpus.domain_id, 2, tuple((r.review_id, np.ones(2)) for r in corpus.reviews))
+    picked = select_test_vectors(corpus, filter_reviews(corpus, lexicon), vectors, count, mode)
+    return [review_id for review_id, _ in picked.vectors]
+
+
+def oracle_ids(corpus, lexicon, count, mode):
+    return oracles.select_reviews(corpus, lambda tokens: review_score(tokens, lexicon), count, mode)
+
+
+@pytest.mark.parametrize("mode", ["top", "heldout"])
+@pytest.mark.parametrize("count", [7, 500])
+def test_review_selection_matches_oracle(domains, mode, count):
+    corpora, _ = domains
+    lexicon = synth.synthetic_lexicon()
+    tied = 0
+    for corpus in corpora:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            picked = selected_ids(corpus, lexicon, count, mode)
+        assert picked == oracle_ids(corpus, lexicon, count, mode), corpus.domain_id
+        magnitudes = [abs(score) for _, score in filter_reviews(corpus, lexicon)]
+        tied += len(magnitudes) - len(set(magnitudes))
+    assert tied > 0
+
+
+def test_review_selection_matches_oracle_on_ties_long_reviews_and_a_shortfall():
+    lexicon = SentimentLexicon({"fine": (0.5, 0.0), "grim": (0.0, 0.5), "best": (0.9, 0.0),
+                                "meh": (0.005, 0.0)})
+    corpus = build_corpus("d", [
+        ("positive", "fine plain"),            # 0.5
+        ("negative", "grim plain"),            # -0.5, the same magnitude
+        ("positive", "meh"),                   # 0.005, filtered out
+        ("positive", "best " + "pad " * 100),  # 101 tokens, filtered out though the strongest
+        ("positive", "best"),                  # 0.9
+        ("negative", "plain grim"),            # -0.5
+        ("positive", "fine"),                  # 0.5
+    ])
+    expected = {"top": ["d:4", "d:0", "d:1"], "heldout": ["d:4", "d:5", "d:6"]}
+    for mode in ("top", "heldout"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert selected_ids(corpus, lexicon, 3, mode) == expected[mode]
+        assert oracle_ids(corpus, lexicon, 3, mode) == expected[mode]
+        with pytest.warns(UserWarning, match="only 5 of 10 requested reviews qualify"):
+            picked = selected_ids(corpus, lexicon, 10, mode)
+        assert picked == oracle_ids(corpus, lexicon, 10, mode)
+        assert len(picked) == 5
+
+
+def test_sentence_metric_matrix_equals_the_pair_loop(domains):
+    corpora, _ = domains
+    zero_mean = SentenceVectorSet("Z", 8, (("Z:0", np.ones(8)), ("Z:1", -np.ones(8))))
+    sets = synth.synthetic_sentence_sets(corpora) + [zero_mean]
+    matrix = sentence_metric_matrix(sets)
+    for i, j in ordered_pairs(len(sets)):
+        try:
+            expected = sentence_metric(sets[i], sets[j])
+        except UnrankablePairError:
+            assert "Z" in (sets[i].domain_id, sets[j].domain_id)
+            assert math.isnan(matrix[i, j]), (i, j)
+        else:
+            assert matrix[i, j] == expected, (i, j)
 
 
 def baseline_acc(corpora, splits=5, seed=0):

@@ -4,7 +4,8 @@
 the benchmark then reads that layer as 0, so a renamed hot function must
 fail here instead. A function the CLI reaches through a reference taken
 before the tracer wraps its attribute escapes the span without being
-absent, so a traced run must also record a call in each lexical span.
+absent, so a traced run must also record a call in each lexical and each
+embedding span.
 """
 
 from __future__ import annotations
@@ -44,6 +45,27 @@ LEXICAL_SPANS = (
     "lexstats.polarity_table", "lexstats.significant_words", "corpus.ngram_overlap_matrix",
     "cli.write_metric_csv", "cli.read_metric_csv", "evaluation.rank_sources",
 )
+EMBEDDING_SPANS = (
+    "embedding_metrics.load_word_vectors", "embedding_metrics.load_sentence_vectors",
+    "embedding_metrics.select_test_vectors", "lexstats.filter_reviews", "lexstats.review_score",
+    "embedding_metrics.word_metric_matrix", "embedding_metrics.sentence_metric_matrix",
+)
+
+
+def traced_runs(tmp_path, runs) -> tuple[set[str], list[str]]:
+    """Names of the spans with a call, and the absent names, over traced CLI runs."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    called: set[str] = set()
+    absent: list[str] = []
+    for command, args in runs:
+        trace = tmp_path / f"{command}.json"
+        argv = [sys.executable, str(TRACED_CLI), str(trace), command, *args]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        recorded = json.loads(trace.read_text("utf-8"))
+        absent += recorded["absent"]
+        called.update(name for name, *_ in recorded["spans"])
+    return called, absent
 
 
 def test_traced_lexical_run_records_a_call_in_every_lexical_span(tmp_path):
@@ -56,17 +78,22 @@ def test_traced_lexical_run_records_a_call_in_every_lexical_span(tmp_path):
         for i, name in enumerate(names)))
     common = ["--domains", ",".join(f"{d}={p}" for d, p in paths.items()),
               "--metrics", "LM1,LM2,LM3,LM4,NGRAM", "--out", str(tmp_path / "out")]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    called: set[str] = set()
-    absent: list[str] = []
     evaluate = ["--accuracy-matrix", str(matrix), "--k", "1,2"]
-    for command, extra in (("metrics", []), ("evaluate", evaluate)):
-        trace = tmp_path / f"{command}.json"
-        argv = [sys.executable, str(TRACED_CLI), str(trace), command, *common, *extra]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        recorded = json.loads(trace.read_text("utf-8"))
-        absent += recorded["absent"]
-        called.update(name for name, *_ in recorded["spans"])
+    called, absent = traced_runs(tmp_path, [("metrics", common), ("evaluate", common + evaluate)])
     assert absent == []
     assert [name for name in LEXICAL_SPANS if name not in called] == []
+
+
+def test_traced_embedding_run_records_a_call_in_every_embedding_span(tmp_path):
+    data = synth.synthetic_reviews(n_domains=3, reviews_per_domain=30, seed=3)
+    paths = synth.write_jsonl(data, tmp_path / "corpora")
+    inputs = synth.write_vector_inputs(data, tmp_path / "vectors")
+    vectors = [f"ULM{i}={inputs['words'] if i in (1, 3, 4, 6) else inputs['sentences']}"
+               for i in range(1, 8)]
+    args = ["--domains", ",".join(f"{d}={p}" for d, p in paths.items()),
+            "--metrics", ",".join(f"ULM{i}" for i in range(1, 8)), "--vectors", ",".join(vectors),
+            "--adjectives", inputs["adjectives"], "--sentiment-lexicon", inputs["lexicon"],
+            "--out", str(tmp_path / "out")]
+    called, absent = traced_runs(tmp_path, [("metrics", args)])
+    assert absent == []
+    assert [name for name in EMBEDDING_SPANS if name not in called] == []
