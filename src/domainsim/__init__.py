@@ -13,7 +13,6 @@ from .corpus import (
     Corpus,
     Review,
     load_corpus,
-    ngram_overlap,
     ngram_overlap_matrix,
     normalize,
     top_k_ngrams,
@@ -47,7 +46,6 @@ from .labelled_metrics import (
     lm2_skld,
     lm3_chameleon,
     lm4_entropy_change,
-    weighted_entropy,
 )
 from .lexstats import (
     PolarityTable,

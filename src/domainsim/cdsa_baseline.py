@@ -60,10 +60,6 @@ class AccuracyMatrix:
     def value(self, source: str, target: str) -> float:
         return float(self.acc[self.index(source), self.index(target)])
 
-    def in_domain(self, domain: str) -> float:
-        i = self.index(domain)
-        return float(self.acc[i, i])
-
 
 def load_accuracy_matrix(path: str | Path) -> AccuracyMatrix:
     """Load an accuracy matrix CSV: header of domain ids, one row per source."""

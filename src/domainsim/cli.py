@@ -13,11 +13,10 @@ import csv
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,6 +131,13 @@ class RunConfig:
         for metric in self.metrics:
             if not isinstance(metric, str) or metric not in METRICS:
                 raise InputError(f"unknown metric {metric!r} (known: {', '.join(METRICS)})")
+        repeated = sorted({metric for metric in self.metrics if self.metrics.count(metric) > 1})
+        if repeated:
+            raise InputError(f"metrics listed more than once: {', '.join(repeated)}")
+        stray = sorted(set(self.vectors) - set(READINGS))
+        if stray:
+            raise InputError(f"vectors given for {', '.join(stray)}, which are not vector"
+                             f" metrics (vector metrics: {', '.join(READINGS)})")
         if not isinstance(self.k, list):
             raise InputError("config 'k' must be a list of positive integers")
         for k in self.k:
@@ -150,18 +156,13 @@ class Workspace:
     Built fresh from the ``RunConfig`` of every command, so nothing is kept
     between commands or between ``main`` calls in one process. The polarity
     tables are shared by LM2-LM4, the qualifying reviews by ULM2, ULM5 and
-    ULM7, and a parsed vector file by every metric whose vector directory
-    holds it.
+    ULM7, and a vector metric's values by every metric that reads the same
+    directory the same way.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
-        # Per vector directory, the selected metrics that have yet to read it.
-        self._readers = Counter(
-            Path(config.vectors[m]) for m in config.metrics
-            if METRICS[m][2] and config.vectors.get(m)
-        )
-        self._vector_files: dict[Path, dict] = {}
+        self._vector_values: dict[tuple[Path, str], np.ndarray] = {}
 
     @cached_property
     def corpora(self) -> list[corpus_mod.Corpus]:
@@ -206,26 +207,41 @@ class Workspace:
         lexicon = self.lexicon
         return [emb.filter_reviews(c, lexicon) for c in self.corpora]
 
-    def vector_files(self, metric: str, load: Callable) -> Iterator:
-        """Yield ``load(path, domain)`` for ``metric``'s vector file of each corpus, in order.
+    def vector_values(self, metric: str) -> np.ndarray:
+        """A vector metric's N×N values, computed once per (directory, reading)."""
+        key = (Path(self.config.vectors[metric]), READINGS[metric])
+        if key not in self._vector_values:
+            directory, reading = key
+            if reading == "words":
+                self._vector_values[key] = self._word_values(directory)
+            else:
+                self._vector_values.update(self._sentence_values(directory))
+        return self._vector_values[key]
 
-        A file is parsed once per command. It is kept while a later metric
-        reads the same directory and dropped as the last one reads it, so
-        with one directory per metric no parsed file outlives its metric.
+    def _word_values(self, directory: Path) -> np.ndarray:
+        adjectives = self.adjectives
+        tables = [emb.load_word_vectors(_vector_file(directory, c.domain_id), c.domain_id)
+                  for c in self.corpora]
+        return emb.word_metric_matrix(tables, adjectives)
+
+    def _sentence_values(self, directory: Path) -> dict[tuple[Path, str], np.ndarray]:
+        """Every sentence mode a selected metric reads from ``directory``, in one pass.
+
+        Each file is parsed once and dropped as soon as its reviews are
+        selected, so one parsed sentence file is alive at a time.
         """
-        directory = Path(self.config.vectors[metric])
-        self._readers[directory] -= 1
-        keep = self._readers[directory] > 0
-        files = (self._vector_files.setdefault(directory, {}) if keep
-                 else self._vector_files.pop(directory, {}))
-        for corpus in self.corpora:
-            key = (load, corpus.domain_id)
-            parsed = files.pop(key, None)
-            if parsed is None:
-                parsed = load(_vector_file(self.config, metric, corpus.domain_id), corpus.domain_id)
-            if keep:
-                files[key] = parsed
-            yield parsed
+        config = self.config
+        modes = sorted({READINGS[m] for m in config.metrics
+                        if READINGS.get(m) in ("heldout", "top")
+                        and Path(config.vectors[m]) == directory})
+        sets: dict[str, list] = {mode: [] for mode in modes}
+        for corpus, qualifying in zip(self.corpora, self.qualifying_reviews):
+            vectors = emb.load_sentence_vectors(
+                _vector_file(directory, corpus.domain_id), corpus.domain_id)
+            for mode in modes:
+                sets[mode].append(emb.select_test_vectors(corpus, qualifying, vectors, mode=mode))
+            del vectors  # before the next file is parsed
+        return {(directory, mode): emb.sentence_metric_matrix(sets[mode]) for mode in modes}
 
 
 def _is_int(value) -> bool:
@@ -287,63 +303,44 @@ def cmd_ingest(workspace: Workspace) -> None:
     print(f"wrote {out} ({len(corpora)} domains)")
 
 
-def _vector_file(config: RunConfig, metric: str, domain: str) -> Path:
-    return Path(config.vectors[metric]) / f"{domain}.vec"
+def _vector_file(directory: Path, domain: str) -> Path:
+    return directory / f"{domain}.vec"
 
 
-def _word_vector_values(workspace: Workspace, metric: str) -> np.ndarray:
-    adjectives = workspace.adjectives
-    tables = list(workspace.vector_files(metric, emb.load_word_vectors))
-    return emb.word_metric_matrix(tables, adjectives)
+# Vector metric id -> how it reads its --vectors directory: "words" for word
+# vectors, else the mode that picks sentence vectors. The encoder-based ULM7
+# ranks reviews by sentiment magnitude ("top"); the train/infer style ULM2
+# and ULM5 use a deterministic held-out tail ("heldout").
+READINGS = {"ULM1": "words", "ULM2": "heldout", "ULM3": "words", "ULM4": "words",
+            "ULM5": "heldout", "ULM6": "words", "ULM7": "top"}
 
-
-def _sentence_vector_values(workspace: Workspace, metric: str, mode: str) -> np.ndarray:
-    # One sentence-vector file is alive at a time unless a later metric reads it too.
-    sets = [
-        emb.select_test_vectors(corpus, qualifying, vectors, mode=mode)
-        for corpus, qualifying, vectors in zip(
-            workspace.corpora, workspace.qualifying_reviews,
-            workspace.vector_files(metric, emb.load_sentence_vectors))
-    ]
-    return emb.sentence_metric_matrix(sets)
-
-
-# Metric id -> (direction, compute(workspace, metric) -> N×N values,
-# the config input a vector metric needs besides its --vectors directory).
+# Metric id -> (direction, compute(workspace, metric) -> N×N values).
 # Each compute looks its functions up when it runs, through this module's
 # globals or a module attribute, so a wrapper set on such an attribute
 # (perfbench/traced_cli.py sets them) sees every call.
-# Sentence metrics pick reviews by mode: the encoder-based ULM7 ranks them by
-# sentiment magnitude ("top"); the train/infer style ULM2 and ULM5 use a
-# deterministic held-out tail ("heldout").
 METRICS = {
     "LM1": (HIGHER_IS_MORE_SIMILAR, lambda ws, _: mirrored(
-        [significant_words(c) for c in ws.corpora], lm.lm1_overlap), None),
-    "LM2": (LOWER_IS_MORE_SIMILAR, lambda ws, _: mirrored(ws.polarity_tables, lm.lm2_skld), None),
-    "LM3": (LOWER_IS_MORE_SIMILAR,
-            lambda ws, _: mirrored(ws.polarity_tables, lm.lm3_chameleon), None),
+        [significant_words(c) for c in ws.corpora], lm.lm1_overlap)),
+    "LM2": (LOWER_IS_MORE_SIMILAR, lambda ws, _: mirrored(ws.polarity_tables, lm.lm2_skld)),
+    "LM3": (LOWER_IS_MORE_SIMILAR, lambda ws, _: mirrored(ws.polarity_tables, lm.lm3_chameleon)),
     "LM4": (LOWER_IS_MORE_SIMILAR, lambda ws, _: lm.lm4_matrix(
-        ws.corpora, [polar_words(t) for t in ws.polarity_tables]), None),
-    "NGRAM": (HIGHER_IS_MORE_SIMILAR,
-              lambda ws, _: corpus_mod.ngram_overlap_matrix(ws.corpora), None),
-    **{m: (HIGHER_IS_MORE_SIMILAR, _word_vector_values, "adjectives")
-       for m in ("ULM1", "ULM3", "ULM4", "ULM6")},
-    **{m: (HIGHER_IS_MORE_SIMILAR, partial(_sentence_vector_values, mode=mode), "sentiment_lexicon")
-       for m, mode in (("ULM2", "heldout"), ("ULM5", "heldout"), ("ULM7", "top"))},
+        ws.corpora, [polar_words(t) for t in ws.polarity_tables])),
+    "NGRAM": (HIGHER_IS_MORE_SIMILAR, lambda ws, _: corpus_mod.ngram_overlap_matrix(ws.corpora)),
+    **{m: (HIGHER_IS_MORE_SIMILAR, Workspace.vector_values) for m in READINGS},
 }
 
 
 def _preflight(config: RunConfig, metrics: Sequence[str]) -> None:
     for metric in metrics:
-        needs = METRICS[metric][2]
-        if needs is None:
+        if metric not in READINGS:
             continue
         if not config.vectors.get(metric):
             raise InputError(f"metric {metric} needs --vectors {metric}=DIR")
         for name in config.domains:
-            path = _vector_file(config, metric, name)
+            path = _vector_file(Path(config.vectors[metric]), name)
             if not path.is_file():
                 raise InputError(f"metric {metric}: missing vector file {path}")
+        needs = "adjectives" if READINGS[metric] == "words" else "sentiment_lexicon"
         if not getattr(config, needs):
             raise InputError(f"metric {metric} needs --{needs.replace('_', '-')}")
 
@@ -424,7 +421,7 @@ def cmd_metrics(workspace: Workspace) -> None:
     domains = tuple(c.domain_id for c in workspace.corpora)
     out_dir = config.out_dir()
     for metric in config.metrics:
-        direction, compute, _ = METRICS[metric]
+        direction, compute = METRICS[metric]
         pairs = PairMatrix(metric, direction, domains, compute(workspace, metric))
         if metric == "NGRAM":
             corpus_mod.write_overlap_matrix_csv(pairs, out_dir / "ngram_overlap_matrix.csv")

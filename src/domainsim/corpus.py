@@ -263,24 +263,6 @@ def _overlap(tops1: list[frozenset], tops2: list[frozenset]) -> float:
     return matched / available
 
 
-def ngram_overlap(
-    c1: Corpus,
-    c2: Corpus,
-    k: int = 10,
-    orders: Iterable[int] = (2, 3, 4),
-) -> float:
-    """Fraction of shared top-k n-grams over the given orders, in [0, 1].
-
-    Per order the match count is the intersection of the two top-k lists;
-    the denominator slot is k, capped at the number of distinct n-grams
-    actually available (so a corpus compared with itself always scores 1.0,
-    and corpora with at least k n-grams per order yield exact multiples of
-    1/(k * number of orders)). Symmetric in its arguments.
-    """
-    orders = tuple(orders)
-    return _overlap(_top_k_sets(c1, k, orders), _top_k_sets(c2, k, orders))
-
-
 def ngram_overlap_matrix(
     corpora: Sequence[Corpus],
     k: int = 10,

@@ -204,21 +204,6 @@ class _NgramIndex:
         return changes
 
 
-def weighted_entropy(corpus: Corpus, polar: set[str], order: int, w: float) -> float:
-    """Weighted Shannon entropy of the corpus's n-grams of one order.
-
-    N-grams containing at least one polar word contribute with weight ``w``,
-    the rest with weight ``1/w``; probabilities are over all n-grams of the
-    order. For unigrams only the polar ones are considered.
-    """
-    if order not in ENTROPY_WEIGHTS:
-        raise InputError(f"n-gram order must be in 1..4, got {order}")
-    index = _NgramIndex([corpus])
-    ids = index.ids[order][0]
-    polar_own = index.polar_grams(polar)[order][ids]
-    return _order_entropy(index.counts[order][0], polar_own, index.log_table, w, order == 1)
-
-
 def lm4_entropy_change(source: Corpus, target: Corpus, polar: set[str] | None = None) -> float:
     """Percent change of the source's weighted entropy when the target is mixed in.
 

@@ -44,13 +44,8 @@ class PolarityTable:
         return self.entries[word]
 
 
-def polarity_table(corpus: Corpus, mode: str = "occurrence") -> PolarityTable:
-    """Build the per-word polarity table for a corpus from raw token occurrences per label.
-
-    ``occurrence`` is the only ``mode``; any other raises ``InputError``.
-    """
-    if mode != "occurrence":
-        raise InputError(f"unknown polarity mode {mode!r} (expected occurrence)")
+def polarity_table(corpus: Corpus) -> PolarityTable:
+    """Build the per-word polarity table for a corpus from raw token occurrences per label."""
     entries = {}
     for word, (c_p, c_n) in corpus.counts.items():
         total = c_p + c_n

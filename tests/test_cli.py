@@ -358,7 +358,7 @@ def test_read_metric_csv_rejects_missing_pair(tmp_path):
 
 
 def test_metric_registry_directions():
-    directions = {metric: direction for metric, (direction, _, _) in cli.METRICS.items()}
+    directions = {metric: direction for metric, (direction, _) in cli.METRICS.items()}
     lower = {"LM2", "LM3", "LM4"}
     assert directions == {
         metric: LOWER_IS_MORE_SIMILAR if metric in lower else HIGHER_IS_MORE_SIMILAR
@@ -405,6 +405,11 @@ def test_unknown_metric_and_config_keys_rejected(workspace, capsys):
     bad.write_text(json.dumps({"domans": {}}))
     assert main(["ingest", "--config", str(bad)]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+    assert main(["metrics", "--config", str(config), "--metrics", "LM1,NGRAM,LM1"]) == 1
+    assert "metrics listed more than once: LM1" in capsys.readouterr().err
+    for key in ("ULM9", "LM1"):
+        assert main(["metrics", "--config", str(config), "--vectors", f"{key}={tmp_path}"]) == 1
+        assert f"vectors given for {key}, which are not vector metrics" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -507,7 +512,7 @@ def test_metrics_parse_each_vector_file_score_each_review_and_load_the_lexicon_o
     assert seen["lexicon"] == Counter([first["lexicon"]])
 
 
-def test_metrics_key_vector_files_by_directory_and_drop_them_after_their_last_metric(
+def test_metrics_key_word_values_by_directory_and_drop_the_tables_after_their_matrix(
         vector_inputs, monkeypatch):
     tmp_path, corpora, first, second = vector_inputs
     directories = {"ULM1": first["words"], "ULM3": second["words"]}
@@ -537,8 +542,72 @@ def test_metrics_key_vector_files_by_directory_and_drop_them_after_their_last_me
         assert (tmp_path / "both" / name).read_bytes() == (tmp_path / metric / name).read_bytes()
         values[metric] = [row["value"] for row in _read_csv(tmp_path / metric / name)]
     assert values["ULM1"] != values["ULM3"]
-    # ULM1's tables are gone once no later metric reads their directory.
+    # ULM1's tables are gone once its matrix is computed.
     assert alive == [3, 3]
+
+
+def test_metrics_compute_one_word_matrix_per_directory(vector_inputs, monkeypatch):
+    tmp_path, corpora, first, second = vector_inputs
+    # "DIR" and "DIR/" name one directory.
+    directories = {"ULM1": first["words"], "ULM3": first["words"] + "/", "ULM4": second["words"]}
+    for metric, directory in directories.items():
+        assert main(_metrics_argv(corpora, first, {metric: directory}, tmp_path / metric)) == 0
+    calls = []
+    matrix = emb.word_metric_matrix
+
+    def counting_matrix(tables, adjectives):
+        calls.append([table.domain_id for table in tables])
+        return matrix(tables, adjectives)
+
+    monkeypatch.setattr(emb, "word_metric_matrix", counting_matrix)
+    assert main(_metrics_argv(corpora, first, directories, tmp_path / "all")) == 0
+    assert calls == [list(corpora)] * 2
+    for metric in directories:
+        name = f"metric_{metric}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / metric / name).read_bytes()
+
+
+@pytest.mark.filterwarnings(SHORTFALL)
+def test_metrics_read_a_sentence_directory_in_one_pass_one_file_at_a_time(
+        vector_inputs, monkeypatch):
+    tmp_path, corpora, first, _ = vector_inputs
+    directories = {metric: first["sentences"] for metric in ("ULM2", "ULM5", "ULM7")}
+    for metric, directory in directories.items():
+        assert main(_metrics_argv(corpora, first, {metric: directory}, tmp_path / metric)) == 0
+    loads, selections, parsed, alive = Counter(), Counter(), [], []
+    load, select, matrix = emb.load_sentence_vectors, emb.select_test_vectors, emb.sentence_metric_matrix
+
+    def count_alive(call):
+        gc.collect()
+        alive.append((call, sum(ref() is not None for ref in parsed)))
+
+    def recording_load(path, domain):
+        count_alive("load")
+        loads[str(path)] += 1
+        vectors = load(path, domain)
+        parsed.append(weakref.ref(vectors))
+        return vectors
+
+    def counting_select(corpus, *args, **kwargs):
+        selections[corpus.domain_id] += 1
+        return select(corpus, *args, **kwargs)
+
+    def counting_matrix(sets):
+        count_alive("matrix")
+        return matrix(sets)
+
+    monkeypatch.setattr(emb, "load_sentence_vectors", recording_load)
+    monkeypatch.setattr(emb, "select_test_vectors", counting_select)
+    monkeypatch.setattr(emb, "sentence_metric_matrix", counting_matrix)
+    assert main(_metrics_argv(corpora, first, directories, tmp_path / "all")) == 0
+    assert loads == Counter(str(Path(first["sentences"]) / f"{d}.vec") for d in corpora)
+    # One selection per domain for each of the two modes, heldout and top.
+    assert selections == Counter({domain: 2 for domain in corpora})
+    assert [call for call, _ in alive].count("matrix") == 2
+    assert max(count for _, count in alive) <= 1
+    for metric in directories:
+        name = f"metric_{metric}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / metric / name).read_bytes()
 
 
 @pytest.mark.filterwarnings(SHORTFALL)

@@ -16,7 +16,6 @@ from domainsim.labelled_metrics import (
     lm3_chameleon,
     lm4_entropy_change,
     lm4_matrix,
-    weighted_entropy,
 )
 from domainsim.lexstats import PolarityTable, SignificantWordSet, polar_words, polarity_table
 
@@ -110,31 +109,6 @@ def test_lm2_lm3_lower_bounded_by_reciprocal_jaccard():
         assert lm2_skld(t1, t2) >= 1.0 / j - 1e-12
         assert lm3_chameleon(t1, t2) >= 1.0 / j - 1e-12
         assert 1.0 / j >= 1.0
-
-
-def test_weighted_entropy_single_repeated_ngram_is_zero():
-    corpus = build_corpus("d", [("positive", "hot hot hot hot")])
-    assert weighted_entropy(corpus, {"hot"}, 2, 5.0) == 0.0
-
-
-def test_weighted_entropy_two_equiprobable_polar_bigrams():
-    corpus = build_corpus("d", [("positive", "hot sun"), ("negative", "hot rain")])
-    expected = 5.0 * math.log(2.0)
-    assert abs(weighted_entropy(corpus, {"hot"}, 2, 5.0) - expected) < 1e-12
-
-
-def test_weighted_entropy_scales_linearly_when_all_polar():
-    corpus = build_corpus("d", [("positive", "hot sun"), ("negative", "hot rain")])
-    e1 = weighted_entropy(corpus, {"hot"}, 2, 1.0)
-    e5 = weighted_entropy(corpus, {"hot"}, 2, 5.0)
-    assert abs(e5 - 5.0 * e1) < 1e-12
-
-
-def test_weighted_entropy_unigrams_only_count_polar_words():
-    corpus = build_corpus("d", [("positive", "hot cold mild"), ("negative", "hot cold damp")])
-    # Probabilities stay over all six unigram tokens; non-polar ones add no term.
-    expected = -2 * (2 / 6) * math.log(2 / 6)
-    assert abs(weighted_entropy(corpus, {"hot", "cold"}, 1, 1.0) - expected) < 1e-12
 
 
 def test_lm4_self_pair_is_zero():

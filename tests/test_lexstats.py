@@ -30,12 +30,6 @@ def test_polarity_table_direct_ratios():
     assert table["grim"] == (0.0, 1.0)
 
 
-def test_polarity_table_rejects_unknown_mode():
-    corpus = build_corpus("d", [("positive", "x")])
-    with pytest.raises(InputError, match="mode"):
-        polarity_table(corpus, mode="weird")
-
-
 def test_polar_words_threshold_boundary_inclusive():
     table = PolarityTable("d", {
         "edge": (0.75, 0.25),
