@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,6 +29,8 @@ from .pairs import PairMatrix, mirrored
 POSITIVE = "positive"
 NEGATIVE = "negative"
 LABELS = (POSITIVE, NEGATIVE)
+# Maps a record's label to the shared constant.
+_LABEL_CONSTANTS = {label: label for label in LABELS}
 
 NGRAM_ORDERS = (1, 2, 3, 4)
 
@@ -43,12 +47,17 @@ def bundled_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Load a custom stopword list, one word per line, lowercased."""
+    """Load a custom stopword list, one word per line.
+
+    Each word is normalized as review text is (lowercased, non-alphabetic
+    characters stripped), so ``don't`` stops the token ``dont``; a word
+    with no letters left, such as ``123``, is dropped.
+    """
     try:
-        lines = Path(path).read_text("utf-8").splitlines()
+        text = Path(path).read_text("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read stopword file {path}: {exc}") from exc
-    return frozenset(w.strip().lower() for w in lines if w.strip())
+    return frozenset(normalize(text, frozenset()))
 
 
 def normalize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
@@ -56,21 +65,28 @@ def normalize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
 
     Splits on whitespace, lowercases, strips every non-alphabetic character
     from each token (which also removes purely numeric tokens), and drops
-    stopwords. Token order is preserved; the result may be empty.
+    stopwords. Token order is preserved; the result may be empty. When every
+    character of the lowered text's tokens is already a letter, the
+    per-character strip is skipped, since it would change nothing. Tokens
+    are ``sys.intern``ed, so each distinct word is one ``str`` object
+    across all reviews and corpora.
     """
     if stopwords is None:
         stopwords = bundled_stopwords()
-    tokens = []
-    for raw in text.lower().split():
-        word = "".join(ch for ch in raw if ch.isalpha())
-        if word and word not in stopwords:
-            tokens.append(word)
-    return tokens
+    words = text.lower().split()
+    if not "".join(words).isalpha():
+        words = ["".join(ch for ch in raw if ch.isalpha()) for raw in words]
+    return [sys.intern(word) for word in words if word and word not in stopwords]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Review:
-    """One labelled review: normalized tokens plus its polarity label."""
+    """One labelled review: normalized tokens plus its polarity label.
+
+    Slotted, so a review holds no per-instance ``__dict__``. Reviews made by
+    ``load_corpus`` share their corpus's one domain string and the
+    ``POSITIVE``/``NEGATIVE`` constants.
+    """
 
     domain_id: str
     label: str
@@ -88,8 +104,9 @@ class Corpus:
     """A domain's reviews with cached per-polarity token and n-gram counts.
 
     Immutable after construction; safe to share across threads. ``counts``
-    maps each word to its (positive, negative) occurrence counts. N-gram
-    counters (orders 1..4) are built lazily per order and cached.
+    maps each word to its (positive, negative) occurrence counts, in the
+    order of each word's first occurrence over the reviews. N-gram counters
+    (orders 1..4) are built lazily per order and cached.
     """
 
     def __init__(self, domain_id: str, reviews: Sequence[Review]):
@@ -97,12 +114,13 @@ class Corpus:
             raise InputError(f"domain {domain_id!r}: corpus has no reviews")
         self.domain_id = domain_id
         self.reviews: tuple[Review, ...] = tuple(reviews)
-        counts: dict[str, list[int]] = {}
-        for review in self.reviews:
-            slot = 0 if review.label == POSITIVE else 1
-            for token in review.tokens:
-                counts.setdefault(token, [0, 0])[slot] += 1
-        self.counts: dict[str, tuple[int, int]] = {w: (c[0], c[1]) for w, c in counts.items()}
+        totals = Counter(chain.from_iterable(r.tokens for r in self.reviews))
+        positive = Counter(
+            chain.from_iterable(r.tokens for r in self.reviews if r.label == POSITIVE)
+        )
+        self.counts: dict[str, tuple[int, int]] = {
+            w: (positive[w], n - positive[w]) for w, n in totals.items()
+        }
         self._ngram_cache: dict[int, Counter] = {}
 
     def __len__(self) -> int:
@@ -175,10 +193,12 @@ def load_corpus(
     """Load one domain's labelled reviews from a JSONL or CSV file.
 
     Every record needs ``domain``, ``label`` (positive/negative) and
-    ``text``. Records must all carry the same domain. Record order is
-    preserved; review ids are assigned as ``<domain>:<index>`` over the kept
-    reviews. Reviews whose text normalizes to zero tokens are dropped with a
-    single aggregated warning.
+    ``text``, each a string. Records must all carry the same domain. Record
+    order is preserved; review ids are assigned as ``<domain>:<index>`` over
+    the kept reviews. Reviews whose text normalizes to zero tokens are
+    dropped with a single aggregated warning. Every review shares the first
+    record's domain string and the ``POSITIVE``/``NEGATIVE`` constants, and
+    its tokens are interned (see ``normalize``).
     """
     path = Path(path)
     if not path.is_file():
@@ -197,23 +217,28 @@ def load_corpus(
         for key in ("domain", "label", "text"):
             if record.get(key) in (None, ""):
                 raise InputError(f"{path}, line {lineno}: record is missing {key!r}")
-        domain = str(record["domain"])
-        label = str(record["label"])
-        if label not in LABELS:
-            raise InputError(f"{path}, line {lineno}: unknown label {label!r}")
+        for key in ("domain", "label", "text"):
+            if not isinstance(record[key], str):
+                raise InputError(
+                    f"{path}, line {lineno}: {key!r} is not a string ({record[key]!r})"
+                )
+        domain = record["domain"]
+        label = _LABEL_CONSTANTS.get(record["label"])
+        if label is None:
+            raise InputError(f"{path}, line {lineno}: unknown label {record['label']!r}")
         if domain_id is None:
             domain_id = domain
         elif domain != domain_id:
             raise InputError(
                 f"{path}, line {lineno}: mixed domains in one file ({domain!r} vs {domain_id!r})"
             )
-        tokens = normalize(str(record["text"]), stopwords)
+        tokens = normalize(record["text"], stopwords)
         if not tokens:
             dropped.append(lineno)
             continue
         reviews.append(
-            Review(domain_id=domain, label=label, tokens=tuple(tokens),
-                   review_id=f"{domain}:{len(reviews)}")
+            Review(domain_id=domain_id, label=label, tokens=tuple(tokens),
+                   review_id=f"{domain_id}:{len(reviews)}")
         )
     if domain_id is None:
         raise InputError(f"{path}: file contains no records")

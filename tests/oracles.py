@@ -8,7 +8,9 @@ one model and one example at a time, in plain Python loops.
 ``sorted_ranking`` is the per-target source ranking as it was before
 ``PairMatrix.ranking``: a Python sort on (value, domain index) keys.
 ``select_reviews`` is the sentence metrics' review selection as it was
-before each review was scored once per command.
+before each review was scored once per command. ``normalize`` is text
+normalization as it was before its all-letters fast path and token
+interning: the per-character rule applied to every token.
 """
 
 from __future__ import annotations
@@ -19,6 +21,15 @@ import zlib
 import numpy as np
 
 Reviews = list[tuple[str, list[str]]]
+
+
+def normalize(text: str, stopwords: frozenset[str]) -> list[str]:
+    tokens = []
+    for raw in text.lower().split():
+        word = "".join(ch for ch in raw if ch.isalpha())
+        if word and word not in stopwords:
+            tokens.append(word)
+    return tokens
 
 
 def word_counts(reviews: Reviews) -> dict[str, list[int]]:

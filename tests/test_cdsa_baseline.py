@@ -220,5 +220,9 @@ def test_baseline_warns_on_unbalanced_labels():
     balanced = _separable_domain("a", pos, neg, n=40, seed=10)
     rows = [("positive", "up0 up1")] * 30 + [("negative", "dn0 dn1")] * 10
     lopsided = build_corpus("b", rows)
-    with pytest.warns(UserWarning, match="unbalanced"):
+    with pytest.warns(UserWarning) as caught:
         train_eval_baseline([balanced, lopsided], seed=11)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert "proportional splits: a, b" in messages[0]
+    assert "unbalanced labels: b" in messages[1]

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import build_corpus
 from domainsim.corpus import (
+    NEGATIVE,
+    POSITIVE,
     Corpus,
     Review,
     load_corpus,
@@ -93,13 +95,20 @@ def test_load_balanced_ten_thousand(tmp_path):
         ({"domain": "d", "label": "meh", "text": "x"}, "unknown label"),
         ({"domain": "d", "label": "positive"}, "missing 'text'"),
         ({"label": "positive", "text": "x"}, "missing 'domain'"),
+        ({"domain": 7, "label": "positive"}, "missing 'text'"),
+        ({"domain": "d", "label": "positive", "text": ["great", "movie"]}, "'text' is not a string"),
+        ({"domain": "d", "label": "positive", "text": {"awful": 1}}, "'text' is not a string"),
+        ({"domain": "d", "label": "positive", "text": 5}, "'text' is not a string"),
+        ({"domain": 7, "label": "positive", "text": "x"}, "'domain' is not a string"),
+        ({"domain": "d", "label": ["positive"], "text": "x"}, "'label' is not a string"),
     ],
 )
 def test_load_jsonl_bad_records(tmp_path, record, match):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [record])
-    with pytest.raises(InputError, match=match):
+    with pytest.raises(InputError, match=match) as raised:
         load_corpus(path)
+    assert f"{path}, line 1:" in str(raised.value)
 
 
 def test_load_jsonl_malformed_line_names_line_number(tmp_path):
@@ -156,6 +165,34 @@ def test_load_stopwords_file(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("Foo\nbar\n\n")
     assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+
+def test_load_stopwords_normalizes_entries_like_tokens(tmp_path):
+    path = tmp_path / "stops.txt"
+    path.write_text("don't\nIt's\nthe\n123\n")
+    stopwords = load_stopwords(path)
+    assert stopwords == frozenset({"dont", "its", "the"})
+    assert normalize("I don't think it's the best", stopwords) == ["i", "think", "best"]
+
+
+def test_loaded_corpora_share_token_label_and_domain_objects(tmp_path):
+    paths = []
+    for name, texts in (("a", ["Great movie!", "great plot, dull movie"]),
+                        ("b", ["dull plot", "a GREAT film"])):
+        path = tmp_path / f"{name}.jsonl"
+        _write_jsonl(path, [{"domain": name, "label": label, "text": text}
+                            for label, text in zip(("positive", "negative"), texts)])
+        paths.append(path)
+    corpora = [load_corpus(path) for path in paths]
+    first: dict[str, str] = {}
+    for corpus in corpora:
+        for review in corpus.reviews:
+            assert review.label is POSITIVE or review.label is NEGATIVE
+            assert review.domain_id is corpus.domain_id
+            for token in review.tokens:
+                assert first.setdefault(token, token) is token
+    assert set(first) == {"great", "movie", "plot", "dull", "film"}
+    assert not hasattr(corpora[0].reviews[0], "__dict__")
 
 
 def test_review_rejects_empty_tokens_and_bad_label():

@@ -1,4 +1,5 @@
-"""LM2, LM3, LM4, NGRAM, the review selection and the CDSA baseline checked against the oracles.
+"""Normalization, word counts, LM2, LM3, LM4, NGRAM, the review selection and the CDSA
+baseline checked against the oracles.
 
 Every ordered pair of a seeded 20-domain synthetic set is compared, so both
 orientations of each pair and both rankable and unrankable pairs are
@@ -11,6 +12,8 @@ baseline's accuracy matrix must equal, bit for bit, the one from training
 and scoring one model and one example at a time. The sentence metrics must
 pick the same reviews as when each review was scored once per pick, and
 their matrix must equal the pair-by-pair ``sentence_metric``.
+``normalize`` must give the per-character rule's tokens on any text, and
+a loaded corpus's word counts must equal the oracle's, in the same order.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synth
 from conftest import build_corpus
 from domainsim.cdsa_baseline import _featurize, _row_sums, _train_lockstep, train_eval_baseline
-from domainsim.corpus import ngram_overlap_matrix
+from domainsim.corpus import bundled_stopwords, load_corpus, ngram_overlap_matrix, normalize
 from domainsim.embedding_metrics import (
     SentenceVectorSet,
     select_test_vectors,
@@ -63,6 +68,38 @@ def assert_close(value, expected, pair):
     else:
         assert value is not None and math.isclose(
             value, expected, rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0), (pair, value, expected)
+
+
+# Letters the fast path keeps as they are, and characters that send a text
+# through the per-character rule: digits, punctuation, combining marks,
+# letters whose lowercase is no letter (İ lowers to i + U+0307), superscript
+# digits and spaces that str.split splits on.
+LETTERS = "abcdefghijklmnopqrstuvwxyzABCZéÉßǅαΣςΩ中文字ＡｚＺ"
+OTHERS = "0123456789.,!?'-+%\u0301İ¹²³"
+SPACES = " \n\t\u00a0\u2003\u3000"
+WORDS = st.text(alphabet=LETTERS, min_size=1, max_size=6) | st.text(
+    alphabet=LETTERS + OTHERS, min_size=1, max_size=6)
+TEXTS = st.lists(st.tuples(WORDS, st.sampled_from(SPACES)), max_size=12).map(
+    lambda parts: "".join(word + space for word, space in parts))
+CUSTOM_STOPWORDS = st.frozensets(st.text(alphabet="abcéßσ中", min_size=1, max_size=2), max_size=8)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(text=TEXTS, stopwords=st.none() | CUSTOM_STOPWORDS)
+@example(text="Straße ǅemal ΣΟΦΟΣ the 中文 ＡＢ", stopwords=None)
+@example(text="İstanbul caf\u0301e x²\u00a0the\u2003end\u3000١٢", stopwords=None)
+def test_normalize_matches_the_per_character_oracle(text, stopwords):
+    expected = oracles.normalize(text, bundled_stopwords() if stopwords is None else stopwords)
+    assert normalize(text, stopwords) == expected
+
+
+def test_loaded_word_counts_match_oracle_in_order(tmp_path):
+    data = synth.synthetic_reviews(n_domains=20, reviews_per_domain=30, seed=3)
+    paths = synth.write_jsonl(data, tmp_path)
+    for name, rows in data.items():
+        corpus = load_corpus(paths[name])
+        expected = oracles.word_counts([(label, text.split()) for label, text in rows])
+        assert [(w, list(c)) for w, c in corpus.counts.items()] == list(expected.items()), name
 
 
 @pytest.mark.parametrize("metric, oracle", [(lm2_skld, oracles.skld_metric),
