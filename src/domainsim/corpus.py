@@ -65,17 +65,17 @@ def normalize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
 
     Splits on whitespace, lowercases, strips every non-alphabetic character
     from each token (which also removes purely numeric tokens), and drops
-    stopwords. Token order is preserved; the result may be empty. When every
-    character of the lowered text's tokens is already a letter, the
-    per-character strip is skipped, since it would change nothing. Tokens
-    are ``sys.intern``ed, so each distinct word is one ``str`` object
-    across all reviews and corpora.
+    stopwords. Token order is preserved; the result may be empty. A token
+    that is all letters skips the per-character strip, since it would change
+    nothing. Tokens are ``sys.intern``ed, so each distinct word is one
+    ``str`` object across all reviews and corpora.
     """
     if stopwords is None:
         stopwords = bundled_stopwords()
-    words = text.lower().split()
-    if not "".join(words).isalpha():
-        words = ["".join(ch for ch in raw if ch.isalpha()) for raw in words]
+    words = [
+        raw if raw.isalpha() else "".join(ch for ch in raw if ch.isalpha())
+        for raw in text.lower().split()
+    ]
     return [sys.intern(word) for word in words if word and word not in stopwords]
 
 

@@ -70,7 +70,7 @@ def assert_close(value, expected, pair):
             value, expected, rel_tol=RELATIVE_TOLERANCE, abs_tol=0.0), (pair, value, expected)
 
 
-# Letters the fast path keeps as they are, and characters that send a text
+# Letters the fast path keeps as they are, and characters that send a token
 # through the per-character rule: digits, punctuation, combining marks,
 # letters whose lowercase is no letter (İ lowers to i + U+0307), superscript
 # digits and spaces that str.split splits on.
