@@ -11,6 +11,7 @@ from .cdsa_baseline import (
 )
 from .corpus import (
     Corpus,
+    NgramIndex,
     Review,
     load_corpus,
     ngram_overlap_matrix,

@@ -82,7 +82,11 @@ def load_accuracy_matrix(path: str | Path) -> AccuracyMatrix:
             raise InputError(
                 f"{path}: row for {row[0]!r} has {len(row) - 1} cells, expected {len(domains)}"
             )
-        by_source[row[0].strip()] = (line, row[1:])
+        source = row[0].strip()
+        if source in by_source:
+            raise InputError(f"{path}, line {line}: repeated row for {source!r}"
+                             f" (first on line {by_source[source][0]})")
+        by_source[source] = (line, row[1:])
     if set(by_source) != set(domains):
         missing = sorted(set(domains) - set(by_source))
         extra = sorted(set(by_source) - set(domains))

@@ -154,10 +154,10 @@ class Workspace:
     """One command's inputs and shared intermediates, each built on first use.
 
     Built fresh from the ``RunConfig`` of every command, so nothing is kept
-    between commands or between ``main`` calls in one process. The polarity
-    tables are shared by LM2-LM4, the qualifying reviews by ULM2, ULM5 and
-    ULM7, and a vector metric's values by every metric that reads the same
-    directory the same way.
+    between commands or between ``main`` calls in one process. The n-gram
+    index is shared by LM4 and NGRAM, the polarity tables by LM2-LM4, the
+    qualifying reviews by ULM2, ULM5 and ULM7, and a vector metric's values
+    by every metric that reads the same directory the same way.
     """
 
     def __init__(self, config: RunConfig):
@@ -182,6 +182,10 @@ class Workspace:
                 )
             corpora.append(corpus)
         return corpora
+
+    @cached_property
+    def ngram_index(self) -> corpus_mod.NgramIndex:
+        return corpus_mod.NgramIndex(self.corpora)
 
     @cached_property
     def adjectives(self):
@@ -324,8 +328,8 @@ METRICS = {
     "LM2": (LOWER_IS_MORE_SIMILAR, lambda ws, _: mirrored(ws.polarity_tables, lm.lm2_skld)),
     "LM3": (LOWER_IS_MORE_SIMILAR, lambda ws, _: mirrored(ws.polarity_tables, lm.lm3_chameleon)),
     "LM4": (LOWER_IS_MORE_SIMILAR, lambda ws, _: lm.lm4_matrix(
-        ws.corpora, [polar_words(t) for t in ws.polarity_tables])),
-    "NGRAM": (HIGHER_IS_MORE_SIMILAR, lambda ws, _: corpus_mod.ngram_overlap_matrix(ws.corpora)),
+        ws.ngram_index, [polar_words(t) for t in ws.polarity_tables])),
+    "NGRAM": (HIGHER_IS_MORE_SIMILAR, lambda ws, _: corpus_mod.ngram_overlap_matrix(ws.ngram_index)),
     **{m: (HIGHER_IS_MORE_SIMILAR, Workspace.vector_values) for m in READINGS},
 }
 

@@ -101,12 +101,12 @@ class Review:
 
 
 class Corpus:
-    """A domain's reviews with cached per-polarity token and n-gram counts.
+    """A domain's reviews with their per-polarity token counts.
 
     Immutable after construction; safe to share across threads. ``counts``
     maps each word to its (positive, negative) occurrence counts, in the
-    order of each word's first occurrence over the reviews. N-gram counters
-    (orders 1..4) are built lazily per order and cached.
+    order of each word's first occurrence over the reviews. N-gram counts
+    live in an ``NgramIndex`` over one or more corpora.
     """
 
     def __init__(self, domain_id: str, reviews: Sequence[Review]):
@@ -121,7 +121,6 @@ class Corpus:
         self.counts: dict[str, tuple[int, int]] = {
             w: (positive[w], n - positive[w]) for w, n in totals.items()
         }
-        self._ngram_cache: dict[int, Counter] = {}
 
     def __len__(self) -> int:
         return len(self.reviews)
@@ -138,25 +137,65 @@ class Corpus:
         return set(self.counts)
 
     def ngram_counts(self, order: int) -> Counter:
-        """Counter of n-gram tuples of the given order (1..4), cached.
-
-        N-grams never cross review boundaries.
-        """
+        """Counter of the n-gram tuples of the given order (1..4), by first occurrence."""
         _check_order(order)
-        cached = self._ngram_cache.get(order)
-        if cached is None:
-            cached = Counter()
-            for review in self.reviews:
-                toks = review.tokens
-                for i in range(len(toks) - order + 1):
-                    cached[toks[i : i + order]] += 1
-            self._ngram_cache[order] = cached
-        return cached
+        index = NgramIndex([self])
+        ids, counts = index.grams[order][0]
+        return Counter(dict(zip(index.tuples(order, ids), counts.tolist())))
 
 
 def _check_order(order: int) -> None:
     if order not in NGRAM_ORDERS:
         raise InputError(f"n-gram order must be in 1..4, got {order}")
+
+
+class NgramIndex:
+    """The n-grams (orders 1..4) of a set of corpora, numbered once for all of them.
+
+    Token ids follow sorted order (``words[t]`` is token ``t``), and per
+    order n-gram ids follow the sorted order of the string tuples;
+    ``tokens[order][g]`` holds n-gram ``g``'s token ids. ``grams[order][c]``
+    is corpus ``c``'s ``(ids, counts)`` in first-occurrence order, as a
+    ``Counter`` of its n-grams lists them. N-grams never cross reviews.
+
+    An n-gram's id numbers the pair (id of its first n-1 tokens, last token),
+    packed as ``prefix * len(words) + last``: both factors are at most the
+    corpora's token count, so the key fits int64 for any vocabulary.
+    """
+
+    def __init__(self, corpora: Sequence[Corpus]):
+        self.domain_ids = [c.domain_id for c in corpora]
+        self.words = sorted(set().union(*(c.counts for c in corpora)))
+        self.vocabulary = {w: t for t, w in enumerate(self.words)}
+        lengths = np.array([len(r.tokens) for c in corpora for r in c.reviews], dtype=np.int64)
+        stream = np.fromiter((self.vocabulary[w] for c in corpora for r in c.reviews
+                              for w in r.tokens), dtype=np.int64, count=int(lengths.sum()))
+        # left[p]: the tokens from position p to the end of its review.
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(stream))
+        bounds = np.cumsum([0, *(c.token_count() for c in corpora)])
+        vocab = len(self.words)
+        # at[p]: id of the n-gram at p for the last order n done, where left[p] >= n.
+        at = np.zeros_like(stream)
+        rows = np.empty((1, 0), dtype=np.int64)  # the one 0-gram
+        self.tokens: dict[int, np.ndarray] = {}
+        self.grams: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        for order in NGRAM_ORDERS:
+            starts = np.flatnonzero(left >= order)
+            packed, inverse = np.unique(
+                at[starts] * vocab + stream[starts + order - 1], return_inverse=True)
+            at[starts] = inverse
+            rows = np.column_stack([rows[packed // vocab], packed % vocab])
+            self.tokens[order] = rows
+            self.grams[order] = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                ids, first, counts = np.unique(
+                    at[lo:hi][left[lo:hi] >= order], return_index=True, return_counts=True)
+                by_first = np.argsort(first)
+                self.grams[order].append((ids[by_first], counts[by_first]))
+
+    def tuples(self, order: int, ids: np.ndarray) -> list[tuple[str, ...]]:
+        """The string tuples of the n-grams ``ids`` of the given order."""
+        return [tuple(self.words[t] for t in row) for row in self.tokens[order][ids].tolist()]
 
 
 def _records_from_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
@@ -261,20 +300,14 @@ def top_k_ngrams(corpus: Corpus, order: int, k: int) -> list[tuple[str, ...]]:
     _check_order(order)
     if k < 1:
         raise InputError(f"k must be positive, got {k}")
-    grams = corpus.ngram_counts(order)
-    return sorted(grams, key=lambda g: (-grams[g], g))[:k]
+    index = NgramIndex([corpus])
+    return index.tuples(order, _top_k(index, order, 0, k))
 
 
-def _top_k_sets(
-    corpus: Corpus, k: int, orders: Iterable[int]
-) -> list[frozenset[tuple[str, ...]]]:
-    # One top-k set per order, orders sorted and de-duplicated.
-    orders = sorted(set(orders))
-    for order in orders:
-        _check_order(order)
-    if not orders:
-        raise InputError("orders must be non-empty")
-    return [frozenset(top_k_ngrams(corpus, order, k)) for order in orders]
+def _top_k(index: NgramIndex, order: int, position: int, k: int) -> np.ndarray:
+    # Ties break by id, which orders as the n-grams do.
+    ids, counts = index.grams[order][position]
+    return ids[np.lexsort((ids, -counts))[:k]]
 
 
 def _overlap(tops1: list[frozenset], tops2: list[frozenset]) -> float:
@@ -288,17 +321,14 @@ def _overlap(tops1: list[frozenset], tops2: list[frozenset]) -> float:
     return matched / available
 
 
-def ngram_overlap_matrix(
-    corpora: Sequence[Corpus],
-    k: int = 10,
-    orders: Iterable[int] = (2, 3, 4),
-) -> np.ndarray:
-    """N×N overlap fractions for a set of corpora; NaN on the diagonal.
+def ngram_overlap_matrix(index: NgramIndex) -> np.ndarray:
+    """N×N overlap of the corpora's top-10 bigrams, trigrams and 4-grams; NaN on the diagonal.
 
-    Each corpus's top-k lists are computed once, not once per pair.
+    Each corpus's top lists are taken once, not once per pair.
     """
-    orders = tuple(orders)
-    return mirrored([_top_k_sets(c, k, orders) for c in corpora], _overlap)
+    tops = [[frozenset(_top_k(index, order, c, 10).tolist()) for order in (2, 3, 4)]
+            for c in range(len(index.domain_ids))]
+    return mirrored(tops, _overlap)
 
 
 def write_overlap_matrix_csv(matrix: PairMatrix, path: str | Path) -> None:

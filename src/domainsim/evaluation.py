@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .cdsa_baseline import AccuracyMatrix, ChartRow, chart
 from .errors import InputError
-from .pairs import PairMatrix
+from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 TRUTH_METRIC_ID = "CDSA"
 
@@ -47,11 +47,9 @@ def rank_sources(pairs: PairMatrix, target: str) -> RankedList:
 
 
 def truth_ranking(matrix: AccuracyMatrix, target: str) -> RankedList:
-    """Sources ordered by cross-domain accuracy on the target, best first."""
-    t = matrix.index(target)
-    sources = [d for d in matrix.domains if d != target]
-    sources.sort(key=lambda s: (-matrix.acc[matrix.index(s), t], matrix.index(s)))
-    return RankedList(target, TRUTH_METRIC_ID, tuple(sources))
+    """Sources by cross-domain accuracy on the target, best first (``PairMatrix.ranking``)."""
+    truth = PairMatrix(TRUTH_METRIC_ID, HIGHER_IS_MORE_SIMILAR, matrix.domains, matrix.acc)
+    return RankedList(target, TRUTH_METRIC_ID, truth.ranking(target))
 
 
 def _check_comparable(pred: RankedList, truth: RankedList, k: int) -> None:
@@ -77,30 +75,29 @@ def ranking_accuracy(pred: RankedList, truth: RankedList, k: int) -> int:
 
 def aggregate(
     metric_id: str,
-    matrix: AccuracyMatrix,
+    truths: Mapping[str, RankedList],
     predictions: Mapping[str, RankedList],
     k: int,
 ) -> EvalReport:
-    """Aggregate precision/NRA over every target domain of the matrix.
+    """Aggregate precision/NRA over every target domain of ``truths``, the true rankings.
 
     precision_pct is 100 times the summed top-K intersections over N*K;
     NRA is the summed exact-position matches over N*K.
     """
-    missing = set(matrix.domains) - set(predictions)
+    missing = set(truths) - set(predictions)
     if missing:
         raise InputError(f"missing prediction lists for targets: {sorted(missing)}")
     per_target: dict[str, tuple[int, int]] = {}
     total_precision = 0
     total_ra = 0
-    for target in matrix.domains:
-        truth = truth_ranking(matrix, target)
+    for target, truth in truths.items():
         pred = predictions[target]
         p = precision_at_k(pred, truth, k)
         ra = ranking_accuracy(pred, truth, k)
         per_target[target] = (p, ra)
         total_precision += p
         total_ra += ra
-    n = len(matrix.domains)
+    n = len(truths)
     return EvalReport(
         metric_id=metric_id,
         k=k,
@@ -125,13 +122,14 @@ def recommendation_report(
         if not 1 <= k <= n - 1:
             raise InputError(f"K exceeds N-1: K={k}, N-1={n - 1}")
     chart_rows = chart(matrix)
+    truths = {t: truth_ranking(matrix, t) for t in matrix.domains}
     reports = []
     for metric_id, pairs in pairs_by_metric.items():
         if pairs.domains != matrix.domains:
             raise InputError(f"metric {metric_id} domains differ from the accuracy matrix's")
         predictions = {t: rank_sources(pairs, t) for t in matrix.domains}
         for k in ks:
-            reports.append(aggregate(metric_id, matrix, predictions, k))
+            reports.append(aggregate(metric_id, truths, predictions, k))
     return chart_rows, reports
 
 

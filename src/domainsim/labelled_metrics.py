@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, NgramIndex
 from .errors import InputError, UnrankablePairError
 from .lexstats import (
     POLAR_THRESHOLD,
@@ -115,93 +115,11 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
-class _NgramIndex:
-    """Shared integer ids for the n-grams (orders 1..4) of a set of corpora.
-
-    Per order, every distinct n-gram gets a global id and ``tokens[order]``
-    maps each id to the ids of its tokens; each corpus keeps ``(ids,
-    counts)`` arrays in the insertion order of its n-gram ``Counter``.
-
-    Invariant: every LM4 value is bit-identical to merging the two n-gram
-    ``Counter``s (``source + target``) and summing ``c * math.log(c)`` left
-    to right in a Python loop, so metric_LM4.csv never changes with the
-    implementation. It holds because the same float operations run in the
-    same order: a mixed corpus lists the source's n-grams (target counts
-    added), then the target-only n-grams in target order, as
-    ``Counter.__add__`` does; logarithms come from a table filled by
-    ``math.log`` (``np.log`` may differ in the last bit); and the sums use
-    the sequential ``np.add.accumulate``, not the pairwise ``np.sum``.
-    """
-
-    def __init__(self, corpora: Sequence[Corpus]):
-        self.domain_ids = [c.domain_id for c in corpora]
-        self.vocabulary: dict[str, int] = {}
-        self.tokens: dict[int, np.ndarray] = {}
-        self.ids: dict[int, list[np.ndarray]] = {}
-        self.counts: dict[int, list[np.ndarray]] = {}
-        max_count = 0
-        for order in ENTROPY_WEIGHTS:
-            gram_ids: dict[tuple[str, ...], int] = {}
-            self.ids[order] = []
-            self.counts[order] = []
-            for corpus in corpora:
-                counter = corpus.ngram_counts(order)
-                self.ids[order].append(np.fromiter(
-                    (gram_ids.setdefault(g, len(gram_ids)) for g in counter),
-                    dtype=np.int64, count=len(counter)))
-                counts = np.fromiter(counter.values(), dtype=np.int64, count=len(counter))
-                self.counts[order].append(counts)
-                max_count = max(max_count, int(counts.max(initial=0)))
-            self.tokens[order] = np.fromiter(
-                (self.vocabulary.setdefault(t, len(self.vocabulary)) for g in gram_ids for t in g),
-                dtype=np.int64, count=order * len(gram_ids)).reshape(len(gram_ids), order)
-        # log_table[c] = math.log(c) up to the largest count a mix of two corpora reaches.
-        self.log_table = np.array([0.0] + [math.log(c) for c in range(1, 2 * max_count + 1)])
-
-    def polar_grams(self, polar: set[str]) -> dict[int, np.ndarray]:
-        """Per order, a mask over all n-gram ids: does the n-gram contain a polar word?"""
-        tok_mask = np.zeros(len(self.vocabulary), dtype=bool)
-        tok_mask[[self.vocabulary[w] for w in polar if w in self.vocabulary]] = True
-        return {order: tok_mask[tok_ids].any(axis=1) for order, tok_ids in self.tokens.items()}
-
-    def entropy_changes(self, source: int, polar: set[str]) -> dict[int, float]:
-        """LM4 from the corpus at position ``source`` to every other corpus, by position.
-
-        Raises UnrankablePairError when the source has zero baseline entropy.
-        """
-        polar_grams = self.polar_grams(polar)
-        own: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        e_before = 0.0
-        for order, w in ENTROPY_WEIGHTS.items():
-            ids = self.ids[order][source]
-            counts = self.counts[order][source]
-            position = np.full(len(self.tokens[order]), -1, dtype=np.int64)
-            position[ids] = np.arange(len(ids))
-            polar_own = polar_grams[order][ids]
-            own[order] = (counts, polar_own, position)
-            e_before += _order_entropy(counts, polar_own, self.log_table, w, order == 1)
-        if e_before == 0.0:
-            raise UnrankablePairError(
-                f"source {self.domain_ids[source]} has zero baseline entropy"
-            )
-        changes = {}
-        for target in range(len(self.domain_ids)):
-            if target == source:
-                continue
-            e_after = 0.0
-            for order, w in ENTROPY_WEIGHTS.items():
-                counts, polar_own, position = own[order]
-                ids_t = self.ids[order][target]
-                counts_t = self.counts[order][target]
-                pos = position[ids_t]
-                shared = pos >= 0
-                only = ~shared
-                mixed = np.concatenate([counts, counts_t[only]])
-                mixed[pos[shared]] += counts_t[shared]
-                polar_mixed = np.concatenate([polar_own, polar_grams[order][ids_t[only]]])
-                e_after += _order_entropy(mixed, polar_mixed, self.log_table, w, order == 1)
-            changes[target] = abs(e_after - e_before) / e_before * 100.0
-        return changes
+def _polar_grams(index: NgramIndex, polar: set[str]) -> dict[int, np.ndarray]:
+    """Per order, a mask over all n-gram ids: does the n-gram contain a polar word?"""
+    tok_mask = np.zeros(len(index.words), dtype=bool)
+    tok_mask[[index.vocabulary[w] for w in polar if w in index.vocabulary]] = True
+    return {order: tok_mask[rows].any(axis=1) for order, rows in index.tokens.items()}
 
 
 def lm4_entropy_change(source: Corpus, target: Corpus, polar: set[str] | None = None) -> float:
@@ -211,25 +129,64 @@ def lm4_entropy_change(source: Corpus, target: Corpus, polar: set[str] | None = 
     1..4; the polar word set comes from the source alone and is reused for
     the mixed corpus, keeping the before/after split rule fixed. Asymmetric
     in its arguments; lower values mean the source suits the target better.
+    Raises UnrankablePairError when the source has zero baseline entropy.
     """
     if polar is None:
         polar = polar_words(polarity_table(source))
-    return _NgramIndex([source, target]).entropy_changes(0, polar)[1]
+    value = float(lm4_matrix(NgramIndex([source, target]), [polar])[0, 1])
+    if math.isnan(value):
+        raise UnrankablePairError(f"source {source.domain_id} has zero baseline entropy")
+    return value
 
 
-def lm4_matrix(corpora: Sequence[Corpus], polar_sets: Sequence[set[str]]) -> np.ndarray:
+def lm4_matrix(index: NgramIndex, polar_sets: Sequence[set[str]]) -> np.ndarray:
     """LM4 for every ordered pair, ``[source, target]``, each source with its own polar set.
 
-    Equal to ``lm4_entropy_change`` pair by pair; NaN on the diagonal and
-    for every pair of a source with zero baseline entropy (unrankable).
+    Sources are the first ``len(polar_sets)`` corpora of ``index``. NaN on
+    the diagonal and for every pair of a source with zero baseline entropy
+    (unrankable).
+
+    Invariant: every LM4 value is bit-identical to merging the two n-gram
+    ``Counter``s (``source + target``) and summing ``c * math.log(c)`` left
+    to right in a Python loop, so metric_LM4.csv never changes with the
+    implementation. It holds because the same float operations run in the
+    same order: the index lists each corpus's n-grams in ``Counter``
+    insertion order; a mixed corpus lists the source's n-grams (target
+    counts added), then the target-only n-grams in target order, as
+    ``Counter.__add__`` does; logarithms come from a table filled by
+    ``math.log`` (``np.log`` may differ in the last bit); and the sums use
+    the sequential ``np.add.accumulate``, not the pairwise ``np.sum``.
     """
-    index = _NgramIndex(corpora)
-    values = np.full((len(corpora), len(corpora)), np.nan)
-    for i, polar in enumerate(polar_sets):
-        try:
-            changes = index.entropy_changes(i, polar)
-        except UnrankablePairError:
+    # log_table[c] = math.log(c) up to the largest count a mix of two corpora reaches.
+    top = max(int(c.max(initial=0)) for per_corpus in index.grams.values() for _, c in per_corpus)
+    log_table = np.array([0.0] + [math.log(c) for c in range(1, 2 * top + 1)])
+    values = np.full((len(index.domain_ids), len(index.domain_ids)), np.nan)
+    for source, polar in enumerate(polar_sets):
+        polar_grams = _polar_grams(index, polar)
+        own: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        e_before = 0.0
+        for order, w in ENTROPY_WEIGHTS.items():
+            ids, counts = index.grams[order][source]
+            position = np.full(len(index.tokens[order]), -1, dtype=np.int64)
+            position[ids] = np.arange(len(ids))
+            polar_own = polar_grams[order][ids]
+            own[order] = (counts, polar_own, position)
+            e_before += _order_entropy(counts, polar_own, log_table, w, order == 1)
+        if e_before == 0.0:
             continue
-        for j, change in changes.items():
-            values[i, j] = change
+        for target in range(len(index.domain_ids)):
+            if target == source:
+                continue
+            e_after = 0.0
+            for order, w in ENTROPY_WEIGHTS.items():
+                counts, polar_own, position = own[order]
+                ids_t, counts_t = index.grams[order][target]
+                pos = position[ids_t]
+                shared = pos >= 0
+                only = ~shared
+                mixed = np.concatenate([counts, counts_t[only]])
+                mixed[pos[shared]] += counts_t[shared]
+                polar_mixed = np.concatenate([polar_own, polar_grams[order][ids_t[only]]])
+                e_after += _order_entropy(mixed, polar_mixed, log_table, w, order == 1)
+            values[source, target] = abs(e_after - e_before) / e_before * 100.0
     return values

@@ -50,6 +50,8 @@ def test_load_matrix_reorders_rows_to_header(tmp_path):
         ("domain,A,B\nA,90,nan\nB,60,80\n", "line 2: non-finite cell 'nan'"),
         ("domain,A,B\nA,90,70\nB,inf,80\n", "line 3: non-finite cell 'inf'"),
         ("domain,A,B\nB,60,80\nA,-inf,70\n", "line 3: non-finite cell '-inf' in row A"),
+        ("domain,A,B\nA,90,60\nA,10,20\nB,70,80\n",
+         r"m\.csv, line 3: repeated row for 'A' \(first on line 2\)"),
     ],
 )
 def test_load_matrix_rejects_bad_input(tmp_path, content, match):

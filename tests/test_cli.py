@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import synth
-from domainsim import cli, lexstats
+from domainsim import cli, corpus, lexstats
 from domainsim import embedding_metrics as emb
 from domainsim.cli import main
 from domainsim.errors import InputError
@@ -109,6 +109,20 @@ def test_metrics_writes_expected_pair_counts(workspace):
     lm1 = {(r["source"], r["target"]): r["value"] for r in _read_csv(out / "metric_LM1.csv")}
     assert lm1[("A", "B")] == lm1[("B", "A")]
     assert (out / "ngram_overlap_matrix.csv").is_file()
+
+
+def test_metrics_build_one_ngram_index_for_lm4_and_ngram(workspace, monkeypatch):
+    tmp_path, config = workspace
+    built = []
+    init = corpus.NgramIndex.__init__
+
+    def counting_init(index, corpora):
+        built.append([c.domain_id for c in corpora])
+        init(index, corpora)
+
+    monkeypatch.setattr(corpus.NgramIndex, "__init__", counting_init)
+    assert main(["metrics", "--config", str(config), "--metrics", "LM4,NGRAM"]) == 0
+    assert built == [["A", "B", "C"]]
 
 
 def test_metrics_requires_vectors_before_compute(workspace, capsys):

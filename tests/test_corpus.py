@@ -10,6 +10,7 @@ from domainsim.corpus import (
     NEGATIVE,
     POSITIVE,
     Corpus,
+    NgramIndex,
     Review,
     load_corpus,
     load_stopwords,
@@ -260,7 +261,7 @@ def test_ngram_overlap_identity_and_disjoint():
     rows = [("positive", "alpha beta gamma delta"), ("negative", "beta gamma delta epsilon")]
     c1, twin = build_corpus("a", rows), build_corpus("a2", rows)
     c2 = build_corpus("b", [("positive", "uno dos tres cuatro cinco")])
-    values = ngram_overlap_matrix([c1, twin, c2])
+    values = ngram_overlap_matrix(NgramIndex([c1, twin, c2]))
     assert values[0, 1] == 1.0
     assert values[0, 2] == values[1, 2] == 0.0
 
@@ -276,10 +277,10 @@ def test_ngram_overlap_symmetric_and_self_unity_on_random_corpora():
             rows.append((label, " ".join(rng.choice(vocab, size=rng.integers(1, 7)))))
         corpora.append(build_corpus(f"d{d}", rows))
     for c in corpora:
-        assert ngram_overlap_matrix([c, c])[0, 1] == 1.0
+        assert ngram_overlap_matrix(NgramIndex([c, c]))[0, 1] == 1.0
     # The reversed order computes each pair with its arguments swapped.
-    values = ngram_overlap_matrix(corpora)
-    swapped = ngram_overlap_matrix(corpora[::-1])[::-1, ::-1]
+    values = ngram_overlap_matrix(NgramIndex(corpora))
+    swapped = ngram_overlap_matrix(NgramIndex(corpora[::-1]))[::-1, ::-1]
     for i in range(len(corpora)):
         for j in range(i + 1, len(corpora)):
             assert values[i, j] == swapped[i, j]
@@ -300,20 +301,14 @@ def test_ngram_overlap_granularity_on_rich_corpora():
     for order in (2, 3, 4):
         assert len(c1.ngram_counts(order)) >= 10
         assert len(c2.ngram_counts(order)) >= 10
-    value = ngram_overlap_matrix([c1, c2])[0, 1]
+    value = ngram_overlap_matrix(NgramIndex([c1, c2]))[0, 1]
     assert abs(value * 30 - round(value * 30)) < 1e-9
-
-
-def test_ngram_overlap_rejects_empty_orders():
-    corpus = build_corpus("d", [("positive", "x y")])
-    with pytest.raises(InputError, match="orders"):
-        ngram_overlap_matrix([corpus, corpus], orders=())
 
 
 def test_overlap_matrix_upper_triangle_csv(tmp_path):
     c1 = build_corpus("a", [("positive", "alpha beta gamma")])
     c2 = build_corpus("b", [("positive", "alpha beta gamma")])
-    values = ngram_overlap_matrix([c1, c2])
+    values = ngram_overlap_matrix(NgramIndex([c1, c2]))
     assert values[0, 1] == values[1, 0] == 1.0
     out = tmp_path / "overlap.csv"
     write_overlap_matrix_csv(PairMatrix("NGRAM", HIGHER_IS_MORE_SIMILAR, ("a", "b"), values), out)

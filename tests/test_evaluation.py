@@ -135,17 +135,17 @@ def test_scores_invariant_under_monotone_value_transform():
 def test_aggregate_reference_granularity_points():
     # 20 targets, K=3: 27 total intersections -> 45.00%; 12 positional -> 0.200.
     matrix = reference_accuracy_matrix()
+    truths = {t: truth_ranking(matrix, t) for t in matrix.domains}
     preds = {}
     total_p = 0
-    for i, target in enumerate(matrix.domains):
-        truth = truth_ranking(matrix, target)
+    for i, (target, truth) in enumerate(truths.items()):
         if i < 9:
             order = truth.order  # contributes 3 intersections and 3 positions
         else:
             order = tuple(reversed(truth.order))  # contributes 0 at K=3 for N=20
         preds[target] = RankedList(target, "LM1", order)
         total_p += precision_at_k(preds[target], truth, 3)
-    report = aggregate("LM1", matrix, preds, 3)
+    report = aggregate("LM1", truths, preds, 3)
     assert total_p == 27
     assert report.precision_pct == pytest.approx(45.00)
     ra_total = sum(ra for _, ra in report.per_target.values())
@@ -161,7 +161,7 @@ def test_aggregate_self_consistency():
     )
     preds = {t: truth_ranking(matrix, t) for t in matrix.domains}
     for k in (1, 2, 3, 5):
-        report = aggregate("LM1", matrix, preds, k)
+        report = aggregate("LM1", preds, preds, k)
         assert report.precision_pct == 100.0
         assert report.nra == 1.0
 
@@ -169,7 +169,7 @@ def test_aggregate_self_consistency():
 def test_aggregate_requires_all_targets():
     matrix = AccuracyMatrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
     with pytest.raises(InputError, match="missing prediction"):
-        aggregate("LM1", matrix, {}, 1)
+        aggregate("LM1", {t: truth_ranking(matrix, t) for t in matrix.domains}, {}, 1)
 
 
 def test_recommendation_report_shapes():
@@ -217,7 +217,7 @@ def test_markdown_report_contains_tables():
 def test_write_eval_csv_formats(tmp_path):
     matrix = AccuracyMatrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
     preds = {t: truth_ranking(matrix, t) for t in matrix.domains}
-    report = aggregate("LM1", matrix, preds, 1)
+    report = aggregate("LM1", preds, preds, 1)
     path = tmp_path / "eval.csv"
     write_eval_csv([report], path)
     assert path.read_text().splitlines()[1] == "LM1,1,100.00,1.000"

@@ -8,6 +8,7 @@ import pytest
 import oracles
 import synth
 from conftest import build_corpus
+from domainsim.corpus import NgramIndex
 from domainsim.errors import InputError, UnrankablePairError
 from domainsim.labelled_metrics import (
     jaccard,
@@ -179,7 +180,7 @@ def test_lm4_disjoint_vocabulary_regression_fixture():
 
 
 def matrix_for(corpora):
-    return lm4_matrix(corpora, [polar_words(polarity_table(c)) for c in corpora])
+    return lm4_matrix(NgramIndex(corpora), [polar_words(polarity_table(c)) for c in corpora])
 
 
 def test_lm4_matrix_equals_pairwise_values_exactly():

@@ -1,5 +1,5 @@
-"""Normalization, word counts, LM2, LM3, LM4, NGRAM, the review selection and the CDSA
-baseline checked against the oracles.
+"""Normalization, word counts, n-gram ids, LM2, LM3, LM4, NGRAM, the review selection and
+the CDSA baseline checked against the oracles.
 
 Every ordered pair of a seeded 20-domain synthetic set is compared, so both
 orientations of each pair and both rankable and unrankable pairs are
@@ -14,6 +14,8 @@ pick the same reviews as when each review was scored once per pick, and
 their matrix must equal the pair-by-pair ``sentence_metric``.
 ``normalize`` must give the per-character rule's tokens on any text, and
 a loaded corpus's word counts must equal the oracle's, in the same order.
+``NgramIndex`` must list each corpus's n-grams and counts as the oracle's
+table does, with ids in the ``sorted()`` order of the n-grams' tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +32,17 @@ import oracles
 import synth
 from conftest import build_corpus
 from domainsim.cdsa_baseline import _featurize, _row_sums, _train_lockstep, train_eval_baseline
-from domainsim.corpus import bundled_stopwords, load_corpus, ngram_overlap_matrix, normalize
+from domainsim.corpus import (
+    NEGATIVE,
+    POSITIVE,
+    Corpus,
+    NgramIndex,
+    Review,
+    bundled_stopwords,
+    load_corpus,
+    ngram_overlap_matrix,
+    normalize,
+)
 from domainsim.embedding_metrics import (
     SentenceVectorSet,
     select_test_vectors,
@@ -120,15 +132,61 @@ def test_lm2_lm3_match_oracles(domains, metric, oracle):
 
 def test_lm4_matches_oracles(domains):
     corpora, reviews = domains
-    matrix = lm4_matrix(corpora, [polar_words(polarity_table(c)) for c in corpora])
+    matrix = lm4_matrix(NgramIndex(corpora), [polar_words(polarity_table(c)) for c in corpora])
     for i, j in ordered_pairs(len(corpora)):
         assert_close(matrix[i, j], oracles.entropy_change(reviews[i], reviews[j]), (i, j))
         assert matrix[i, j] == oracles.loop_entropy_change(reviews[i], reviews[j]), (i, j)
 
 
+def assert_ngram_index_matches_oracle(token_rows_per_corpus):
+    """Per order: ids number the distinct n-grams in ``sorted()`` order of
+    their string tuples, and each corpus lists the oracle's n-grams and
+    counts in first-occurrence order."""
+    corpora = [Corpus(f"d{c}", [Review(f"d{c}", (POSITIVE, NEGATIVE)[i % 2], tuple(tokens), f"d{c}:{i}")
+                                for i, tokens in enumerate(rows)])
+               for c, rows in enumerate(token_rows_per_corpus)]
+    index = NgramIndex(corpora)
+    for order in (1, 2, 3, 4):
+        tables = [oracles.ngram_table([(None, tokens) for tokens in rows], order)
+                  for rows in token_rows_per_corpus]
+        everything = sorted(set().union(*tables))
+        assert index.tuples(order, np.arange(len(index.tokens[order]))) == everything, order
+        for c, table in enumerate(tables):
+            ids, counts = index.grams[order][c]
+            assert index.tuples(order, ids) == list(table), (order, c)
+            assert counts.tolist() == list(table.values()), (order, c)
+
+
+# Review tokens as given, not normalized: capitals, non-ASCII, a string that
+# prefixes another and two spellings of one accented letter (U+00E1 and
+# a + U+0301), so that sorting compares code points.
+GRAM_TOKENS = st.sampled_from(["a", "aa", "ab", "b", "B", "Z", "\u00e1", "a\u0301", "\u01c5", "\u4e2d"])
+GRAM_CORPORA = st.lists(
+    st.lists(st.lists(GRAM_TOKENS, min_size=1, max_size=6), min_size=1, max_size=6),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(token_rows_per_corpus=GRAM_CORPORA)
+@example(token_rows_per_corpus=[[["a", "b", "c"], ["b"]], [["a", "b", "c", "a", "b"]]])
+@example(token_rows_per_corpus=[[["Z", "a"], ["a", "Z", "a"]], [["\u4e2d"]]])
+def test_ngram_index_matches_the_table_oracle(token_rows_per_corpus):
+    assert_ngram_index_matches_oracle(token_rows_per_corpus)
+
+
+def test_ngram_index_matches_the_table_oracle_on_60000_words():
+    # Four ids of 60,000 words no longer pack into one int64 (60000**4 > 2**63).
+    rng = np.random.default_rng(13)
+    words = [f"w{i}" for i in rng.permutation(60_000)]
+    cuts = np.cumsum(rng.integers(1, 8, size=len(words)))
+    rows = [row.tolist() for row in np.split(np.array(words), cuts[cuts < len(words)])]
+    rows += rows[:3000]  # n-grams that occur twice
+    assert_ngram_index_matches_oracle([rows[::2], rows[1::2]])
+
+
 def test_ngram_matches_oracle_exactly(domains):
     corpora, reviews = domains
-    matrix = ngram_overlap_matrix(corpora)
+    matrix = ngram_overlap_matrix(NgramIndex(corpora))
     for i, j in ordered_pairs(len(corpora)):
         assert matrix[i, j] == oracles.ngram_overlap(reviews[i], reviews[j]), (i, j)
 
