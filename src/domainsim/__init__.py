@@ -33,13 +33,11 @@ from .embedding_metrics import (
 from .errors import InputError, UnrankablePairError
 from .evaluation import (
     EvalReport,
-    RankedList,
     aggregate,
     precision_at_k,
     rank_sources,
     ranking_accuracy,
     recommendation_report,
-    truth_ranking,
 )
 from .labelled_metrics import (
     jaccard,
@@ -51,7 +49,6 @@ from .labelled_metrics import (
 from .lexstats import (
     PolarityTable,
     SentimentLexicon,
-    SignificantWordSet,
     chi_square,
     filter_reviews,
     load_sentiment_lexicon_tsv,

@@ -51,15 +51,6 @@ class AccuracyMatrix:
         self.domains = domains
         self.acc = acc
 
-    def index(self, domain: str) -> int:
-        try:
-            return self.domains.index(domain)
-        except ValueError:
-            raise InputError(f"unknown domain {domain!r}") from None
-
-    def value(self, source: str, target: str) -> float:
-        return float(self.acc[self.index(source), self.index(target)])
-
 
 def load_accuracy_matrix(path: str | Path) -> AccuracyMatrix:
     """Load an accuracy matrix CSV: header of domain ids, one row per source."""

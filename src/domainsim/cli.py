@@ -3,7 +3,8 @@
 Subcommands: ingest, metrics, evaluate, chart, baseline. Options come from
 a JSON config file plus flag overrides (flags win). All randomness flows
 from the single configured seed, and repeated runs with the same config
-produce byte-identical CSV outputs.
+produce byte-identical CSV outputs. ``evaluate`` ranks through
+``evaluation.rank_sources``; it and ``chart`` write their reports through one writer.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import embedding_metrics as emb
 from . import labelled_metrics as lm
 from .cdsa_baseline import (
     AccuracyMatrix,
+    ChartRow,
     load_accuracy_matrix,
     reference_accuracy_matrix,
     train_eval_baseline,
@@ -32,7 +34,7 @@ from .cdsa_baseline import (
     write_chart_csv,
 )
 from .errors import InputError
-from .evaluation import build_markdown_report, recommendation_report, write_eval_csv
+from .evaluation import EvalReport, build_markdown_report, recommendation_report, write_eval_csv
 from .lexstats import (
     load_sentiment_lexicon_tsv,
     load_sentiwordnet,
@@ -140,9 +142,14 @@ class RunConfig:
                              f" metrics (vector metrics: {', '.join(READINGS)})")
         if not isinstance(self.k, list):
             raise InputError("config 'k' must be a list of positive integers")
+        if not self.k:
+            raise InputError("no K values given (use --k or the config's 'k')")
         for k in self.k:
             if not _is_int(k) or k < 1:
                 raise InputError(f"K values must be positive integers, got {k!r}")
+        repeated_k = sorted({k for k in self.k if self.k.count(k) > 1})
+        if repeated_k:
+            raise InputError(f"K values listed more than once: {', '.join(map(str, repeated_k))}")
 
     def out_dir(self) -> Path:
         path = Path(self.out)
@@ -452,14 +459,9 @@ def cmd_evaluate(workspace: Workspace) -> None:
         for metric in config.metrics
     }
     chart_rows, reports = recommendation_report(matrix, pairs_by_metric, config.k)
-    write_chart_csv(chart_rows, out_dir / "recommendation_chart.csv")
-    if reports:
-        write_eval_csv(reports, out_dir / "eval_report.csv")
-    else:
+    if not reports:
         print("no metrics selected; writing chart only")
-    (out_dir / "recommendation_report.md").write_text(
-        build_markdown_report(chart_rows, reports), encoding="utf-8"
-    )
+    _write_reports(out_dir, chart_rows, reports)
     print(f"wrote recommendation chart and {len(reports)} evaluation rows to {out_dir}")
 
 
@@ -467,11 +469,18 @@ def cmd_chart(workspace: Workspace) -> None:
     matrix = _resolve_matrix(workspace)
     chart_rows, _ = recommendation_report(matrix, {}, ks=())
     out_dir = workspace.config.out_dir()
-    write_chart_csv(chart_rows, out_dir / "recommendation_chart.csv")
-    (out_dir / "recommendation_report.md").write_text(
-        build_markdown_report(chart_rows, []), encoding="utf-8"
-    )
+    _write_reports(out_dir, chart_rows, [])
     print(f"wrote chart for {len(chart_rows)} domains to {out_dir}")
+
+
+def _write_reports(out_dir: Path, chart_rows: list[ChartRow], reports: list[EvalReport]) -> None:
+    """The chart CSV and the Markdown report, plus ``eval_report.csv`` when there are reports."""
+    write_chart_csv(chart_rows, out_dir / "recommendation_chart.csv")
+    if reports:
+        write_eval_csv(reports, out_dir / "eval_report.csv")
+    (out_dir / "recommendation_report.md").write_text(
+        build_markdown_report(chart_rows, reports), encoding="utf-8"
+    )
 
 
 def cmd_baseline(workspace: Workspace, splits: int) -> None:

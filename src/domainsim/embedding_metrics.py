@@ -34,9 +34,6 @@ class WordVectorTable:
     dims: int
     entries: dict[str, np.ndarray]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
     def __getitem__(self, word: str) -> np.ndarray:
         return self.entries[word]
 

@@ -1,10 +1,13 @@
 """Source-domain rankings and their evaluation against an accuracy matrix.
 
-For each target domain a metric induces a ranking of candidate sources;
-the ground truth ranks sources by their cross-domain accuracy on that
-target. Rankings are scored with precision at K (top-K intersection size)
-and ranking accuracy (exact-position matches within the top K), aggregated
-over all targets and normalized.
+For each target domain a metric induces a ranking of candidate sources, a
+tuple of domain ids best first; the ground truth ranks sources by their
+cross-domain accuracy on that target. ``rank_sources`` is the one place
+that ranks: it takes every target's ranking from ``PairMatrix.ranking``,
+for each metric and for the truth alike. Rankings are scored with
+precision at K (top-K intersection size) and ranking accuracy
+(exact-position matches within the top K), aggregated over all targets
+and normalized.
 """
 
 from __future__ import annotations
@@ -18,17 +21,6 @@ from .cdsa_baseline import AccuracyMatrix, ChartRow, chart
 from .errors import InputError
 from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
-TRUTH_METRIC_ID = "CDSA"
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Source domains for one target, best first, target excluded."""
-
-    target: str
-    metric_id: str
-    order: tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -38,45 +30,36 @@ class EvalReport:
     k: int
     precision_pct: float
     nra: float
-    per_target: dict[str, tuple[int, int]]
 
 
-def rank_sources(pairs: PairMatrix, target: str) -> RankedList:
-    """Candidate sources for a target, best first, by ``PairMatrix.ranking``."""
-    return RankedList(target, pairs.metric_id, pairs.ranking(target))
+def rank_sources(pairs: PairMatrix) -> dict[str, tuple[str, ...]]:
+    """Every target's sources, best first, by ``PairMatrix.ranking``; targets in domain order."""
+    return {target: pairs.ranking(target) for target in pairs.domains}
 
 
-def truth_ranking(matrix: AccuracyMatrix, target: str) -> RankedList:
-    """Sources by cross-domain accuracy on the target, best first (``PairMatrix.ranking``)."""
-    truth = PairMatrix(TRUTH_METRIC_ID, HIGHER_IS_MORE_SIMILAR, matrix.domains, matrix.acc)
-    return RankedList(target, TRUTH_METRIC_ID, truth.ranking(target))
-
-
-def _check_comparable(pred: RankedList, truth: RankedList, k: int) -> None:
-    if pred.target != truth.target:
-        raise InputError(f"targets differ: {pred.target} vs {truth.target}")
-    if set(pred.order) != set(truth.order):
+def _check_comparable(pred: tuple[str, ...], truth: tuple[str, ...], k: int) -> None:
+    if set(pred) != set(truth):
         raise InputError("prediction and truth cover different domain sets")
-    if not 1 <= k <= len(truth.order):
-        raise InputError(f"K exceeds N-1: K={k}, N-1={len(truth.order)}")
+    if not 1 <= k <= len(truth):
+        raise InputError(f"K exceeds N-1: K={k}, N-1={len(truth)}")
 
 
-def precision_at_k(pred: RankedList, truth: RankedList, k: int) -> int:
+def precision_at_k(pred: tuple[str, ...], truth: tuple[str, ...], k: int) -> int:
     """Size of the intersection of the predicted and true top-K sources."""
     _check_comparable(pred, truth, k)
-    return len(set(pred.order[:k]) & set(truth.order[:k]))
+    return len(set(pred[:k]) & set(truth[:k]))
 
 
-def ranking_accuracy(pred: RankedList, truth: RankedList, k: int) -> int:
+def ranking_accuracy(pred: tuple[str, ...], truth: tuple[str, ...], k: int) -> int:
     """Number of top-K positions where prediction and truth agree exactly."""
     _check_comparable(pred, truth, k)
-    return sum(1 for p, t in zip(pred.order[:k], truth.order[:k]) if p == t)
+    return sum(1 for p, t in zip(pred[:k], truth[:k]) if p == t)
 
 
 def aggregate(
     metric_id: str,
-    truths: Mapping[str, RankedList],
-    predictions: Mapping[str, RankedList],
+    truths: Mapping[str, tuple[str, ...]],
+    predictions: Mapping[str, tuple[str, ...]],
     k: int,
 ) -> EvalReport:
     """Aggregate precision/NRA over every target domain of ``truths``, the true rankings.
@@ -87,23 +70,18 @@ def aggregate(
     missing = set(truths) - set(predictions)
     if missing:
         raise InputError(f"missing prediction lists for targets: {sorted(missing)}")
-    per_target: dict[str, tuple[int, int]] = {}
     total_precision = 0
     total_ra = 0
     for target, truth in truths.items():
         pred = predictions[target]
-        p = precision_at_k(pred, truth, k)
-        ra = ranking_accuracy(pred, truth, k)
-        per_target[target] = (p, ra)
-        total_precision += p
-        total_ra += ra
+        total_precision += precision_at_k(pred, truth, k)
+        total_ra += ranking_accuracy(pred, truth, k)
     n = len(truths)
     return EvalReport(
         metric_id=metric_id,
         k=k,
         precision_pct=100.0 * total_precision / (n * k),
         nra=total_ra / (n * k),
-        per_target=per_target,
     )
 
 
@@ -122,12 +100,12 @@ def recommendation_report(
         if not 1 <= k <= n - 1:
             raise InputError(f"K exceeds N-1: K={k}, N-1={n - 1}")
     chart_rows = chart(matrix)
-    truths = {t: truth_ranking(matrix, t) for t in matrix.domains}
+    truths = rank_sources(PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, matrix.domains, matrix.acc))
     reports = []
     for metric_id, pairs in pairs_by_metric.items():
         if pairs.domains != matrix.domains:
             raise InputError(f"metric {metric_id} domains differ from the accuracy matrix's")
-        predictions = {t: rank_sources(pairs, t) for t in matrix.domains}
+        predictions = rank_sources(pairs)
         for k in ks:
             reports.append(aggregate(metric_id, truths, predictions, k))
     return chart_rows, reports

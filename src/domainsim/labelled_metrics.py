@@ -21,7 +21,6 @@ from .errors import InputError, UnrankablePairError
 from .lexstats import (
     POLAR_THRESHOLD,
     PolarityTable,
-    SignificantWordSet,
     clamp_probability,
     polar_words,
     polarity_table,
@@ -32,9 +31,9 @@ from .lexstats import (
 ENTROPY_WEIGHTS: dict[int, float] = {1: 1.0, 2: 5.0, 3: 5.0, 4: 5.0}
 
 
-def lm1_overlap(sig_s: SignificantWordSet, sig_t: SignificantWordSet) -> int:
+def lm1_overlap(sig_s: frozenset[str], sig_t: frozenset[str]) -> int:
     """Number of significant words shared by two domains. Symmetric."""
-    return len(sig_s.words & sig_t.words)
+    return len(sig_s & sig_t)
 
 
 def jaccard(common: int, w1: int, w2: int) -> float:

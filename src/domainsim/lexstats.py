@@ -37,9 +37,6 @@ class PolarityTable:
     domain_id: str
     entries: dict[str, tuple[float, float]]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
     def __getitem__(self, word: str) -> tuple[float, float]:
         return self.entries[word]
 
@@ -71,18 +68,7 @@ def chi_square(c_p: int, c_n: int) -> float:
     return ((c_p - mu) ** 2 + (c_n - mu) ** 2) / mu
 
 
-@dataclass(frozen=True)
-class SignificantWordSet:
-    """Words of one domain passing the count and chi-square gates."""
-
-    domain_id: str
-    words: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def significant_words(corpus: Corpus, min_count: int = 10, min_chi2: float = 1.0) -> SignificantWordSet:
+def significant_words(corpus: Corpus, min_count: int = 10, min_chi2: float = 1.0) -> frozenset[str]:
     """Words with at least ``min_count`` occurrences and chi-square >= ``min_chi2``.
 
     Both thresholds are inclusive.
@@ -91,7 +77,7 @@ def significant_words(corpus: Corpus, min_count: int = 10, min_chi2: float = 1.0
     for word, (c_p, c_n) in corpus.counts.items():
         if c_p + c_n >= min_count and chi_square(c_p, c_n) >= min_chi2:
             words.add(word)
-    return SignificantWordSet(corpus.domain_id, frozenset(words))
+    return frozenset(words)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ is the CDSA baseline as it was before it trained its models in lockstep:
 one model and one example at a time, in plain Python loops.
 ``sorted_ranking`` is the per-target source ranking as it was before
 ``PairMatrix.ranking``: a Python sort on (value, domain index) keys.
+``evaluation_scores`` is precision at K and NRA counted from those
+rankings in plain loops.
 ``select_reviews`` is the sentence metrics' review selection as it was
 before each review was scored once per command. ``normalize`` is text
 normalization as it was before its all-letters fast path and token
@@ -213,6 +215,36 @@ def sorted_ranking(
     else:
         ranked.sort(key=lambda s: (-relevant[s], index[s]))
     return tuple(ranked + unranked)
+
+
+def evaluation_scores(
+    acc: list[list[float]],
+    values: list[list[float | None]],
+    domains: list[str],
+    direction: str,
+    k: int,
+) -> tuple[float, float]:
+    """(precision_pct, nra) at K of a metric's rankings against the accuracy rankings.
+
+    ``acc[i][j]`` and ``values[i][j]`` are source ``domains[i]``'s accuracy
+    and metric value on target ``domains[j]``; a None value is unrankable.
+    """
+    hits = 0
+    matches = 0
+    for t, target in enumerate(domains):
+        truth = sorted_ranking(
+            {s: acc[i][t] for i, s in enumerate(domains) if i != t}, domains,
+            "higher_is_more_similar")
+        pred = sorted_ranking(
+            {s: values[i][t] for i, s in enumerate(domains) if i != t}, domains, direction)
+        for source in pred[:k]:
+            if source in truth[:k]:
+                hits += 1
+        for position in range(k):
+            if pred[position] == truth[position]:
+                matches += 1
+    cells = len(domains) * k
+    return 100.0 * hits / cells, matches / cells
 
 
 def select_reviews(corpus, score, count: int = 500, mode: str = "heldout") -> list[str]:

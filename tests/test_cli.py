@@ -16,6 +16,7 @@ import pytest
 import synth
 from domainsim import cli, corpus, lexstats
 from domainsim import embedding_metrics as emb
+from domainsim.cdsa_baseline import chart, train_eval_baseline, write_chart_csv
 from domainsim.cli import main
 from domainsim.errors import InputError
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR
@@ -249,6 +250,22 @@ def test_chart_command_uses_bundled_reference(tmp_path):
     assert by_domain["D1"]["best_source"] == "D10"
 
 
+def test_chart_generates_its_matrix_with_the_baseline(tmp_path):
+    data = synth.synthetic_reviews(n_domains=3, reviews_per_domain=40, seed=8)
+    paths = synth.write_jsonl(data, tmp_path / "corpora")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="proportional splits"):
+        code = main(["chart", "--domains", ",".join(f"{d}={p}" for d, p in paths.items()),
+                     "--accuracy-matrix", "generate", "--seed", "3", "--out", str(out)])
+    assert code == 0
+    corpora = [corpus.load_corpus(path, "jsonl") for path in paths.values()]
+    with pytest.warns(UserWarning, match="proportional splits"):
+        matrix = train_eval_baseline(corpora, seed=3)
+    expected = tmp_path / "expected.csv"
+    write_chart_csv(chart(matrix), expected)
+    assert (out / "recommendation_chart.csv").read_bytes() == expected.read_bytes()
+
+
 def test_baseline_command(tmp_path):
     rng = np.random.default_rng(33)
     for name, seed in (("A", 1), ("B", 2)):
@@ -441,6 +458,26 @@ def test_config_values_of_the_wrong_type_exit_one(workspace, capsys, key, value)
     path.write_text(json.dumps(config))
     assert main(["baseline", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("k, message", [
+    ("", "no K values given"), ("2,2", "K values listed more than once: 2"),
+])
+def test_empty_or_repeated_k_list_exits_one(workspace, capsys, k, message):
+    tmp_path, config_path = workspace
+    assert main(["metrics", "--config", str(config_path), "--metrics", "LM1"]) == 0
+    matrix_path = tmp_path / "matrix.csv"
+    _matrix_csv(matrix_path, ["A", "B", "C"], [[90, 70, 60], [65, 88, 72], [71, 69, 91]])
+    evaluate = ["evaluate", "--metrics", "LM1", "--accuracy-matrix", str(matrix_path)]
+    assert main([*evaluate, "--config", str(config_path), "--k", k]) == 1
+    assert message in capsys.readouterr().err
+    config = json.loads(config_path.read_text())
+    config["k"] = [int(v) for v in k.split(",") if v]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(config))
+    assert main([*evaluate, "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "eval_report.csv").exists()
 
 
 def test_end_to_end_with_synthetic_generator(tmp_path):

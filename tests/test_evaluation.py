@@ -3,17 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from domainsim.cdsa_baseline import AccuracyMatrix, reference_accuracy_matrix
 from domainsim.errors import InputError
 from domainsim.evaluation import (
-    RankedList,
     aggregate,
     build_markdown_report,
     precision_at_k,
     rank_sources,
     ranking_accuracy,
     recommendation_report,
-    truth_ranking,
     write_eval_csv,
 )
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix
@@ -37,30 +36,34 @@ def constant_pairs(metric_id, direction, domains, value):
     return PairMatrix(metric_id, direction, domains, matrix)
 
 
+def truth_rankings(matrix):
+    """Every target's sources by accuracy, best first, as ``recommendation_report`` ranks them."""
+    return rank_sources(PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, matrix.domains, matrix.acc))
+
+
 def test_rank_sources_lower_is_better():
     pairs = pairs_for("LM2", "A", {"B": 1.2, "C": 3.0, "D": 2.0})
-    assert rank_sources(pairs, "A") == RankedList("A", "LM2", ("B", "D", "C"))
+    assert rank_sources(pairs)["A"] == ("B", "D", "C")
 
 
 def test_rank_sources_higher_is_better():
     pairs = pairs_for("ULM1", "A", {"B": 1.9, "C": 1.2, "D": 1.5})
-    assert rank_sources(pairs, "A").order == ("B", "D", "C")
+    assert rank_sources(pairs)["A"] == ("B", "D", "C")
 
 
 def test_rank_sources_tie_breaks_by_domain_index():
     pairs = pairs_for("ULM1", "A", {"C": 1.0, "B": 1.0, "D": 0.5})
-    assert rank_sources(pairs, "A").order == ("B", "C", "D")
+    assert rank_sources(pairs)["A"] == ("B", "C", "D")
 
 
 def test_rank_sources_unrankable_last_in_index_order():
     pairs = pairs_for("LM2", "A", {"B": None, "D": 2.0, "C": None})
-    assert rank_sources(pairs, "A").order == ("D", "B", "C")
+    assert rank_sources(pairs)["A"] == ("D", "B", "C")
 
 
 def test_truth_ranking_reference_fixture_head():
     matrix = reference_accuracy_matrix()
-    ranked = truth_ranking(matrix, "D1")
-    assert ranked.order[0] == "D10"
+    assert truth_rankings(matrix)["D1"][0] == "D10"
 
 
 def test_truth_ranking_small_cases():
@@ -69,55 +72,49 @@ def test_truth_ranking_small_cases():
         [70.0, 90.0, 3.0],
         [80.0, 4.0, 90.0],
     ]))
-    assert truth_ranking(matrix, "A").order == ("C", "B")
+    assert truth_rankings(matrix)["A"] == ("C", "B")
     equal = AccuracyMatrix(("A", "B", "C"), np.array([
         [90.0, 1.0, 2.0],
         [70.0, 90.0, 3.0],
         [70.0, 4.0, 90.0],
     ]))
-    assert truth_ranking(equal, "A").order == ("B", "C")
-
-
-def ranked(target, order, metric_id="LM1"):
-    return RankedList(target, metric_id, tuple(order))
+    assert truth_rankings(equal)["A"] == ("B", "C")
 
 
 def test_precision_at_k():
-    truth = ranked("A", ["B", "C", "D", "E", "F"])
+    truth = ("B", "C", "D", "E", "F")
     assert precision_at_k(truth, truth, 5) == 5
-    pred = ranked("A", ["F", "E", "D", "C", "B"])
-    assert precision_at_k(ranked("A", ["B", "C", "D", "E", "F"]), pred, 2) == 0
-    pred3 = ranked("A", ["B", "C", "D", "E", "F"])
-    truth3 = ranked("A", ["C", "E", "B", "D", "F"])
+    pred = ("F", "E", "D", "C", "B")
+    assert precision_at_k(("B", "C", "D", "E", "F"), pred, 2) == 0
+    pred3 = ("B", "C", "D", "E", "F")
+    truth3 = ("C", "E", "B", "D", "F")
     assert precision_at_k(pred3, truth3, 3) == 2
 
 
 def test_ranking_accuracy():
-    truth = ranked("A", ["B", "C", "D", "E"])
+    truth = ("B", "C", "D", "E")
     assert ranking_accuracy(truth, truth, 4) == 4
-    assert ranking_accuracy(ranked("A", ["E", "D", "C", "B"]), truth, 4) == 0
-    assert ranking_accuracy(ranked("A", ["B", "D", "C", "E"]), truth, 3) == 1
+    assert ranking_accuracy(("E", "D", "C", "B"), truth, 4) == 0
+    assert ranking_accuracy(("B", "D", "C", "E"), truth, 3) == 1
 
 
 def test_rank_scores_reject_bad_k_and_universe():
-    truth = ranked("A", ["B", "C", "D"])
+    truth = ("B", "C", "D")
     with pytest.raises(InputError, match="K exceeds"):
         precision_at_k(truth, truth, 4)
     with pytest.raises(InputError, match="K exceeds"):
         ranking_accuracy(truth, truth, 0)
-    other = ranked("A", ["B", "C", "E"])
+    other = ("B", "C", "E")
     with pytest.raises(InputError, match="different domain sets"):
         precision_at_k(truth, other, 2)
-    with pytest.raises(InputError, match="targets differ"):
-        precision_at_k(truth, ranked("B", ["A", "C", "D"]), 2)
 
 
 def test_ranking_accuracy_never_exceeds_precision():
     rng = np.random.default_rng(23)
     names = [f"d{i}" for i in range(8)]
     for _ in range(200):
-        pred = ranked("t", rng.permutation(names).tolist())
-        truth = ranked("t", rng.permutation(names).tolist())
+        pred = tuple(rng.permutation(names).tolist())
+        truth = tuple(rng.permutation(names).tolist())
         for k in (1, 3, 5, 8):
             assert ranking_accuracy(pred, truth, k) <= precision_at_k(pred, truth, k)
 
@@ -125,31 +122,32 @@ def test_ranking_accuracy_never_exceeds_precision():
 def test_scores_invariant_under_monotone_value_transform():
     domains = ("A", "B", "C", "D", "E")
     values = {"B": 0.4, "C": 1.1, "D": 0.2, "E": 2.5}
-    base = rank_sources(pairs_for("ULM1", "A", values, domains), "A")
+    base = rank_sources(pairs_for("ULM1", "A", values, domains))["A"]
     squashed = rank_sources(
-        pairs_for("ULM1", "A", {s: np.tanh(v) for s, v in values.items()}, domains), "A"
-    )
-    assert base.order == squashed.order
+        pairs_for("ULM1", "A", {s: np.tanh(v) for s, v in values.items()}, domains)
+    )["A"]
+    assert base == squashed
 
 
 def test_aggregate_reference_granularity_points():
     # 20 targets, K=3: 27 total intersections -> 45.00%; 12 positional -> 0.200.
     matrix = reference_accuracy_matrix()
-    truths = {t: truth_ranking(matrix, t) for t in matrix.domains}
+    truths = truth_rankings(matrix)
     preds = {}
     total_p = 0
+    ra_total = 0
     for i, (target, truth) in enumerate(truths.items()):
         if i < 9:
-            order = truth.order  # contributes 3 intersections and 3 positions
+            preds[target] = truth  # contributes 3 intersections and 3 positions
         else:
-            order = tuple(reversed(truth.order))  # contributes 0 at K=3 for N=20
-        preds[target] = RankedList(target, "LM1", order)
+            preds[target] = tuple(reversed(truth))  # contributes 0 at K=3 for N=20
         total_p += precision_at_k(preds[target], truth, 3)
+        ra_total += ranking_accuracy(preds[target], truth, 3)
     report = aggregate("LM1", truths, preds, 3)
     assert total_p == 27
     assert report.precision_pct == pytest.approx(45.00)
-    ra_total = sum(ra for _, ra in report.per_target.values())
     assert ra_total == 27
+    assert report.nra == pytest.approx(27 / 60)
     # Scale check for NRA at the published example value: 12/60 = 0.200.
     assert 12 / (len(matrix.domains) * 3) == pytest.approx(0.200)
 
@@ -159,7 +157,7 @@ def test_aggregate_self_consistency():
     matrix = AccuracyMatrix(
         tuple(f"d{i}" for i in range(6)), rng.uniform(50, 95, size=(6, 6))
     )
-    preds = {t: truth_ranking(matrix, t) for t in matrix.domains}
+    preds = truth_rankings(matrix)
     for k in (1, 2, 3, 5):
         report = aggregate("LM1", preds, preds, k)
         assert report.precision_pct == 100.0
@@ -169,7 +167,7 @@ def test_aggregate_self_consistency():
 def test_aggregate_requires_all_targets():
     matrix = AccuracyMatrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
     with pytest.raises(InputError, match="missing prediction"):
-        aggregate("LM1", {t: truth_ranking(matrix, t) for t in matrix.domains}, {}, 1)
+        aggregate("LM1", truth_rankings(matrix), {}, 1)
 
 
 def test_recommendation_report_shapes():
@@ -216,7 +214,7 @@ def test_markdown_report_contains_tables():
 
 def test_write_eval_csv_formats(tmp_path):
     matrix = AccuracyMatrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
-    preds = {t: truth_ranking(matrix, t) for t in matrix.domains}
+    preds = truth_rankings(matrix)
     report = aggregate("LM1", preds, preds, 1)
     path = tmp_path / "eval.csv"
     write_eval_csv([report], path)
@@ -226,9 +224,10 @@ def test_write_eval_csv_formats(tmp_path):
 def test_rank_sources_builds_per_target_lists():
     domains = ("A", "B", "C")
     pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, domains, 0.3)
-    assert [rank_sources(pairs, t).order for t in domains] == [("B", "C"), ("A", "C"), ("A", "B")]
+    assert rank_sources(pairs) == {"A": ("B", "C"), "B": ("A", "C"), "C": ("A", "B")}
+    assert list(rank_sources(pairs)) == list(domains)
     with pytest.raises(InputError, match="not in domain list"):
-        rank_sources(pairs, "Z")
+        pairs.ranking("Z")
 
 
 def test_recommendation_report_requires_matrix_domain_order():
@@ -237,3 +236,27 @@ def test_recommendation_report_requires_matrix_domain_order():
     pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, ("C", "B", "A"), 0.3)
     with pytest.raises(InputError, match="domains differ"):
         recommendation_report(matrix, {"NGRAM": pairs}, ks=(1,))
+
+
+def test_recommendation_report_scores_match_the_brute_force_oracle():
+    # Few distinct levels make ties in both the accuracies and the metric values.
+    rng = np.random.default_rng(61)
+    cases = 0
+    for _ in range(150):
+        n = int(rng.integers(3, 10))
+        domains = tuple(rng.permutation([f"d{i}" for i in range(n)]).tolist())
+        acc = rng.integers(60, 60 + int(rng.integers(1, 2 * n)), size=(n, n)).astype(float)
+        matrix = AccuracyMatrix(domains, acc)
+        values = rng.integers(0, int(rng.integers(1, 2 * n)), size=(n, n)) * 0.5
+        values[rng.random((n, n)) < rng.random()] = np.nan
+        cells = [[None if np.isnan(v) else float(v) for v in row] for row in values]
+        for direction in (HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR):
+            pairs = PairMatrix("M", direction, domains, values)
+            _, reports = recommendation_report(matrix, {"M": pairs}, tuple(range(1, n)))
+            assert [r.k for r in reports] == list(range(1, n))
+            for report in reports:
+                expected = oracles.evaluation_scores(
+                    acc.tolist(), cells, list(domains), direction, report.k)
+                assert (report.precision_pct, report.nra) == expected
+            cases += 1
+    assert cases >= 200

@@ -18,11 +18,11 @@ from domainsim.labelled_metrics import (
     lm4_entropy_change,
     lm4_matrix,
 )
-from domainsim.lexstats import PolarityTable, SignificantWordSet, polar_words, polarity_table
+from domainsim.lexstats import PolarityTable, polar_words, polarity_table
 
 
 def sig(words):
-    return SignificantWordSet("d", frozenset(words))
+    return frozenset(words)
 
 
 def test_lm1_overlap_counts_intersection():

@@ -82,7 +82,7 @@ def test_significant_words_gates():
     # "flat" has 100 perfectly balanced occurrences: chi2 = 0.
     rows += [("positive", "flat " * 50), ("negative", "flat " * 50)]
     corpus = build_corpus("d", [(label, text.strip()) for label, text in rows])
-    words = significant_words(corpus).words
+    words = significant_words(corpus)
     assert "lop" in words
     assert "few" not in words
     assert "flat" not in words
@@ -93,17 +93,17 @@ def test_significant_words_inclusive_boundaries():
     # split 6/4 yields 0.4 < 1 and is excluded.
     rows = [("positive", "edge")] * 6 + [("negative", "edge")] * 4
     corpus = build_corpus("d", rows)
-    assert "edge" not in significant_words(corpus).words
+    assert "edge" not in significant_words(corpus)
     rows = [("positive", "edge")] * 7 + [("negative", "edge")] * 3
     corpus = build_corpus("d", rows)
-    assert "edge" in significant_words(corpus).words
+    assert "edge" in significant_words(corpus)
 
 
 def test_significant_words_order_invariant():
     rows = [("positive", "aye bee")] * 12 + [("negative", "bee sea")] * 12
     corpus = build_corpus("d", rows)
     shuffled = build_corpus("d", rows[::-1])
-    assert significant_words(corpus).words == significant_words(shuffled).words
+    assert significant_words(corpus) == significant_words(shuffled)
 
 
 LEXICON = SentimentLexicon({
