@@ -27,7 +27,6 @@ from .embedding_metrics import (
     load_sentence_vectors,
     load_word_vectors,
     select_test_vectors,
-    sentence_metric,
     word_metric,
 )
 from .errors import InputError, UnrankablePairError

@@ -167,18 +167,6 @@ def write_chart_csv(rows: Sequence[ChartRow], path: str | Path) -> None:
             )
 
 
-class _FeatureHashes(dict):
-    """Token -> hashed feature id, each token hashed once.
-
-    Reviews then share one int object per id instead of holding one per
-    token occurrence, which keeps the featurisation's peak memory down.
-    """
-
-    def __missing__(self, token: str) -> int:
-        bucket = self[token] = zlib.crc32(token.encode("utf-8")) & (FEATURE_DIM - 1)
-        return bucket
-
-
 def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Hashed bag-of-words features of every review of every corpus, once.
 
@@ -202,7 +190,10 @@ def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.nd
     Zeros anywhere else change the association and the last bits of the
     sum. A review with 128 features or more is summed at its exact length.
     """
-    hash_of = _FeatureHashes()
+    # Each word is hashed once, so reviews share one int object per id
+    # instead of holding one per token occurrence (a smaller peak).
+    hash_of = {w: zlib.crc32(w.encode("utf-8")) & (FEATURE_DIM - 1)
+               for corpus in corpora for w in corpus.counts}
     hashed: list[int] = []
     lengths: list[int] = []
     labels: list[float] = []

@@ -1,7 +1,11 @@
 """Command-line front door for reproducible batch runs.
 
 Subcommands: ingest, metrics, evaluate, chart, baseline. Options come from
-a JSON config file plus flag overrides (flags win). All randomness flows
+a JSON config file plus flags. Every subcommand has a flag for each
+``RunConfig`` key, and one rule joins them: a flag given with a value other
+than the empty string replaces its key's value. A list or mapping flag may
+repeat and splits each value at commas, so ``--metrics ""`` gives an empty
+list, while ``--out ""`` keeps the config's value. All randomness flows
 from the single configured seed, and repeated runs with the same config
 produce byte-identical CSV outputs. ``evaluate`` ranks through
 ``evaluation.rank_sources``; it and ``chart`` write their reports through one writer.
@@ -27,6 +31,7 @@ from . import labelled_metrics as lm
 from .cdsa_baseline import (
     AccuracyMatrix,
     ChartRow,
+    chart,
     load_accuracy_matrix,
     reference_accuracy_matrix,
     train_eval_baseline,
@@ -70,7 +75,7 @@ class RunConfig:
     @classmethod
     def load(cls, args: argparse.Namespace) -> "RunConfig":
         config = cls()
-        if getattr(args, "config", None):
+        if args.config:
             path = Path(args.config)
             if not path.is_file():
                 raise InputError(f"config file not found: {path}")
@@ -91,28 +96,10 @@ class RunConfig:
         return config
 
     def _apply_flags(self, args: argparse.Namespace) -> None:
-        if getattr(args, "domains", None):
-            self.domains = _parse_mapping(args.domains, "domains")
-        if getattr(args, "format", None):
-            self.format = args.format
-        if getattr(args, "stopwords", None):
-            self.stopwords = args.stopwords
-        if getattr(args, "adjectives", None):
-            self.adjectives = args.adjectives
-        if getattr(args, "sentiment_lexicon", None):
-            self.sentiment_lexicon = args.sentiment_lexicon
-        if getattr(args, "vectors", None):
-            self.vectors = _parse_mapping(args.vectors, "vectors")
-        if getattr(args, "accuracy_matrix", None):
-            self.accuracy_matrix = args.accuracy_matrix
-        if getattr(args, "metrics", None):
-            self.metrics = _split_csv(args.metrics)
-        if getattr(args, "k", None):
-            self.k = [_parse_int(v, "--k") for v in _split_csv(args.k)]
-        if getattr(args, "out", None):
-            self.out = args.out
-        if getattr(args, "seed", None) is not None:
-            self.seed = args.seed
+        for key in self.__dataclass_fields__:
+            value = getattr(args, key)
+            if value is not None and value != "":
+                setattr(self, key, dict(value) if key in ("domains", "vectors") else value)
 
     def _validate(self) -> None:
         for key in ("domains", "vectors"):
@@ -231,7 +218,7 @@ class Workspace:
 
     def _word_values(self, directory: Path) -> np.ndarray:
         adjectives = self.adjectives
-        tables = [emb.load_word_vectors(_vector_file(directory, c.domain_id), c.domain_id)
+        tables = [emb.load_word_vectors(_vector_file(directory, c.domain_id))
                   for c in self.corpora]
         return emb.word_metric_matrix(tables, adjectives)
 
@@ -247,8 +234,7 @@ class Workspace:
                         and Path(config.vectors[m]) == directory})
         sets: dict[str, list] = {mode: [] for mode in modes}
         for corpus, qualifying in zip(self.corpora, self.qualifying_reviews):
-            vectors = emb.load_sentence_vectors(
-                _vector_file(directory, corpus.domain_id), corpus.domain_id)
+            vectors = emb.load_sentence_vectors(_vector_file(directory, corpus.domain_id))
             for mode in modes:
                 sets[mode].append(emb.select_test_vectors(corpus, qualifying, vectors, mode=mode))
             del vectors  # before the next file is parsed
@@ -269,32 +255,27 @@ def _looks_like_tsv(path: Path) -> bool:
     return True
 
 
-def _parse_mapping(pairs: Sequence[str], flag: str) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for chunk in pairs:
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise InputError(f"--{flag} entries must look like NAME=PATH, got {item!r}")
-            name, path = item.split("=", 1)
-            mapping[name.strip()] = path.strip()
-    return mapping
+def _names(chunk: str) -> list[str]:
+    """A flag value's comma-separated entries, blanks dropped."""
+    return [v.strip() for v in chunk.split(",") if v.strip()]
 
 
-def _split_csv(values: Sequence[str]) -> list[str]:
-    out: list[str] = []
-    for chunk in values:
-        out.extend(v.strip() for v in chunk.split(",") if v.strip())
-    return out
-
-
-def _parse_int(value: str, flag: str) -> int:
+def _ints(chunk: str) -> list[int]:
     try:
-        return int(value)
+        return [int(v) for v in _names(chunk)]
     except ValueError:
-        raise InputError(f"{flag} expects integers, got {value!r}") from None
+        raise argparse.ArgumentTypeError(f"expects integers, got {chunk!r}") from None
+
+
+def _mapping(chunk: str) -> list[tuple[str, str]]:
+    """A flag value's ``NAME=PATH`` entries as (name, path) pairs."""
+    pairs = []
+    for item in _names(chunk):
+        if "=" not in item:
+            raise argparse.ArgumentTypeError(f"entries must look like NAME=PATH, got {item!r}")
+        name, path = item.split("=", 1)
+        pairs.append((name.strip(), path.strip()))
+    return pairs
 
 
 def cmd_ingest(workspace: Workspace) -> None:
@@ -466,8 +447,7 @@ def cmd_evaluate(workspace: Workspace) -> None:
 
 
 def cmd_chart(workspace: Workspace) -> None:
-    matrix = _resolve_matrix(workspace)
-    chart_rows, _ = recommendation_report(matrix, {}, ks=())
+    chart_rows = chart(_resolve_matrix(workspace))
     out_dir = workspace.config.out_dir()
     _write_reports(out_dir, chart_rows, [])
     print(f"wrote chart for {len(chart_rows)} domains to {out_dir}")
@@ -497,20 +477,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--domains", action="append",
+    parser.add_argument("--domains", action="extend", type=_mapping,
                         help="domain corpora as NAME=PATH[,NAME=PATH...]")
     parser.add_argument("--format", choices=["jsonl", "csv"], help="corpus file format")
     parser.add_argument("--stopwords", help="custom stopword list, one word per line")
     parser.add_argument("--adjectives", help="adjective list for word-vector metrics")
-    parser.add_argument("--sentiment-lexicon", dest="sentiment_lexicon",
+    parser.add_argument("--sentiment-lexicon",
                         help="sentiment lexicon (3-column TSV or standard synset format)")
-    parser.add_argument("--vectors", action="append",
+    parser.add_argument("--vectors", action="extend", type=_mapping,
                         help="vector directories as METRIC=DIR[,METRIC=DIR...]")
-    parser.add_argument("--accuracy-matrix", dest="accuracy_matrix",
+    parser.add_argument("--accuracy-matrix",
                         help="accuracy matrix CSV, 'reference' for the bundled one,"
                              " or 'generate' to train the baseline")
-    parser.add_argument("--metrics", action="append", help="metric ids, comma separated")
-    parser.add_argument("--k", action="append", help="top-K cutoffs, comma separated")
+    parser.add_argument("--metrics", action="extend", type=_names,
+                        help="metric ids, comma separated")
+    parser.add_argument("--k", action="extend", type=_ints, help="top-K cutoffs, comma separated")
     parser.add_argument("--out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, help="seed for all randomness")
 

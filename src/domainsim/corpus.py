@@ -11,6 +11,7 @@ warning so that ingestion stays total over dirty data.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 import warnings
@@ -34,16 +35,12 @@ _LABEL_CONSTANTS = {label: label for label in LABELS}
 
 NGRAM_ORDERS = (1, 2, 3, 4)
 
-_bundled_stopwords: frozenset[str] | None = None
 
-
+@functools.cache
 def bundled_stopwords() -> frozenset[str]:
     """The fixed English stopword list shipped with the package."""
-    global _bundled_stopwords
-    if _bundled_stopwords is None:
-        text = resources.files("domainsim.data").joinpath("stopwords_en.txt").read_text("utf-8")
-        _bundled_stopwords = frozenset(w.strip() for w in text.splitlines() if w.strip())
-    return _bundled_stopwords
+    text = resources.files("domainsim.data").joinpath("stopwords_en.txt").read_text("utf-8")
+    return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

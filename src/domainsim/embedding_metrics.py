@@ -46,11 +46,6 @@ class SentenceVectorSet:
     dims: int
     vectors: tuple[tuple[str, np.ndarray], ...]
 
-    def mean_vector(self) -> np.ndarray:
-        if not self.vectors:
-            raise InputError(f"sentence vector set for {self.domain_id} is empty")
-        return np.mean([vec for _, vec in self.vectors], axis=0)
-
 
 @dataclass(frozen=True)
 class AdjectiveLexicon:
@@ -125,21 +120,21 @@ def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]]]:
     return dims, entries
 
 
-def load_word_vectors(path: str | Path, domain_id: str | None = None) -> WordVectorTable:
-    """Load a word-vector table; the domain defaults to the file stem."""
+def load_word_vectors(path: str | Path) -> WordVectorTable:
+    """Load a word-vector table; its domain is the file stem."""
     path = Path(path)
     dims, entries = _parse_vector_file(path)
     for lineno_key, vec in entries:
         if not np.any(vec):
             raise InputError(f"{path}: zero vector for {lineno_key!r}")
-    return WordVectorTable(domain_id or path.stem, dims, dict(entries))
+    return WordVectorTable(path.stem, dims, dict(entries))
 
 
-def load_sentence_vectors(path: str | Path, domain_id: str | None = None) -> SentenceVectorSet:
-    """Load per-review sentence vectors keyed by ``<domain>:<index>`` ids."""
+def load_sentence_vectors(path: str | Path) -> SentenceVectorSet:
+    """Load sentence vectors keyed by ``<domain>:<index>`` ids; the domain is the file stem."""
     path = Path(path)
     dims, entries = _parse_vector_file(path)
-    return SentenceVectorSet(domain_id or path.stem, dims, tuple(entries))
+    return SentenceVectorSet(path.stem, dims, tuple(entries))
 
 
 def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -193,19 +188,9 @@ def word_metric(
     return avg + j
 
 
-def sentence_metric(set_s: SentenceVectorSet, set_t: SentenceVectorSet) -> float:
-    """Angular similarity between the mean vectors of two sentence-vector sets."""
-    return _mean_similarity((set_s.domain_id, set_s.mean_vector()),
-                            (set_t.domain_id, set_t.mean_vector()))
-
-
-def _mean_similarity(mean_s: tuple[str, np.ndarray], mean_t: tuple[str, np.ndarray]) -> float:
-    # Each argument is a (domain id, mean sentence vector) pair.
-    (domain_s, v1), (domain_t, v2) = mean_s, mean_t
+def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
     if float(np.linalg.norm(v1)) < 1e-12 or float(np.linalg.norm(v2)) < 1e-12:
-        raise UnrankablePairError(
-            f"mean sentence vector numerically zero for pair ({domain_s}, {domain_t})"
-        )
+        raise UnrankablePairError("mean sentence vector numerically zero")
     return angular_similarity(v1, v2)
 
 
@@ -261,8 +246,14 @@ def word_metric_matrix(
 
 
 def sentence_metric_matrix(sets: Sequence[SentenceVectorSet]) -> np.ndarray:
-    """N×N sentence-vector metric values, mirrored; NaN for unrankable pairs.
+    """N×N angular similarities of the sets' mean vectors, mirrored.
 
-    Equal to ``sentence_metric`` on every pair, with each set's mean taken once.
+    Each set's mean is taken once. A pair whose mean vector is numerically
+    zero on either side is unrankable and left NaN. An empty set is an
+    ``InputError``.
     """
-    return mirrored([(s.domain_id, s.mean_vector()) for s in sets], _mean_similarity)
+    for s in sets:
+        if not s.vectors:
+            raise InputError(f"sentence vector set for {s.domain_id} is empty")
+    return mirrored([np.mean([vec for _, vec in s.vectors], axis=0) for s in sets],
+                    _mean_similarity)

@@ -88,7 +88,7 @@ def aggregate(
 def recommendation_report(
     matrix: AccuracyMatrix,
     pairs_by_metric: Mapping[str, PairMatrix],
-    ks: Sequence[int] = (3, 5, 7, 10),
+    ks: Sequence[int],
 ) -> tuple[list[ChartRow], list[EvalReport]]:
     """Chart rows plus per-metric evaluation reports for each K.
 

@@ -19,7 +19,6 @@ import numpy as np
 from .corpus import Corpus, NgramIndex
 from .errors import InputError, UnrankablePairError
 from .lexstats import (
-    POLAR_THRESHOLD,
     PolarityTable,
     clamp_probability,
     polar_words,
@@ -45,11 +44,9 @@ def jaccard(common: int, w1: int, w2: int) -> float:
     return common / (w1 + w2 - common)
 
 
-def _common_polar(
-    table_s: PolarityTable, table_t: PolarityTable, threshold: float
-) -> tuple[set[str], float]:
-    polar_s = polar_words(table_s, threshold)
-    polar_t = polar_words(table_t, threshold)
+def _common_polar(table_s: PolarityTable, table_t: PolarityTable) -> tuple[set[str], float]:
+    polar_s = polar_words(table_s)
+    polar_t = polar_words(table_t)
     common = polar_s & polar_t
     if not common:
         raise UnrankablePairError(
@@ -58,14 +55,14 @@ def _common_polar(
     return common, jaccard(len(common), len(polar_s), len(polar_t))
 
 
-def lm2_skld(table_s: PolarityTable, table_t: PolarityTable, threshold: float = POLAR_THRESHOLD) -> float:
+def lm2_skld(table_s: PolarityTable, table_t: PolarityTable) -> float:
     """Mean symmetric KL divergence over common polar words, plus 1/J.
 
     Probabilities are clamped away from 0 and 1 before the logarithms.
     Lower values mean more similar domains; the minimum is 1.0, reached by
     identical polar distributions with full polar-vocabulary overlap.
     """
-    common, j = _common_polar(table_s, table_t, threshold)
+    common, j = _common_polar(table_s, table_t)
     total = 0.0
     for word in sorted(common):
         p1, n1 = (clamp_probability(x) for x in table_s[word])
@@ -76,13 +73,13 @@ def lm2_skld(table_s: PolarityTable, table_t: PolarityTable, threshold: float = 
     return total / len(common) + 1.0 / j
 
 
-def lm3_chameleon(table_s: PolarityTable, table_t: PolarityTable, threshold: float = POLAR_THRESHOLD) -> float:
+def lm3_chameleon(table_s: PolarityTable, table_t: PolarityTable) -> float:
     """Mean L1 distance between (P, N) vectors of common polar words, plus 1/J.
 
     Captures words whose polarity orientation drifts between the domains.
     Lower values mean more similar domains.
     """
-    common, j = _common_polar(table_s, table_t, threshold)
+    common, j = _common_polar(table_s, table_t)
     total = 0.0
     for word in sorted(common):
         p1, n1 = table_s[word]

@@ -50,9 +50,9 @@ def polarity_table(corpus: Corpus) -> PolarityTable:
     return PolarityTable(corpus.domain_id, entries)
 
 
-def polar_words(table: PolarityTable, threshold: float = POLAR_THRESHOLD) -> set[str]:
-    """Words whose positive/negative probabilities differ by at least the threshold."""
-    return {w for w, (p, n) in table.entries.items() if abs(p - n) >= threshold}
+def polar_words(table: PolarityTable) -> set[str]:
+    """Words whose positive/negative probabilities differ by at least ``POLAR_THRESHOLD``."""
+    return {w for w, (p, n) in table.entries.items() if abs(p - n) >= POLAR_THRESHOLD}
 
 
 def chi_square(c_p: int, c_n: int) -> float:
@@ -68,14 +68,14 @@ def chi_square(c_p: int, c_n: int) -> float:
     return ((c_p - mu) ** 2 + (c_n - mu) ** 2) / mu
 
 
-def significant_words(corpus: Corpus, min_count: int = 10, min_chi2: float = 1.0) -> frozenset[str]:
-    """Words with at least ``min_count`` occurrences and chi-square >= ``min_chi2``.
+def significant_words(corpus: Corpus) -> frozenset[str]:
+    """Words with at least 10 occurrences and a chi-square of at least 1.0.
 
     Both thresholds are inclusive.
     """
     words = set()
     for word, (c_p, c_n) in corpus.counts.items():
-        if c_p + c_n >= min_count and chi_square(c_p, c_n) >= min_chi2:
+        if c_p + c_n >= 10 and chi_square(c_p, c_n) >= 1.0:
             words.add(word)
     return frozenset(words)
 
@@ -189,22 +189,17 @@ def review_score(tokens: tuple[str, ...] | list[str], lexicon: SentimentLexicon)
     return _harmonic_mean(positives) - _harmonic_mean(negatives)
 
 
-def filter_reviews(
-    corpus: Corpus,
-    lexicon: SentimentLexicon,
-    threshold: float = 0.01,
-    max_len: int = 100,
-) -> list[tuple[Review, float]]:
+def filter_reviews(corpus: Corpus, lexicon: SentimentLexicon) -> list[tuple[Review, float]]:
     """``(review, review_score)`` pairs, in corpus order, of the reviews that qualify.
 
-    Keeps reviews with at most ``max_len`` tokens and ``|score| >
-    threshold``; longer reviews are not scored. May return an empty list.
+    Keeps reviews with at most 100 tokens and a score magnitude above
+    0.01; longer reviews are not scored. May return an empty list.
     """
     kept = []
     for review in corpus.reviews:
-        if len(review.tokens) > max_len:
+        if len(review.tokens) > 100:
             continue
         score = review_score(review.tokens, lexicon)
-        if abs(score) > threshold:
+        if abs(score) > 0.01:
             kept.append((review, score))
     return kept

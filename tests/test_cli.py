@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import synth
-from domainsim import cli, corpus, lexstats
+from domainsim import cli, corpus, evaluation, lexstats
 from domainsim import embedding_metrics as emb
 from domainsim.cdsa_baseline import chart, train_eval_baseline, write_chart_csv
 from domainsim.cli import main
@@ -266,6 +266,15 @@ def test_chart_generates_its_matrix_with_the_baseline(tmp_path):
     assert (out / "recommendation_chart.csv").read_bytes() == expected.read_bytes()
 
 
+def test_chart_ranks_no_target(tmp_path, monkeypatch):
+    calls = []
+    rank_sources = evaluation.rank_sources
+    monkeypatch.setattr(evaluation, "rank_sources",
+                        lambda pairs: calls.append(pairs.metric_id) or rank_sources(pairs))
+    assert main(["chart", "--out", str(tmp_path / "out")]) == 0
+    assert calls == []
+
+
 def test_baseline_command(tmp_path):
     rng = np.random.default_rng(33)
     for name, seed in (("A", 1), ("B", 2)):
@@ -426,7 +435,86 @@ def test_internal_error_maps_to_exit_two(workspace, monkeypatch, capsys):
 
 def test_bad_usage_maps_to_exit_one(capsys):
     assert main(["frobnicate"]) == 1
-    assert main(["metrics", "--k", "many"]) == 1
+    capsys.readouterr()
+    for flag, value in (("--k", "many"), ("--domains", "x"), ("--vectors", "ULM1")):
+        assert main(["metrics", flag, value]) == 1
+        assert flag in capsys.readouterr().err
+
+
+# A value for every RunConfig field in the config file, and for each field
+# the flags that override it with the value they give.
+FILE_CONFIG = {
+    "domains": {"A": "a.jsonl"}, "format": "csv", "stopwords": "stop.txt",
+    "adjectives": "adj.txt", "sentiment_lexicon": "lex.tsv", "vectors": {"ULM1": "v1"},
+    "accuracy_matrix": "matrix.csv", "metrics": ["LM1"], "k": [2], "out": "file_out", "seed": 4,
+}
+FLAG_OVERRIDES = {
+    "domains": (["--domains", "B=b.jsonl,C=c.jsonl", "--domains", "D=d.jsonl"],
+                {"B": "b.jsonl", "C": "c.jsonl", "D": "d.jsonl"}),
+    "format": (["--format", "jsonl"], "jsonl"),
+    "stopwords": (["--stopwords", "other.txt"], "other.txt"),
+    "adjectives": (["--adjectives", "other_adj.txt"], "other_adj.txt"),
+    "sentiment_lexicon": (["--sentiment-lexicon", "other.tsv"], "other.tsv"),
+    "vectors": (["--vectors", "ULM3=v3", "--vectors", "ULM4=v4"], {"ULM3": "v3", "ULM4": "v4"}),
+    "accuracy_matrix": (["--accuracy-matrix", "generate"], "generate"),
+    "metrics": (["--metrics", "LM2,NGRAM", "--metrics", "LM3"], ["LM2", "NGRAM", "LM3"]),
+    "k": (["--k", "1,3", "--k", "5"], [1, 3, 5]),
+    "out": (["--out", "flag_out"], "flag_out"),
+    "seed": (["--seed", "9"], 9),
+}
+
+
+def _resolved_config(tmp_path, monkeypatch, flags) -> dict:
+    """The config ``ingest`` resolves from FILE_CONFIG and ``flags``."""
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(FILE_CONFIG))
+    seen = []
+    monkeypatch.setattr(cli, "cmd_ingest", lambda workspace: seen.append(workspace.config))
+    assert main(["ingest", "--config", str(path), *flags]) == 0
+    return vars(seen[0])
+
+
+def test_every_config_key_has_a_flag_on_every_subcommand(monkeypatch):
+    namespaces = {}
+
+    def capture(args):
+        namespaces[args.command] = vars(args)
+        raise InputError("captured")
+
+    monkeypatch.setattr(cli.RunConfig, "load", capture)
+    for command in ("ingest", "metrics", "evaluate", "chart", "baseline"):
+        assert main([command]) == 1
+    fields = set(cli.RunConfig.__dataclass_fields__)
+    assert fields == set(FILE_CONFIG) == set(FLAG_OVERRIDES)
+    for command, namespace in namespaces.items():
+        assert fields <= set(namespace), command
+    assert len(namespaces) == 5
+
+
+def test_absent_flags_keep_the_config_file_values(tmp_path, monkeypatch):
+    assert _resolved_config(tmp_path, monkeypatch, []) == FILE_CONFIG
+
+
+@pytest.mark.parametrize("key", list(FLAG_OVERRIDES))
+def test_a_flag_overrides_its_config_key(tmp_path, monkeypatch, key):
+    flags, value = FLAG_OVERRIDES[key]
+    assert _resolved_config(tmp_path, monkeypatch, flags) == {**FILE_CONFIG, key: value}
+
+
+@pytest.mark.parametrize("flags, changed", [
+    (["--metrics", ""], {"metrics": []}),
+    (["--domains", ""], {"domains": {}}),
+    (["--vectors", ""], {"vectors": {}}),
+    (["--out", ""], {}),
+    (["--stopwords", ""], {}),
+    (["--adjectives", ""], {}),
+    (["--sentiment-lexicon", ""], {}),
+    (["--accuracy-matrix", ""], {}),
+    (["--seed", "0"], {"seed": 0}),
+])
+def test_empty_flag_values(tmp_path, monkeypatch, flags, changed):
+    assert _resolved_config(tmp_path, monkeypatch, flags) == {**FILE_CONFIG, **changed}
+
 
 
 def test_unknown_metric_and_config_keys_rejected(workspace, capsys):
@@ -632,10 +720,10 @@ def test_metrics_read_a_sentence_directory_in_one_pass_one_file_at_a_time(
         gc.collect()
         alive.append((call, sum(ref() is not None for ref in parsed)))
 
-    def recording_load(path, domain):
+    def recording_load(path):
         count_alive("load")
         loads[str(path)] += 1
-        vectors = load(path, domain)
+        vectors = load(path)
         parsed.append(weakref.ref(vectors))
         return vectors
 

@@ -13,7 +13,7 @@ from domainsim.embedding_metrics import (
     load_sentence_vectors,
     load_word_vectors,
     select_test_vectors,
-    sentence_metric,
+    sentence_metric_matrix,
     word_metric,
     word_metric_matrix,
 )
@@ -34,9 +34,9 @@ def test_load_word_vectors_basic(tmp_path):
 def test_load_word_vectors_header_consumed(tmp_path):
     path = tmp_path / "d.vec"
     path.write_text("2 2\ngood 1.0 0.0\nbad 0.0 1.0\n")
-    table = load_word_vectors(path, domain_id="dom")
+    table = load_word_vectors(path)
     assert table.dims == 2
-    assert table.domain_id == "dom"
+    assert table.domain_id == "d"
     assert len(table.entries) == 2
 
 
@@ -76,9 +76,10 @@ def test_load_word_vectors_rejects_duplicates_and_junk(tmp_path):
 def test_load_sentence_vectors_keeps_ids_and_order(tmp_path):
     path = tmp_path / "d.vec"
     path.write_text("d:0 1.0 2.0\nd:1 3.0 4.0\n")
-    vectors = load_sentence_vectors(path, "d")
+    vectors = load_sentence_vectors(path)
     assert [rid for rid, _ in vectors.vectors] == ["d:0", "d:1"]
     assert vectors.dims == 2
+    assert vectors.domain_id == "d"
 
 
 def test_angular_similarity_reference_points():
@@ -177,20 +178,30 @@ def test_word_metric_ranking_invariant_under_rotation():
 
 def test_sentence_metric_values():
     s1 = SentenceVectorSet("a", 2, (("a:0", np.array([1.0, 0.0])), ("a:1", np.array([0.0, 1.0]))))
-    assert abs(sentence_metric(s1, s1) - 1.0) < 1e-12
     s2 = SentenceVectorSet("b", 2, (("b:0", np.array([1.0, 1.0])),))
-    # Mean of s1 is (0.5, 0.5), parallel to (1, 1).
-    assert abs(sentence_metric(s1, s2) - 1.0) < 1e-12
     s3 = SentenceVectorSet("c", 2, (("c:0", np.array([1.0, 0.0])),))
     s4 = SentenceVectorSet("d", 2, (("d:0", np.array([0.0, 1.0])),))
-    assert abs(sentence_metric(s3, s4) - 0.5) < 1e-12
+    values = sentence_metric_matrix([s1, s1, s2, s3, s4])
+    assert abs(values[0, 1] - 1.0) < 1e-12
+    # Mean of s1 is (0.5, 0.5), parallel to (1, 1).
+    assert abs(values[0, 2] - 1.0) < 1e-12
+    assert abs(values[3, 4] - 0.5) < 1e-12
 
 
 def test_sentence_metric_zero_mean_unrankable():
     s1 = SentenceVectorSet("a", 2, (("a:0", np.array([1.0, 0.0])), ("a:1", np.array([-1.0, 0.0]))))
     s2 = SentenceVectorSet("b", 2, (("b:0", np.array([1.0, 1.0])),))
-    with pytest.raises(UnrankablePairError):
-        sentence_metric(s1, s2)
+    s3 = SentenceVectorSet("c", 2, (("c:0", np.array([0.0, 1.0])),))
+    values = sentence_metric_matrix([s1, s2, s3])
+    assert np.isnan(values[0, 1]) and np.isnan(values[1, 0])
+    assert np.isnan(values[0, 2]) and np.isnan(values[2, 0])
+    assert abs(values[1, 2] - 0.75) < 1e-12
+
+
+def test_sentence_metric_matrix_rejects_an_empty_set():
+    s1 = SentenceVectorSet("a", 2, (("a:0", np.array([1.0, 0.0])),))
+    with pytest.raises(InputError, match="sentence vector set for e is empty"):
+        sentence_metric_matrix([s1, SentenceVectorSet("e", 2, ())])
 
 
 def _scored_corpus(n, strong_positions=()):

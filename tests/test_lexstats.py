@@ -39,20 +39,6 @@ def test_polar_words_threshold_boundary_inclusive():
     assert polar_words(table) == {"edge", "hard"}
 
 
-def test_polar_words_monotone_in_threshold():
-    rng = np.random.default_rng(7)
-    entries = {}
-    for i in range(60):
-        p = float(rng.random())
-        entries[f"w{i}"] = (p, 1.0 - p)
-    table = PolarityTable("d", entries)
-    previous = polar_words(table, 0.0)
-    for threshold in (0.2, 0.4, 0.6, 0.8, 1.0):
-        current = polar_words(table, threshold)
-        assert current <= previous
-        previous = current
-
-
 def test_chi_square_values():
     assert chi_square(5, 5) == 0.0
     assert abs(chi_square(10, 0) - 10.0) < 1e-9
