@@ -2,7 +2,6 @@
 cross-domain sentiment transfer."""
 
 from .cdsa_baseline import (
-    AccuracyMatrix,
     ChartRow,
     chart,
     load_accuracy_matrix,
@@ -46,8 +45,6 @@ from .labelled_metrics import (
     lm4_entropy_change,
 )
 from .lexstats import (
-    PolarityTable,
-    SentimentLexicon,
     chi_square,
     filter_reviews,
     load_sentiment_lexicon_tsv,

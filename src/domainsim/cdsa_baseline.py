@@ -1,5 +1,9 @@
 """Cross-domain accuracy matrices and the recommendation chart.
 
+An accuracy matrix is a ``PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, ...)``
+of accuracies (%), rows sources and columns targets; its diagonal holds
+in-domain accuracy, which the chart reads and ranking never does.
+
 A bundled reference matrix for 20 review domains (D1..D20) ships with the
 package; a lightweight hashed bag-of-words logistic baseline can generate a
 matrix for arbitrary corpora so the full pipeline runs end to end. The
@@ -22,6 +26,7 @@ import numpy as np
 
 from .corpus import POSITIVE, Corpus
 from .errors import InputError
+from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 FEATURE_DIM = 1 << 16
 TARGET_SPLIT_SIZE = 2000
@@ -29,31 +34,13 @@ EPOCHS = 4
 LEARNING_RATE = 0.5
 
 
-class AccuracyMatrix:
-    """N x N cross-domain accuracies (%); rows are sources, columns targets."""
+def load_accuracy_matrix(path: str | Path) -> PairMatrix:
+    """Load an accuracy matrix CSV: header of domain ids, one row per source.
 
-    def __init__(self, domains: Sequence[str], acc: np.ndarray):
-        domains = tuple(domains)
-        acc = np.asarray(acc, dtype=np.float64)
-        if len(domains) < 2:
-            raise InputError("accuracy matrix needs at least 2 domains")
-        if len(set(domains)) != len(domains):
-            raise InputError("duplicate domain ids in accuracy matrix")
-        if acc.shape != (len(domains), len(domains)):
-            raise InputError(
-                f"accuracy matrix shape {acc.shape} does not match {len(domains)} domains"
-            )
-        if not np.all(np.isfinite(acc)):
-            raise InputError(f"accuracy value not finite: {acc[~np.isfinite(acc)][0]}")
-        if np.any(acc < 0.0) or np.any(acc > 100.0):
-            bad = acc[(acc < 0.0) | (acc > 100.0)][0]
-            raise InputError(f"accuracy value out of range [0, 100]: {bad}")
-        self.domains = domains
-        self.acc = acc
-
-
-def load_accuracy_matrix(path: str | Path) -> AccuracyMatrix:
-    """Load an accuracy matrix CSV: header of domain ids, one row per source."""
+    Rejects, naming file and line, fewer than 2 domains, a repeated domain
+    or row, a row of the wrong length and a cell that is not a finite
+    number in [0, 100]; then rows that name other domains than the header.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"accuracy matrix file not found: {path}")
@@ -63,16 +50,17 @@ def load_accuracy_matrix(path: str | Path) -> AccuracyMatrix:
     if len(rows) < 2:
         raise InputError(f"{path}: matrix CSV needs a header and at least one row")
     domains = tuple(h.strip() for h in rows[0][1][1:])
+    if len(domains) < 2:
+        raise InputError(f"{path}, line {rows[0][0]}: accuracy matrix needs at least 2 domains")
     if len(set(domains)) != len(domains):
-        raise InputError(f"{path}: duplicate domain ids in header")
+        raise InputError(f"{path}, line {rows[0][0]}: duplicate domain ids in header")
     by_source: dict[str, tuple[int, list[str]]] = {}
     for line, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(domains) + 1:
-            raise InputError(
-                f"{path}: row for {row[0]!r} has {len(row) - 1} cells, expected {len(domains)}"
-            )
+            raise InputError(f"{path}, line {line}: row for {row[0]!r} has {len(row) - 1} cells,"
+                             f" expected {len(domains)}")
         source = row[0].strip()
         if source in by_source:
             raise InputError(f"{path}, line {line}: repeated row for {source!r}"
@@ -96,19 +84,22 @@ def load_accuracy_matrix(path: str | Path) -> AccuracyMatrix:
                 ) from None
             if not math.isfinite(value):
                 raise InputError(f"{path}, line {line}: non-finite cell {cell!r} in row {source}")
+            if not 0.0 <= value <= 100.0:
+                raise InputError(f"{path}, line {line}: cell {cell!r} in row {source}"
+                                 " out of range [0, 100]")
             acc[i, j] = value
-    return AccuracyMatrix(domains, acc)
+    return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc)
 
 
-def write_accuracy_matrix_csv(matrix: AccuracyMatrix, path: str | Path) -> None:
+def write_accuracy_matrix_csv(matrix: PairMatrix, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["domain", *matrix.domains])
         for i, source in enumerate(matrix.domains):
-            writer.writerow([source, *(f"{v:.2f}" for v in matrix.acc[i])])
+            writer.writerow([source, *(f"{v:.2f}" for v in matrix.values[i])])
 
 
-def reference_accuracy_matrix() -> AccuracyMatrix:
+def reference_accuracy_matrix() -> PairMatrix:
     """The bundled 20-domain reference accuracy matrix."""
     with resources.as_file(
         resources.files("domainsim.data").joinpath("reference_cdsa_accuracy.csv")
@@ -127,7 +118,7 @@ class ChartRow:
     best_target: str
 
 
-def chart(matrix: AccuracyMatrix) -> list[ChartRow]:
+def chart(matrix: PairMatrix) -> list[ChartRow]:
     """Recommendation chart: in-domain accuracy, average degradation, best pairs.
 
     The average degradation of a domain is its in-domain accuracy minus the
@@ -135,7 +126,7 @@ def chart(matrix: AccuracyMatrix) -> list[ChartRow]:
     target is the argmax of its column, best target for a source the argmax
     of its row, diagonal excluded, ties broken by the lower domain index.
     """
-    acc = matrix.acc
+    acc = matrix.values
     n = len(matrix.domains)
     off_diag = ~np.eye(n, dtype=bool)
     masked = np.where(off_diag, acc, -np.inf)
@@ -290,7 +281,7 @@ def train_eval_baseline(
     corpora: Sequence[Corpus],
     splits: int = 5,
     seed: int = 0,
-) -> AccuracyMatrix:
+) -> PairMatrix:
     """Cross-domain accuracy matrix from a hashed bag-of-words logistic model.
 
     Diagonal entries use a k-fold in-domain protocol; off-diagonal entries
@@ -388,4 +379,4 @@ def train_eval_baseline(
             folds = fold_of[rows]
             hits = np.bincount(folds[correct(s * (splits + 1) + splits, rows)], minlength=splits)
             acc[s, t] = 100.0 * float(np.mean(hits / np.bincount(folds, minlength=splits)))
-    return AccuracyMatrix(domains, acc)
+    return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc)

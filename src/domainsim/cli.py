@@ -29,7 +29,6 @@ from . import corpus as corpus_mod
 from . import embedding_metrics as emb
 from . import labelled_metrics as lm
 from .cdsa_baseline import (
-    AccuracyMatrix,
     ChartRow,
     chart,
     load_accuracy_matrix,
@@ -422,7 +421,7 @@ def cmd_metrics(workspace: Workspace) -> None:
         print(f"wrote {path} ({len(domains) * (len(domains) - 1)} pairs)")
 
 
-def _resolve_matrix(workspace: Workspace) -> AccuracyMatrix:
+def _resolve_matrix(workspace: Workspace) -> PairMatrix:
     config = workspace.config
     if config.accuracy_matrix in (None, "", "reference"):
         return reference_accuracy_matrix()
@@ -439,10 +438,10 @@ def cmd_evaluate(workspace: Workspace) -> None:
         metric: read_metric_csv(out_dir / f"metric_{metric}.csv", metric, matrix.domains)
         for metric in config.metrics
     }
-    chart_rows, reports = recommendation_report(matrix, pairs_by_metric, config.k)
+    reports = recommendation_report(matrix, pairs_by_metric, config.k)
     if not reports:
         print("no metrics selected; writing chart only")
-    _write_reports(out_dir, chart_rows, reports)
+    _write_reports(out_dir, chart(matrix), reports)
     print(f"wrote recommendation chart and {len(reports)} evaluation rows to {out_dir}")
 
 

@@ -1,13 +1,13 @@
 """Source-domain rankings and their evaluation against an accuracy matrix.
 
 For each target domain a metric induces a ranking of candidate sources, a
-tuple of domain ids best first; the ground truth ranks sources by their
-cross-domain accuracy on that target. ``rank_sources`` is the one place
-that ranks: it takes every target's ranking from ``PairMatrix.ranking``,
-for each metric and for the truth alike. Rankings are scored with
-precision at K (top-K intersection size) and ranking accuracy
-(exact-position matches within the top K), aggregated over all targets
-and normalized.
+tuple of domain ids best first; the ground truth, the accuracy matrix, is
+a ``PairMatrix`` that ranks sources by their cross-domain accuracy on that
+target. ``rank_sources`` is the one place that ranks: it takes every
+target's ranking from ``PairMatrix.ranking``, for each metric and for the
+truth alike. Rankings are scored with precision at K (top-K intersection
+size) and ranking accuracy (exact-position matches within the top K),
+aggregated over all targets and normalized.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .cdsa_baseline import AccuracyMatrix, ChartRow, chart
+from .cdsa_baseline import ChartRow
 from .errors import InputError
-from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
+from .pairs import PairMatrix
 
 
 @dataclass(frozen=True)
@@ -86,21 +86,19 @@ def aggregate(
 
 
 def recommendation_report(
-    matrix: AccuracyMatrix,
+    matrix: PairMatrix,
     pairs_by_metric: Mapping[str, PairMatrix],
     ks: Sequence[int],
-) -> tuple[list[ChartRow], list[EvalReport]]:
-    """Chart rows plus per-metric evaluation reports for each K.
+) -> list[EvalReport]:
+    """Each metric's evaluation report for each K, against the accuracy ``matrix``.
 
     Each metric's domains must be the matrix's, in the same order, because
-    domain order breaks ranking ties.
+    domain order breaks ranking ties. With no metrics there is nothing to
+    score: no K is checked and the truth is not ranked.
     """
-    n = len(matrix.domains)
-    for k in ks:
-        if not 1 <= k <= n - 1:
-            raise InputError(f"K exceeds N-1: K={k}, N-1={n - 1}")
-    chart_rows = chart(matrix)
-    truths = rank_sources(PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, matrix.domains, matrix.acc))
+    if not pairs_by_metric:
+        return []
+    truths = rank_sources(matrix)
     reports = []
     for metric_id, pairs in pairs_by_metric.items():
         if pairs.domains != matrix.domains:
@@ -108,7 +106,7 @@ def recommendation_report(
         predictions = rank_sources(pairs)
         for k in ks:
             reports.append(aggregate(metric_id, truths, predictions, k))
-    return chart_rows, reports
+    return reports
 
 
 def write_eval_csv(reports: Sequence[EvalReport], path: str | Path) -> None:

@@ -18,12 +18,7 @@ import numpy as np
 
 from .corpus import Corpus, NgramIndex
 from .errors import InputError, UnrankablePairError
-from .lexstats import (
-    PolarityTable,
-    clamp_probability,
-    polar_words,
-    polarity_table,
-)
+from .lexstats import clamp_probability, polar_words, polarity_table
 
 # Entropy weights per n-gram order: unigrams unweighted, higher orders
 # weight polar-containing n-grams by 5 and the rest by 1/5.
@@ -44,18 +39,16 @@ def jaccard(common: int, w1: int, w2: int) -> float:
     return common / (w1 + w2 - common)
 
 
-def _common_polar(table_s: PolarityTable, table_t: PolarityTable) -> tuple[set[str], float]:
+def _common_polar(table_s: dict, table_t: dict) -> tuple[set[str], float]:
+    # jaccard raises UnrankablePairError when no polar word is common.
     polar_s = polar_words(table_s)
     polar_t = polar_words(table_t)
     common = polar_s & polar_t
-    if not common:
-        raise UnrankablePairError(
-            f"no common polar words between {table_s.domain_id} and {table_t.domain_id}"
-        )
     return common, jaccard(len(common), len(polar_s), len(polar_t))
 
 
-def lm2_skld(table_s: PolarityTable, table_t: PolarityTable) -> float:
+def lm2_skld(table_s: dict[str, tuple[float, float]],
+             table_t: dict[str, tuple[float, float]]) -> float:
     """Mean symmetric KL divergence over common polar words, plus 1/J.
 
     Probabilities are clamped away from 0 and 1 before the logarithms.
@@ -73,7 +66,8 @@ def lm2_skld(table_s: PolarityTable, table_t: PolarityTable) -> float:
     return total / len(common) + 1.0 / j
 
 
-def lm3_chameleon(table_s: PolarityTable, table_t: PolarityTable) -> float:
+def lm3_chameleon(table_s: dict[str, tuple[float, float]],
+                  table_t: dict[str, tuple[float, float]]) -> float:
     """Mean L1 distance between (P, N) vectors of common polar words, plus 1/J.
 
     Captures words whose polarity orientation drifts between the domains.

@@ -2,13 +2,12 @@
 
 Covers polarity probabilities per word, polar-word extraction, chi-square
 word significance, and lexicon-based review scoring used to filter reviews
-for the sentence-vector metrics.
+for the sentence-vector metrics. A polarity table is a dict word -> (P, N);
+a sentiment lexicon is a dict word -> pos_score - neg_score, made at load.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Corpus, Review
@@ -26,33 +25,22 @@ def clamp_probability(p: float) -> float:
     return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
-@dataclass(frozen=True)
-class PolarityTable:
-    """Per-word (P, N) probabilities for one domain, with P + N = 1.
+def polarity_table(corpus: Corpus) -> dict[str, tuple[float, float]]:
+    """Per-word (P, N) probabilities from raw token occurrences per label, with P + N = 1.
 
     P is the fraction of the word's occurrences that fall in positive
     reviews.
     """
-
-    domain_id: str
-    entries: dict[str, tuple[float, float]]
-
-    def __getitem__(self, word: str) -> tuple[float, float]:
-        return self.entries[word]
-
-
-def polarity_table(corpus: Corpus) -> PolarityTable:
-    """Build the per-word polarity table for a corpus from raw token occurrences per label."""
     entries = {}
     for word, (c_p, c_n) in corpus.counts.items():
         total = c_p + c_n
         entries[word] = (c_p / total, c_n / total)
-    return PolarityTable(corpus.domain_id, entries)
+    return entries
 
 
-def polar_words(table: PolarityTable) -> set[str]:
+def polar_words(table: dict[str, tuple[float, float]]) -> set[str]:
     """Words whose positive/negative probabilities differ by at least ``POLAR_THRESHOLD``."""
-    return {w for w, (p, n) in table.entries.items() if abs(p - n) >= POLAR_THRESHOLD}
+    return {w for w, (p, n) in table.items() if abs(p - n) >= POLAR_THRESHOLD}
 
 
 def chi_square(c_p: int, c_n: int) -> float:
@@ -80,33 +68,26 @@ def significant_words(corpus: Corpus) -> frozenset[str]:
     return frozenset(words)
 
 
-@dataclass(frozen=True)
-class SentimentLexicon:
-    """Word -> (pos_score, neg_score) in [0, 1], aggregated over senses."""
-
-    entries: dict[str, tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise InputError("sentiment lexicon has no entries")
-        for word, (pos, neg) in self.entries.items():
-            if not (0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0):
-                raise InputError(f"lexicon scores for {word!r} outside [0, 1]: ({pos}, {neg})")
-
-    def signed_score(self, word: str) -> float | None:
-        """pos_score - neg_score, or None for words not in the lexicon."""
-        entry = self.entries.get(word)
-        if entry is None:
-            return None
-        return entry[0] - entry[1]
+def _scores(pos: str, neg: str, where: str) -> tuple[float, float]:
+    """A lexicon line's (pos_score, neg_score), each a number in [0, 1]."""
+    try:
+        scores = float(pos), float(neg)
+    except ValueError:
+        raise InputError(f"{where}: non-numeric score") from None
+    if not all(0.0 <= score <= 1.0 for score in scores):
+        raise InputError(f"{where}: scores ({pos}, {neg}) outside [0, 1]")
+    return scores
 
 
-def load_sentiment_lexicon_tsv(path: str | Path) -> SentimentLexicon:
-    """Load a pre-aggregated lexicon: TSV columns word, pos_score, neg_score."""
+def load_sentiment_lexicon_tsv(path: str | Path) -> dict[str, float]:
+    """Load a pre-aggregated lexicon: TSV columns word, pos_score, neg_score.
+
+    Returns word -> pos_score - neg_score; a repeated word keeps its last line.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"lexicon file not found: {path}")
-    entries: dict[str, tuple[float, float]] = {}
+    lexicon: dict[str, float] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -115,22 +96,20 @@ def load_sentiment_lexicon_tsv(path: str | Path) -> SentimentLexicon:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise InputError(f"{path}, line {lineno}: expected 3 tab-separated columns")
-            word = parts[0].strip().lower()
-            try:
-                pos, neg = float(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise InputError(f"{path}, line {lineno}: non-numeric score") from exc
-            entries[word] = (pos, neg)
-    return SentimentLexicon(entries)
+            pos, neg = _scores(parts[1], parts[2], f"{path}, line {lineno}")
+            lexicon[parts[0].strip().lower()] = pos - neg
+    if not lexicon:
+        raise InputError(f"{path}: sentiment lexicon has no entries")
+    return lexicon
 
 
-def load_sentiwordnet(path: str | Path) -> SentimentLexicon:
+def load_sentiwordnet(path: str | Path) -> dict[str, float]:
     """Load the standard SentiWordNet 3.0 distribution format.
 
     Lines are ``POS<TAB>ID<TAB>PosScore<TAB>NegScore<TAB>SynsetTerms<TAB>Gloss``
     with ``#`` comment lines; synset terms carry ``#<sense-rank>`` suffixes.
     Scores are averaged over every sense of a word regardless of part of
-    speech.
+    speech; returns word -> mean pos_score - mean neg_score.
     """
     path = Path(path)
     if not path.is_file():
@@ -144,10 +123,7 @@ def load_sentiwordnet(path: str | Path) -> SentimentLexicon:
             parts = line.split("\t")
             if len(parts) < 5:
                 raise InputError(f"{path}, line {lineno}: expected at least 5 tab-separated columns")
-            try:
-                pos, neg = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise InputError(f"{path}, line {lineno}: non-numeric score") from exc
+            pos, neg = _scores(parts[2], parts[3], f"{path}, line {lineno}")
             for term in parts[4].split():
                 word = term.rsplit("#", 1)[0].strip().lower()
                 if not word:
@@ -156,8 +132,9 @@ def load_sentiwordnet(path: str | Path) -> SentimentLexicon:
                 acc[0] += pos
                 acc[1] += neg
                 acc[2] += 1.0
-    entries = {w: (s[0] / s[2], s[1] / s[2]) for w, s in sums.items()}
-    return SentimentLexicon(entries)
+    if not sums:
+        raise InputError(f"{path}: sentiment lexicon has no entries")
+    return {w: s[0] / s[2] - s[1] / s[2] for w, s in sums.items()}
 
 
 def _harmonic_mean(values: list[float]) -> float:
@@ -167,10 +144,10 @@ def _harmonic_mean(values: list[float]) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
-def review_score(tokens: tuple[str, ...] | list[str], lexicon: SentimentLexicon) -> float:
+def review_score(tokens: tuple[str, ...] | list[str], lexicon: dict[str, float]) -> float:
     """Sentiment score in [-1, 1] for a token list.
 
-    Each lexicon-covered word gets a signed score (pos - neg); the review
+    Each lexicon-covered word has a signed score (pos - neg); the review
     score is the harmonic mean of the positive word scores minus the
     harmonic mean of the magnitudes of the negative ones. Words scoring 0 or
     absent from the lexicon contribute nothing; a review with no
@@ -179,8 +156,8 @@ def review_score(tokens: tuple[str, ...] | list[str], lexicon: SentimentLexicon)
     positives: list[float] = []
     negatives: list[float] = []
     for token in tokens:
-        s = lexicon.signed_score(token)
-        if s is None or s == 0.0:
+        s = lexicon.get(token)
+        if not s:
             continue
         if s > 0:
             positives.append(s)
@@ -189,7 +166,7 @@ def review_score(tokens: tuple[str, ...] | list[str], lexicon: SentimentLexicon)
     return _harmonic_mean(positives) - _harmonic_mean(negatives)
 
 
-def filter_reviews(corpus: Corpus, lexicon: SentimentLexicon) -> list[tuple[Review, float]]:
+def filter_reviews(corpus: Corpus, lexicon: dict[str, float]) -> list[tuple[Review, float]]:
     """``(review, review_score)`` pairs, in corpus order, of the reviews that qualify.
 
     Keeps reviews with at most 100 tokens and a score magnitude above

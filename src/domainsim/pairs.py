@@ -3,8 +3,9 @@
 A ``PairMatrix`` holds ``values[source, target]`` as an N×N float64 array
 over its domains. NaN means the pair is unrankable: the metric has no value
 for it. In a metric CSV the empty value cell is the only way to write NaN;
-a ``nan`` or ``inf`` text is a malformed file. The diagonal is NaN and
-never read.
+a ``nan`` or ``inf`` text is a malformed file. Ranking never reads the
+diagonal: a metric leaves it NaN, and the truth, the accuracy matrix,
+holds in-domain accuracy there.
 
 Ranking rule: for a target, the other domains are ordered best first by
 value in the metric's direction; equal values keep domain order, and

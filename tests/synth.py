@@ -15,7 +15,6 @@ import numpy as np
 
 from domainsim.corpus import Corpus, Review
 from domainsim.embedding_metrics import AdjectiveLexicon, SentenceVectorSet, WordVectorTable
-from domainsim.lexstats import SentimentLexicon
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -125,8 +124,8 @@ def synthetic_sentence_sets(
     return sets
 
 
-def synthetic_lexicon(seed: int = 7) -> SentimentLexicon:
-    """Pool words scored towards their side on a 0.05 grid, so equal review scores are common."""
+def _lexicon_scores(seed: int) -> dict[str, tuple[float, float]]:
+    """Pool words' (pos_score, neg_score), towards their side on a 0.05 grid."""
     rng = np.random.default_rng(seed)
     _, pos, neg = _pools()
     entries = {}
@@ -135,7 +134,12 @@ def synthetic_lexicon(seed: int = 7) -> SentimentLexicon:
             strong = float(rng.integers(5, 21)) / 20.0
             weak = float(rng.integers(0, 5)) / 20.0
             entries[word] = (strong, weak) if side == 0 else (weak, strong)
-    return SentimentLexicon(entries)
+    return entries
+
+
+def synthetic_lexicon(seed: int = 7) -> dict[str, float]:
+    """Pool words' signed scores, as the lexicon loaders make them; equal review scores are common."""
+    return {word: pos - neg for word, (pos, neg) in _lexicon_scores(seed).items()}
 
 
 def write_vector_inputs(
@@ -147,8 +151,8 @@ def write_vector_inputs(
     """Write the inputs of the vector metrics for ``data``'s domains under ``directory``.
 
     Returns paths keyed ``adjectives`` (the sentiment pool words), ``lexicon``
-    (a TSV of ``synthetic_lexicon(seed)``), and ``words`` and ``sentences``,
-    directories holding one ``<domain>.vec`` file per domain.
+    (a TSV that loads as ``synthetic_lexicon(seed)``), and ``words`` and
+    ``sentences``, directories holding one ``<domain>.vec`` file per domain.
     """
     corpora = build_corpora(data)
     adjectives = AdjectiveLexicon(sentiment_pool_words())
@@ -157,9 +161,8 @@ def write_vector_inputs(
     paths["words"].mkdir(parents=True, exist_ok=True)
     paths["sentences"].mkdir(exist_ok=True)
     paths["adjectives"].write_text("\n".join(sorted(adjectives.words)) + "\n", encoding="utf-8")
-    lexicon = synthetic_lexicon(seed)
     paths["lexicon"].write_text("".join(
-        f"{word}\t{pos!r}\t{neg!r}\n" for word, (pos, neg) in lexicon.entries.items()
+        f"{word}\t{pos!r}\t{neg!r}\n" for word, (pos, neg) in _lexicon_scores(seed).items()
     ), encoding="utf-8")
     files = [(paths["words"] / f"{t.domain_id}.vec", t.entries.items())
              for t in synthetic_word_tables(corpora, adjectives, dims, seed)]

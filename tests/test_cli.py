@@ -227,18 +227,27 @@ def test_evaluate_domain_mismatch_lists_difference(workspace, capsys):
     assert "Z" in err and "C" in err
 
 
-def test_evaluate_without_metrics_emits_chart_only(workspace, capsys):
-    tmp_path, config = workspace
+def test_evaluate_without_metrics_emits_chart_only(tmp_path, monkeypatch, capsys):
+    # The default K values exceed N-1 = 2, which matters only when a metric is scored.
+    calls = []
+    rank_sources = evaluation.rank_sources
+    monkeypatch.setattr(evaluation, "rank_sources",
+                        lambda pairs: calls.append(pairs.metric_id) or rank_sources(pairs))
     matrix_path = tmp_path / "matrix.csv"
     _matrix_csv(matrix_path, ["A", "B", "C"],
                 [[90, 70, 60], [65, 88, 72], [71, 69, 91]])
-    code = main(["evaluate", "--config", str(config), "--metrics", "",
-                 "--accuracy-matrix", str(matrix_path)])
+    code = main(["evaluate", "--metrics", "", "--accuracy-matrix", str(matrix_path),
+                 "--out", str(tmp_path / "evaluate")])
     assert code == 0
-    out = tmp_path / "out"
-    assert (out / "recommendation_chart.csv").is_file()
-    assert not (out / "eval_report.csv").is_file()
     assert "chart only" in capsys.readouterr().out
+    assert calls == []
+    assert main(["chart", "--accuracy-matrix", str(matrix_path),
+                 "--out", str(tmp_path / "chart")]) == 0
+    for out in ("evaluate", "chart"):
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == [
+            "recommendation_chart.csv", "recommendation_report.md"]
+    for name in ("recommendation_chart.csv", "recommendation_report.md"):
+        assert (tmp_path / "evaluate" / name).read_bytes() == (tmp_path / "chart" / name).read_bytes()
 
 
 def test_chart_command_uses_bundled_reference(tmp_path):

@@ -18,7 +18,7 @@ from domainsim.embedding_metrics import (
     word_metric_matrix,
 )
 from domainsim.errors import InputError, UnrankablePairError
-from domainsim.lexstats import SentimentLexicon, filter_reviews
+from domainsim.lexstats import filter_reviews
 
 
 def test_load_word_vectors_basic(tmp_path):
@@ -212,7 +212,7 @@ def _scored_corpus(n, strong_positions=()):
     return build_corpus("d", rows)
 
 
-SCORING = SentimentLexicon({"strong": (0.9, 0.0), "mild": (0.2, 0.0)})
+SCORING = {"strong": 0.9, "mild": 0.2}
 
 
 def _qualifying(corpus):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from domainsim.cdsa_baseline import AccuracyMatrix, reference_accuracy_matrix
+from domainsim.cdsa_baseline import chart, reference_accuracy_matrix
 from domainsim.errors import InputError
 from domainsim.evaluation import (
     aggregate,
@@ -36,9 +36,8 @@ def constant_pairs(metric_id, direction, domains, value):
     return PairMatrix(metric_id, direction, domains, matrix)
 
 
-def truth_rankings(matrix):
-    """Every target's sources by accuracy, best first, as ``recommendation_report`` ranks them."""
-    return rank_sources(PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, matrix.domains, matrix.acc))
+def accuracy_matrix(domains, acc):
+    return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc)
 
 
 def test_rank_sources_lower_is_better():
@@ -63,22 +62,22 @@ def test_rank_sources_unrankable_last_in_index_order():
 
 def test_truth_ranking_reference_fixture_head():
     matrix = reference_accuracy_matrix()
-    assert truth_rankings(matrix)["D1"][0] == "D10"
+    assert rank_sources(matrix)["D1"][0] == "D10"
 
 
 def test_truth_ranking_small_cases():
-    matrix = AccuracyMatrix(("A", "B", "C"), np.array([
+    matrix = accuracy_matrix(("A", "B", "C"), np.array([
         [90.0, 1.0, 2.0],
         [70.0, 90.0, 3.0],
         [80.0, 4.0, 90.0],
     ]))
-    assert truth_rankings(matrix)["A"] == ("C", "B")
-    equal = AccuracyMatrix(("A", "B", "C"), np.array([
+    assert rank_sources(matrix)["A"] == ("C", "B")
+    equal = accuracy_matrix(("A", "B", "C"), np.array([
         [90.0, 1.0, 2.0],
         [70.0, 90.0, 3.0],
         [70.0, 4.0, 90.0],
     ]))
-    assert truth_rankings(equal)["A"] == ("B", "C")
+    assert rank_sources(equal)["A"] == ("B", "C")
 
 
 def test_precision_at_k():
@@ -132,7 +131,7 @@ def test_scores_invariant_under_monotone_value_transform():
 def test_aggregate_reference_granularity_points():
     # 20 targets, K=3: 27 total intersections -> 45.00%; 12 positional -> 0.200.
     matrix = reference_accuracy_matrix()
-    truths = truth_rankings(matrix)
+    truths = rank_sources(matrix)
     preds = {}
     total_p = 0
     ra_total = 0
@@ -154,10 +153,10 @@ def test_aggregate_reference_granularity_points():
 
 def test_aggregate_self_consistency():
     rng = np.random.default_rng(24)
-    matrix = AccuracyMatrix(
+    matrix = accuracy_matrix(
         tuple(f"d{i}" for i in range(6)), rng.uniform(50, 95, size=(6, 6))
     )
-    preds = truth_rankings(matrix)
+    preds = rank_sources(matrix)
     for k in (1, 2, 3, 5):
         report = aggregate("LM1", preds, preds, k)
         assert report.precision_pct == 100.0
@@ -165,9 +164,9 @@ def test_aggregate_self_consistency():
 
 
 def test_aggregate_requires_all_targets():
-    matrix = AccuracyMatrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
+    matrix = accuracy_matrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
     with pytest.raises(InputError, match="missing prediction"):
-        aggregate("LM1", truth_rankings(matrix), {}, 1)
+        aggregate("LM1", rank_sources(matrix), {}, 1)
 
 
 def test_recommendation_report_shapes():
@@ -175,46 +174,46 @@ def test_recommendation_report_shapes():
     values = np.array([[float(len(source))] * 20 for source in matrix.domains])
     np.fill_diagonal(values, np.nan)
     pairs = PairMatrix("LM1", HIGHER_IS_MORE_SIMILAR, matrix.domains, values)
-    chart_rows, reports = recommendation_report(matrix, {"LM1": pairs}, (3, 5, 7, 10))
-    assert len(chart_rows) == 20
+    reports = recommendation_report(matrix, {"LM1": pairs}, (3, 5, 7, 10))
     assert [r.k for r in reports] == [3, 5, 7, 10]
     assert all(r.metric_id == "LM1" for r in reports)
 
 
 def test_recommendation_report_rejects_large_k():
     rng = np.random.default_rng(25)
-    matrix = AccuracyMatrix(
+    matrix = accuracy_matrix(
         tuple(f"d{i}" for i in range(8)), rng.uniform(50, 95, size=(8, 8))
     )
-    with pytest.raises(InputError, match="K exceeds N-1"):
-        recommendation_report(matrix, {}, ks=(10,))
+    pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, matrix.domains, 0.5)
+    with pytest.raises(InputError, match="K exceeds N-1: K=8, N-1=7"):
+        recommendation_report(matrix, {"NGRAM": pairs}, ks=(7, 8))
 
 
 def test_recommendation_report_chart_only():
-    matrix = AccuracyMatrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
-    chart_rows, reports = recommendation_report(matrix, {}, ks=(1,))
-    assert len(chart_rows) == 2 and reports == []
-    text = build_markdown_report(chart_rows, reports)
+    # No metric: nothing is scored, so no K is checked, not even one past N-1.
+    matrix = accuracy_matrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
+    assert recommendation_report(matrix, {}, ks=(1, 5)) == []
+    text = build_markdown_report(chart(matrix), [])
     assert "No metrics selected" in text
 
 
 def test_markdown_report_contains_tables():
-    matrix = AccuracyMatrix(("A", "B", "C"), np.array([
+    matrix = accuracy_matrix(("A", "B", "C"), np.array([
         [90.0, 60.0, 70.0],
         [70.0, 80.0, 60.0],
         [65.0, 62.0, 85.0],
     ]))
     pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, matrix.domains, 0.5)
-    chart_rows, reports = recommendation_report(matrix, {"NGRAM": pairs}, ks=(1, 2))
-    text = build_markdown_report(chart_rows, reports)
+    reports = recommendation_report(matrix, {"NGRAM": pairs}, ks=(1, 2))
+    text = build_markdown_report(chart(matrix), reports)
     assert "Best Source" in text
     assert "## NGRAM" in text
     assert "Precision (%)" in text
 
 
 def test_write_eval_csv_formats(tmp_path):
-    matrix = AccuracyMatrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
-    preds = truth_rankings(matrix)
+    matrix = accuracy_matrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
+    preds = rank_sources(matrix)
     report = aggregate("LM1", preds, preds, 1)
     path = tmp_path / "eval.csv"
     write_eval_csv([report], path)
@@ -232,7 +231,7 @@ def test_rank_sources_builds_per_target_lists():
 
 def test_recommendation_report_requires_matrix_domain_order():
     # Domain order breaks ties, so a metric in another order would rank differently.
-    matrix = AccuracyMatrix(("A", "B", "C"), np.full((3, 3), 80.0))
+    matrix = accuracy_matrix(("A", "B", "C"), np.full((3, 3), 80.0))
     pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, ("C", "B", "A"), 0.3)
     with pytest.raises(InputError, match="domains differ"):
         recommendation_report(matrix, {"NGRAM": pairs}, ks=(1,))
@@ -246,13 +245,13 @@ def test_recommendation_report_scores_match_the_brute_force_oracle():
         n = int(rng.integers(3, 10))
         domains = tuple(rng.permutation([f"d{i}" for i in range(n)]).tolist())
         acc = rng.integers(60, 60 + int(rng.integers(1, 2 * n)), size=(n, n)).astype(float)
-        matrix = AccuracyMatrix(domains, acc)
+        matrix = accuracy_matrix(domains, acc)
         values = rng.integers(0, int(rng.integers(1, 2 * n)), size=(n, n)) * 0.5
         values[rng.random((n, n)) < rng.random()] = np.nan
         cells = [[None if np.isnan(v) else float(v) for v in row] for row in values]
         for direction in (HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR):
             pairs = PairMatrix("M", direction, domains, values)
-            _, reports = recommendation_report(matrix, {"M": pairs}, tuple(range(1, n)))
+            reports = recommendation_report(matrix, {"M": pairs}, tuple(range(1, n)))
             assert [r.k for r in reports] == list(range(1, n))
             for report in reports:
                 expected = oracles.evaluation_scores(

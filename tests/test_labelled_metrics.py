@@ -18,7 +18,7 @@ from domainsim.labelled_metrics import (
     lm4_entropy_change,
     lm4_matrix,
 )
-from domainsim.lexstats import PolarityTable, polar_words, polarity_table
+from domainsim.lexstats import polar_words, polarity_table
 
 
 def sig(words):
@@ -53,40 +53,36 @@ def test_jaccard_rejects_degenerate_inputs():
         jaccard(11, 10, 10)
 
 
-def table(domain, entries):
-    return PolarityTable(domain, entries)
-
-
 def test_lm2_identical_tables_score_one():
-    t = table("s", {"up": (1.0, 0.0), "down": (0.0, 1.0)})
-    assert abs(lm2_skld(t, table("t", dict(t.entries))) - 1.0) < 1e-9
+    t = {"up": (1.0, 0.0), "down": (0.0, 1.0)}
+    assert abs(lm2_skld(t, dict(t)) - 1.0) < 1e-9
 
 
 def test_lm2_single_flipped_word():
-    t1 = table("s", {"w": (0.9, 0.1)})
-    t2 = table("t", {"w": (0.1, 0.9)})
+    t1 = {"w": (0.9, 0.1)}
+    t2 = {"w": (0.1, 0.9)}
     expected = 0.8 * math.log(9.0) + 1.0
     assert abs(lm2_skld(t1, t2) - expected) < 1e-9
 
 
 def test_lm2_symmetric():
-    t1 = table("s", {"w": (0.9, 0.1), "v": (0.1, 0.9), "u": (1.0, 0.0)})
-    t2 = table("t", {"w": (0.8, 0.2), "v": (0.05, 0.95)})
+    t1 = {"w": (0.9, 0.1), "v": (0.1, 0.9), "u": (1.0, 0.0)}
+    t2 = {"w": (0.8, 0.2), "v": (0.05, 0.95)}
     assert abs(lm2_skld(t1, t2) - lm2_skld(t2, t1)) < 1e-12
 
 
 def test_lm2_no_common_polar_words_unrankable():
-    t1 = table("s", {"w": (1.0, 0.0)})
-    t2 = table("t", {"v": (0.0, 1.0)})
+    t1 = {"w": (1.0, 0.0)}
+    t2 = {"v": (0.0, 1.0)}
     with pytest.raises(UnrankablePairError):
         lm2_skld(t1, t2)
 
 
 def test_lm3_values():
-    t = table("s", {"up": (1.0, 0.0)})
-    assert abs(lm3_chameleon(t, table("t", dict(t.entries))) - 1.0) < 1e-12
-    t1 = table("s", {"w": (0.9, 0.1)})
-    t2 = table("t", {"w": (0.1, 0.9)})
+    t = {"up": (1.0, 0.0)}
+    assert abs(lm3_chameleon(t, dict(t)) - 1.0) < 1e-12
+    t1 = {"w": (0.9, 0.1)}
+    t2 = {"w": (0.1, 0.9)}
     assert abs(lm3_chameleon(t1, t2) - 2.6) < 1e-12
     assert abs(lm3_chameleon(t1, t2) - lm3_chameleon(t2, t1)) < 1e-12
 

@@ -6,8 +6,6 @@ import pytest
 from conftest import build_corpus
 from domainsim.errors import InputError
 from domainsim.lexstats import (
-    PolarityTable,
-    SentimentLexicon,
     chi_square,
     filter_reviews,
     load_sentiment_lexicon_tsv,
@@ -31,11 +29,11 @@ def test_polarity_table_direct_ratios():
 
 
 def test_polar_words_threshold_boundary_inclusive():
-    table = PolarityTable("d", {
+    table = {
         "edge": (0.75, 0.25),
         "mild": (0.6, 0.4),
         "hard": (0.0, 1.0),
-    })
+    }
     assert polar_words(table) == {"edge", "hard"}
 
 
@@ -92,12 +90,7 @@ def test_significant_words_order_invariant():
     assert significant_words(corpus) == significant_words(shuffled)
 
 
-LEXICON = SentimentLexicon({
-    "fine": (0.5, 0.0),
-    "soso": (0.375, 0.125),
-    "grim": (0.0, 0.625),
-    "flat": (0.25, 0.25),
-})
+LEXICON = {"fine": 0.5, "soso": 0.25, "grim": -0.625, "flat": 0.0}
 
 
 def test_review_score_unknown_words_score_zero():
@@ -125,15 +118,14 @@ def test_review_score_zero_scored_words_ignored():
 def test_review_score_bounded_on_random_inputs():
     rng = np.random.default_rng(12)
     words = [f"w{i}" for i in range(30)]
-    entries = {w: (float(rng.random()), float(rng.random())) for w in words}
-    lexicon = SentimentLexicon(entries)
+    lexicon = {w: float(rng.random()) - float(rng.random()) for w in words}
     for _ in range(100):
         tokens = list(rng.choice(words, size=rng.integers(1, 15)))
         assert -1.0 <= review_score(tokens, lexicon) <= 1.0
 
 
 def test_filter_reviews_threshold_and_length():
-    lexicon = SentimentLexicon({"weak": (0.005, 0.0), "neg": (0.0, 0.5), "strong": (0.9, 0.0)})
+    lexicon = {"weak": 0.005, "neg": -0.5, "strong": 0.9}
     rows = [
         ("positive", "weak"),                  # score 0.005, inside the window
         ("negative", "neg " * 80),             # score -0.5, length 80
@@ -145,7 +137,7 @@ def test_filter_reviews_threshold_and_length():
 
 
 def test_filter_reviews_boundary_is_strict():
-    lexicon = SentimentLexicon({"exact": (0.01, 0.0)})
+    lexicon = {"exact": 0.01}
     corpus = build_corpus("d", [("positive", "exact")])
     assert filter_reviews(corpus, lexicon) == []
 
@@ -153,9 +145,7 @@ def test_filter_reviews_boundary_is_strict():
 def test_load_sentiment_lexicon_tsv(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("# comment\nGood\t0.75\t0.0\nbad\t0.0\t0.65\n")
-    lexicon = load_sentiment_lexicon_tsv(path)
-    assert lexicon.entries["good"] == (0.75, 0.0)
-    assert lexicon.signed_score("bad") == -0.65
+    assert load_sentiment_lexicon_tsv(path) == {"good": 0.75, "bad": -0.65}
 
 
 def test_load_sentiment_lexicon_tsv_errors(tmp_path):
@@ -176,13 +166,21 @@ def test_load_sentiwordnet_aggregates_senses(tmp_path):
         "a\t00002098\t1.0\t0.5\tgood#2 solid#1\tanother gloss\n"
         "n\t00003456\t0.0\t0.25\tGood#3\tnoun sense\n"
     )
-    lexicon = load_sentiwordnet(path)
-    assert lexicon.entries["good"] == (0.5, 0.25)
-    assert lexicon.entries["solid"] == (1.0, 0.5)
+    # good: (0.5 + 1.0 + 0.0) / 3 - (0.0 + 0.5 + 0.25) / 3; solid: 1.0 - 0.5.
+    assert load_sentiwordnet(path) == {"good": 0.25, "solid": 0.5}
 
 
-def test_sentiment_lexicon_validates_scores():
-    with pytest.raises(InputError, match="outside"):
-        SentimentLexicon({"w": (1.5, 0.0)})
-    with pytest.raises(InputError, match="no entries"):
-        SentimentLexicon({})
+def test_sentiment_lexicon_validates_scores(tmp_path):
+    tsv = tmp_path / "lex.tsv"
+    tsv.write_text("good\t0.5\t0.0\nodd\t1.5\t0.0\n")
+    with pytest.raises(InputError, match=r"lex\.tsv, line 2: scores \(1\.5, 0\.0\) outside \[0, 1\]"):
+        load_sentiment_lexicon_tsv(tsv)
+    swn = tmp_path / "swn.txt"
+    swn.write_text("# POS\tID\tPosScore\tNegScore\tSynsetTerms\tGloss\n"
+                   "a\t00001740\t0.5\tnan\tgood#1\tgloss\n")
+    with pytest.raises(InputError, match=r"swn\.txt, line 2: scores \(0\.5, nan\) outside"):
+        load_sentiwordnet(swn)
+    for path, load in ((tsv, load_sentiment_lexicon_tsv), (swn, load_sentiwordnet)):
+        path.write_text("# comments only\n\n")
+        with pytest.raises(InputError, match=rf"{path.name}: sentiment lexicon has no entries"):
+            load(path)

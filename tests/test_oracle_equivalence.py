@@ -51,13 +51,7 @@ from domainsim.embedding_metrics import (
 )
 from domainsim.errors import UnrankablePairError
 from domainsim.labelled_metrics import lm2_skld, lm3_chameleon, lm4_matrix
-from domainsim.lexstats import (
-    SentimentLexicon,
-    filter_reviews,
-    polar_words,
-    polarity_table,
-    review_score,
-)
+from domainsim.lexstats import filter_reviews, polar_words, polarity_table, review_score
 
 RELATIVE_TOLERANCE = 1e-9
 SEEDS = (1, 2)
@@ -219,8 +213,7 @@ def test_review_selection_matches_oracle(domains, mode, count):
 
 
 def test_review_selection_matches_oracle_on_ties_long_reviews_and_a_shortfall():
-    lexicon = SentimentLexicon({"fine": (0.5, 0.0), "grim": (0.0, 0.5), "best": (0.9, 0.0),
-                                "meh": (0.005, 0.0)})
+    lexicon = {"fine": 0.5, "grim": -0.5, "best": 0.9, "meh": 0.005}
     corpus = build_corpus("d", [
         ("positive", "fine plain"),            # 0.5
         ("negative", "grim plain"),            # -0.5, the same magnitude
@@ -260,7 +253,7 @@ def test_sentence_metric_matrix_equals_the_pair_loop(domains):
 def baseline_acc(corpora, splits=5, seed=0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return train_eval_baseline(corpora, splits=splits, seed=seed).acc
+        return train_eval_baseline(corpora, splits=splits, seed=seed).values
 
 
 @pytest.mark.parametrize("n_domains, per_domain, seed", [(20, 300, 1), (20, 300, 2), (5, 1000, 1)])
