@@ -22,8 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .corpus import POSITIVE, Corpus
 from .errors import InputError
 from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix

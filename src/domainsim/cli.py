@@ -9,6 +9,8 @@ list, while ``--out ""`` keeps the config's value. All randomness flows
 from the single configured seed, and repeated runs with the same config
 produce byte-identical CSV outputs. ``evaluate`` ranks through
 ``evaluation.rank_sources``; it and ``chart`` write their reports through one writer.
+numpy loads on first use (``_numpy``): ``ingest`` never loads it, and the
+other four commands pay for its import inside the command.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import embedding_metrics as emb
 from . import labelled_metrics as lm
+from ._numpy import np
 from .cdsa_baseline import (
     ChartRow,
     chart,
@@ -289,7 +290,7 @@ def cmd_ingest(workspace: Workspace) -> None:
             pos, neg = corpus.label_counts()
             writer.writerow(
                 [corpus.domain_id, len(corpus), pos, neg, corpus.token_count(),
-                 len(corpus.vocabulary()), "yes" if pos == neg else "no"]
+                 len(corpus.counts), "yes" if pos == neg else "no"]
             )
     print(f"wrote {out} ({len(corpora)} domains)")
 

@@ -22,8 +22,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InputError
 from .pairs import PairMatrix, mirrored
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .corpus import Corpus, Review
 from .errors import InputError, UnrankablePairError
 # Not called here: the CLI calls filter_reviews, and the benchmark traces both, by these names.

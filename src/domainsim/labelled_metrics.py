@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .corpus import Corpus, NgramIndex
 from .errors import InputError, UnrankablePairError
 from .lexstats import clamp_probability, polar_words, polarity_table

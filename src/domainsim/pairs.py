@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InputError, UnrankablePairError
 
 HIGHER_IS_MORE_SIMILAR = "higher_is_more_similar"

@@ -100,6 +100,30 @@ def test_domain_name_mismatch_exit_one(tmp_path, capsys):
     assert "contains domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, loads_numpy", [
+    (["-c", "import domainsim.cli"], False),
+    (["-m", "domainsim", "ingest"], False),
+    (["-m", "domainsim", "metrics", "--metrics", "LM4"], True),
+], ids=["import", "ingest", "metrics"])
+def test_numpy_loads_only_when_a_command_uses_it(tmp_path, command, loads_numpy):
+    # In process numpy is always loaded already (this module imports it), so
+    # only a fresh interpreter shows whether a command loads it.
+    paths = synth.write_jsonl(synth.synthetic_reviews(n_domains=2, reviews_per_domain=8, seed=5),
+                              tmp_path / "corpora")
+    if command[0] == "-m":
+        command = [*command, "--domains", ",".join(f"{d}={p}" for d, p in paths.items()),
+                   "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # -X importtime writes a line for each module the interpreter runs.
+    done = subprocess.run([sys.executable, "-X", "importtime", *command], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ran = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+           if line.startswith("import time:")}
+    assert "domainsim.cli" in ran
+    assert ("numpy._core" in ran) == loads_numpy
+
+
 def test_metrics_writes_expected_pair_counts(workspace):
     tmp_path, config = workspace
     assert main(["metrics", "--config", str(config)]) == 0

@@ -1,22 +1,28 @@
 """The CLI's output files, byte for byte, on a tiny fixed synthetic input.
 
 Runs ingest, metrics (LM1-LM4, NGRAM and ULM1-ULM7), baseline, chart and
-evaluate in process and compares the sha256 of every file they write with
-digests pinned from an earlier build of the package (x86-64, CPython 3.11,
-numpy 2.4). A refactor that keeps these bytes keeps the outputs that the
-repeated-run tests only compare run against run. A change that means to
-alter an output must update its digest here and say why.
+evaluate, once in process and once each command in a fresh ``python -m
+domainsim`` interpreter, where numpy loads partway through the command, and
+compares the sha256 of every file they write with digests pinned from an
+earlier build of the package (x86-64, CPython 3.11, numpy 2.4). A refactor
+that keeps these bytes keeps the outputs that the repeated-run tests only
+compare run against run. A change that means to alter an output must update
+its digest here and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import synth
 from domainsim.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("LM1", "LM2", "LM3", "LM4", "NGRAM", *(f"ULM{i}" for i in range(1, 8)))
 
 GOLDEN = {
@@ -43,7 +49,7 @@ GOLDEN = {
 }
 
 
-def run_pipeline(directory: Path) -> dict[str, str]:
+def run_pipeline(directory: Path, run) -> dict[str, str]:
     """sha256 of every file the five commands write, keyed ``<out dir>/<name>``."""
     data = synth.synthetic_reviews(n_domains=4, reviews_per_domain=60, seed=21)
     paths = synth.write_jsonl(data, directory / "corpora")
@@ -62,14 +68,29 @@ def run_pipeline(directory: Path) -> dict[str, str]:
         ["chart", *matrix, "--out", str(chart_out)],
         ["evaluate", *matrix, "--metrics", ",".join(METRICS), "--k", "1,2,3", "--out", str(out)],
     ]
-    with warnings.catch_warnings():
-        # Small corpora: proportional baseline splits and short review selections.
-        warnings.simplefilter("ignore", UserWarning)
-        for argv in runs:
-            assert main(argv) == 0, argv
+    for argv in runs:
+        run(argv)
     return {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted([*out.iterdir(), *chart_out.iterdir()])}
 
 
+def in_process(argv: list[str]) -> None:
+    with warnings.catch_warnings():
+        # Small corpora: proportional baseline splits and short review selections.
+        warnings.simplefilter("ignore", UserWarning)
+        assert main(argv) == 0, argv
+
+
+def in_a_fresh_interpreter(argv: list[str]) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "domainsim", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, (argv, done.stderr)
+
+
 def test_every_output_file_matches_its_pinned_digest(tmp_path):
-    assert run_pipeline(tmp_path) == GOLDEN
+    assert run_pipeline(tmp_path, in_process) == GOLDEN
+
+
+def test_python_m_domainsim_writes_the_pinned_bytes(tmp_path):
+    assert run_pipeline(tmp_path, in_a_fresh_interpreter) == GOLDEN
