@@ -71,10 +71,11 @@ def load_accuracy_matrix(path: str | Path) -> PairMatrix:
         raise InputError(
             f"{path}: row/column domain sets differ (missing rows {missing}, extra rows {extra})"
         )
-    acc = np.empty((len(domains), len(domains)), dtype=np.float64)
-    for i, source in enumerate(domains):
+    acc = []
+    for source in domains:
         line, cells = by_source[source]
-        for j, cell in enumerate(cells):
+        row = []
+        for cell in cells:
             try:
                 value = float(cell)
             except ValueError:
@@ -86,7 +87,8 @@ def load_accuracy_matrix(path: str | Path) -> PairMatrix:
             if not 0.0 <= value <= 100.0:
                 raise InputError(f"{path}, line {line}: cell {cell!r} in row {source}"
                                  " out of range [0, 100]")
-            acc[i, j] = value
+            row.append(value)
+        acc.append(row)
     return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc)
 
 
@@ -122,28 +124,54 @@ def chart(matrix: PairMatrix) -> list[ChartRow]:
 
     The average degradation of a domain is its in-domain accuracy minus the
     mean of its cross-domain accuracies as a source. Best source for a
-    target is the argmax of its column, best target for a source the argmax
-    of its row, diagonal excluded, ties broken by the lower domain index.
+    target is the maximum of its column, best target for a source the
+    maximum of its row, diagonal excluded, ties broken by the lower domain
+    index. An accuracy matrix holds no NaN.
     """
     acc = matrix.values
-    n = len(matrix.domains)
-    off_diag = ~np.eye(n, dtype=bool)
-    masked = np.where(off_diag, acc, -np.inf)
-    best_target_idx = np.argmax(masked, axis=1)
-    best_source_idx = np.argmax(masked, axis=0)
     rows = []
-    for d in range(n):
-        cross_mean = float(acc[d, off_diag[d]].mean())
+    for d, domain in enumerate(matrix.domains):
+        others = [j for j in range(len(acc)) if j != d]
+        cross = [acc[d][j] for j in others]
         rows.append(
             ChartRow(
-                domain_id=matrix.domains[d],
-                in_domain_acc=float(acc[d, d]),
-                avg_degradation=float(acc[d, d]) - cross_mean,
-                best_source=matrix.domains[int(best_source_idx[d])],
-                best_target=matrix.domains[int(best_target_idx[d])],
+                domain_id=domain,
+                in_domain_acc=acc[d][d],
+                avg_degradation=acc[d][d] - _numpy_sum(cross) / len(cross),
+                # max returns the first of equal maxima.
+                best_source=matrix.domains[max(others, key=lambda s: acc[s][d])],
+                best_target=matrix.domains[max(others, key=acc[d].__getitem__)],
             )
         )
     return rows
+
+
+def _numpy_sum(values: Sequence[float]) -> float:
+    """The sum of ``values`` as numpy's ``np.add.reduce`` adds them, bit for bit.
+
+    numpy adds a run of fewer than 8 values left to right. A run of 8 to 128
+    it adds in 8 interleaved accumulators, one block of 8 at a time,
+    combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then adds
+    the last n mod 8 values in order. A longer run it splits at n/2 rounded
+    down to a multiple of 8 and sums each part so. The result starts from
+    0.0, so an all -0.0 run sums to 0.0, as in numpy. A left-to-right sum
+    differs from this in the last bit, and so, now and then, in a rounded
+    chart cell.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+    blocks = n - n % 8
+    total = 0.0
+    if blocks:
+        r = list(values[:8])
+        for i in range(8, blocks, 8):
+            r = [a + b for a, b in zip(r, values[i : i + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[blocks:]:
+        total += value
+    return total
 
 
 def write_chart_csv(rows: Sequence[ChartRow], path: str | Path) -> None:

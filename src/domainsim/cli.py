@@ -9,8 +9,10 @@ list, while ``--out ""`` keeps the config's value. All randomness flows
 from the single configured seed, and repeated runs with the same config
 produce byte-identical CSV outputs. ``evaluate`` ranks through
 ``evaluation.rank_sources``; it and ``chart`` write their reports through one writer.
-numpy loads on first use (``_numpy``): ``ingest`` never loads it, and the
-other four commands pay for its import inside the command.
+numpy loads on first use (``_numpy``): ``ingest``, ``chart`` and
+``evaluate`` with a reference or CSV accuracy matrix never load it;
+``metrics``, ``baseline`` and ``evaluate --accuracy-matrix generate`` pay
+for its import inside the command.
 """
 
 from __future__ import annotations
@@ -344,8 +346,7 @@ def write_metric_csv(pairs: PairMatrix, path: Path) -> None:
         for i, source in enumerate(pairs.domains):
             for j, target in enumerate(pairs.domains):
                 if i != j:
-                    # repr of a Python float, not of np.float64, which would print np.float64(...).
-                    value = float(pairs.values[i, j])
+                    value = pairs.values[i][j]
                     writer.writerow([pairs.metric_id, source, target,
                                      "" if math.isnan(value) else repr(value), pairs.direction])
 
@@ -363,7 +364,7 @@ def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> Pa
         raise InputError(f"metric file not found: {path}")
     direction = METRICS[metric][0]
     index = {d: i for i, d in enumerate(domains)}
-    values = np.full((len(domains), len(domains)), np.nan)
+    values = [[math.nan] * len(domains) for _ in domains]
     seen: set[tuple[str, str]] = set()
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -390,7 +391,7 @@ def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> Pa
                 raise InputError(f"{where}: duplicate pair ({source}, {target})")
             seen.add((source, target))
             if source in index and target in index:
-                values[index[source], index[target]] = value
+                values[index[source]][index[target]] = value
     named = {d for pair in seen for d in pair}
     if named != set(domains):
         raise InputError(

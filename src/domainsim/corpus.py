@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import sys
 import warnings
 from collections import Counter
@@ -128,9 +129,6 @@ class Corpus:
 
     def token_count(self) -> int:
         return sum(c_p + c_n for c_p, c_n in self.counts.values())
-
-    def vocabulary(self) -> set[str]:
-        return set(self.counts)
 
     def ngram_counts(self, order: int) -> Counter:
         """Counter of the n-gram tuples of the given order (1..4), by first occurrence."""
@@ -335,5 +333,5 @@ def write_overlap_matrix_csv(matrix: PairMatrix, path: str | Path) -> None:
         for i, name in enumerate(matrix.domains):
             row: list[str] = [name]
             for j, v in enumerate(matrix.values[i]):
-                row.append(f"{v:.2f}" if j > i and not np.isnan(v) else "")
+                row.append(f"{v:.2f}" if j > i and not math.isnan(v) else "")
             writer.writerow(row)

@@ -1,11 +1,11 @@
 """One metric's values for every ordered pair of domains, and the source ranking they induce.
 
-A ``PairMatrix`` holds ``values[source, target]`` as an N×N float64 array
-over its domains. NaN means the pair is unrankable: the metric has no value
-for it. In a metric CSV the empty value cell is the only way to write NaN;
-a ``nan`` or ``inf`` text is a malformed file. Ranking never reads the
-diagonal: a metric leaves it NaN, and the truth, the accuracy matrix,
-holds in-domain accuracy there.
+A ``PairMatrix`` holds ``values[source][target]`` as N rows of N Python
+floats over its domains. NaN means the pair is unrankable: the metric has
+no value for it. In a metric CSV the empty value cell is the only way to
+write NaN; a ``nan`` or ``inf`` text is a malformed file. Ranking never
+reads the diagonal: a metric leaves it NaN, and the truth, the accuracy
+matrix, holds in-domain accuracy there.
 
 Ranking rule: for a target, the other domains are ordered best first by
 value in the metric's direction; equal values keep domain order, and
@@ -14,6 +14,7 @@ unrankable sources come last, also in domain order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,25 +44,33 @@ def mirrored(items: Sequence, pair_value: Callable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairMatrix:
-    """``values[i, j]`` is the metric from source ``domains[i]`` to target ``domains[j]``."""
+    """``values[i][j]`` is the metric from source ``domains[i]`` to target ``domains[j]``.
+
+    ``values`` may be given as any N×N rows of numbers, such as an ndarray or
+    lists; it is kept as a tuple of N tuples of Python floats, so reading it
+    needs no numpy.
+    """
 
     metric_id: str
     direction: str
     domains: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "domains", tuple(self.domains))
+        values = tuple(tuple(map(float, row)) for row in self.values)
+        object.__setattr__(self, "values", values)
         if self.direction not in (HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR):
             raise InputError(f"invalid direction {self.direction!r}")
         if len(set(self.domains)) != len(self.domains):
             raise InputError(f"duplicate domain ids for metric {self.metric_id}")
         n = len(self.domains)
-        if self.values.shape != (n, n):
+        if len(values) != n or any(len(row) != n for row in values):
+            widths = "/".join(map(str, sorted({len(row) for row in values})))
             raise InputError(
-                f"metric {self.metric_id}: values of shape {self.values.shape} for {n} domains"
+                f"metric {self.metric_id}: values of shape {len(values)}x{widths} for {n} domains"
             )
-        if np.isinf(self.values).any():
+        if any(math.isinf(v) for row in values for v in row):
             raise InputError(f"metric {self.metric_id}: infinite value")
 
     def ranking(self, target: str) -> tuple[str, ...]:
@@ -69,7 +78,9 @@ class PairMatrix:
         if target not in self.domains:
             raise InputError(f"target {target!r} not in domain list")
         t = self.domains.index(target)
-        column = self.values[:, t]
-        # NaN sorts last in either direction; the stable sort keeps ties in domain order.
-        keys = column if self.direction == LOWER_IS_MORE_SIMILAR else -column
-        return tuple(self.domains[i] for i in np.argsort(keys, kind="stable") if i != t)
+        column = [row[t] for row in self.values]
+        sign = 1.0 if self.direction == LOWER_IS_MORE_SIMILAR else -1.0
+        # NaN sorts last in either direction, as np.argsort puts it; NaN keys
+        # compare as equal, so the stable sort keeps them, like ties, in domain order.
+        order = sorted(range(len(column)), key=lambda i: (math.isnan(column[i]), sign * column[i]))
+        return tuple(self.domains[i] for i in order if i != t)

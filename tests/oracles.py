@@ -7,6 +7,9 @@ is the CDSA baseline as it was before it trained its models in lockstep:
 one model and one example at a time, in plain Python loops.
 ``sorted_ranking`` is the per-target source ranking as it was before
 ``PairMatrix.ranking``: a Python sort on (value, domain index) keys.
+``argsort_ranking`` and ``numpy_chart`` are the ranking and the
+recommendation chart as they were while ``PairMatrix.values`` was an
+ndarray: a stable ``np.argsort``, and ``argmax`` and ``mean`` over masks.
 ``evaluation_scores`` is precision at K and NRA counted from those
 rankings in plain loops.
 ``select_reviews`` is the sentence metrics' review selection as it was
@@ -215,6 +218,34 @@ def sorted_ranking(
     else:
         ranked.sort(key=lambda s: (-relevant[s], index[s]))
     return tuple(ranked + unranked)
+
+
+def argsort_ranking(values: np.ndarray, domains: list[str], direction: str,
+                    target: str) -> tuple[str, ...]:
+    """Sources for ``target`` best first from an N x N array: NaN last, ties in domain order."""
+    t = domains.index(target)
+    column = values[:, t]
+    keys = column if direction == "lower_is_more_similar" else -column
+    return tuple(domains[i] for i in np.argsort(keys, kind="stable") if i != t)
+
+
+def numpy_chart(acc: np.ndarray, domains: list[str]) -> list[tuple[str, float, float, str, str]]:
+    """(domain, in-domain accuracy, average degradation, best source, best target) per domain.
+
+    The degradation subtracts the mean of the row's off-diagonal cells; best
+    source and target are the first maximum of the column and the row, the
+    diagonal masked out.
+    """
+    n = len(domains)
+    off_diag = ~np.eye(n, dtype=bool)
+    masked = np.where(off_diag, acc, -np.inf)
+    best_target_idx = np.argmax(masked, axis=1)
+    best_source_idx = np.argmax(masked, axis=0)
+    return [
+        (domains[d], float(acc[d, d]), float(acc[d, d]) - float(acc[d, off_diag[d]].mean()),
+         domains[int(best_source_idx[d])], domains[int(best_target_idx[d])])
+        for d in range(n)
+    ]
 
 
 def evaluation_scores(

@@ -97,7 +97,7 @@ def synthetic_word_tables(
     tables = []
     for di, corpus in enumerate(corpora):
         entries = {}
-        for word in sorted(corpus.vocabulary() & adjectives.words):
+        for word in sorted(set(corpus.counts) & adjectives.words):
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, di, zlib.crc32(word.encode())])
             )

@@ -20,7 +20,7 @@ def accuracy_matrix(domains, acc):
 
 
 def accuracy(matrix, source, target):
-    return float(matrix.values[matrix.domains.index(source), matrix.domains.index(target)])
+    return float(matrix.values[matrix.domains.index(source)][matrix.domains.index(target)])
 
 
 def test_reference_matrix_shape_and_anchor_cells():
@@ -138,7 +138,7 @@ def test_chart_argmax_invariant_under_constant_shift():
 
 def test_reference_matrix_structure():
     matrix = reference_accuracy_matrix()
-    acc = matrix.values
+    acc = np.array(matrix.values)
     n = len(matrix.domains)
     diag_is_row_max = sum(
         1 for i in range(n) if acc[i, i] >= np.delete(acc[i], i).max()
@@ -167,7 +167,7 @@ def test_baseline_separable_domains_score_high():
             [_separable_domain("a", pos, neg, seed=1), _separable_domain("b", pos, neg, seed=2)],
             seed=3,
         )
-    assert np.all(matrix.values >= 95.0)
+    assert np.all(np.array(matrix.values) >= 95.0)
 
 
 def test_baseline_in_domain_memorizable_toy():
@@ -196,9 +196,10 @@ def test_baseline_random_labels_score_chance():
         matrix = train_eval_baseline([noisy("a", 20), noisy("b", 21)], seed=22)
     # Each cell scores every target review once: binomial SE at chance, in points.
     se = 100.0 * np.sqrt(0.25 / n_reviews)
-    assert np.all(np.abs(matrix.values - 50.0) <= 4.0 * se)
+    values = np.array(matrix.values)
+    assert np.all(np.abs(values - 50.0) <= 4.0 * se)
     # The mean of the 4 cells has SE se/2, so this is a 4-sigma check on a shared bias.
-    assert abs(float(matrix.values.mean()) - 50.0) <= 2.0 * se
+    assert abs(float(values.mean()) - 50.0) <= 2.0 * se
 
 
 def test_baseline_deterministic_given_seed():

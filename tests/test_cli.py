@@ -16,10 +16,16 @@ import pytest
 import synth
 from domainsim import cli, corpus, evaluation, lexstats
 from domainsim import embedding_metrics as emb
-from domainsim.cdsa_baseline import chart, train_eval_baseline, write_chart_csv
+from domainsim.cdsa_baseline import (
+    chart,
+    reference_accuracy_matrix,
+    train_eval_baseline,
+    write_accuracy_matrix_csv,
+    write_chart_csv,
+)
 from domainsim.cli import main
 from domainsim.errors import InputError
-from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR
+from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix
 
 
 def _write_domain(path: Path, name: str, rows):
@@ -100,28 +106,50 @@ def test_domain_name_mismatch_exit_one(tmp_path, capsys):
     assert "contains domain" in capsys.readouterr().err
 
 
+EVALUATE = ["-m", "domainsim", "evaluate", "--metrics", "LM2", "--k", "1", "--accuracy-matrix"]
+
+
 @pytest.mark.parametrize("command, loads_numpy", [
     (["-c", "import domainsim.cli"], False),
     (["-m", "domainsim", "ingest"], False),
     (["-m", "domainsim", "metrics", "--metrics", "LM4"], True),
-], ids=["import", "ingest", "metrics"])
+    (["-m", "domainsim", "baseline"], True),
+    (["-m", "domainsim", "chart", "--accuracy-matrix", "reference"], False),
+    ([*EVALUATE, "reference"], False),
+    ([*EVALUATE, "matrix.csv"], False),
+    ([*EVALUATE, "generate"], True),
+], ids=["import", "ingest", "metrics", "baseline", "chart", "evaluate-reference", "evaluate-csv",
+        "evaluate-generate"])
 def test_numpy_loads_only_when_a_command_uses_it(tmp_path, command, loads_numpy):
     # In process numpy is always loaded already (this module imports it), so
     # only a fresh interpreter shows whether a command loads it.
     paths = synth.write_jsonl(synth.synthetic_reviews(n_domains=2, reviews_per_domain=8, seed=5),
                               tmp_path / "corpora")
+    out = tmp_path / "out"
+    out.mkdir()
+    # The inputs evaluate reads: an accuracy matrix CSV over the corpora and an
+    # LM2 file over the domains of the matrix the command evaluates against.
+    corpus_domains = tuple(paths)
+    write_accuracy_matrix_csv(PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, corpus_domains,
+                                         [[90.0, 70.0], [60.0, 80.0]]), tmp_path / "matrix.csv")
+    domains = reference_accuracy_matrix().domains if "reference" in command else corpus_domains
+    values = [[float((i + 2 * j) % 5) for j in range(len(domains))] for i in range(len(domains))]
+    cli.write_metric_csv(PairMatrix("LM2", LOWER_IS_MORE_SIMILAR, domains, values),
+                         out / "metric_LM2.csv")
     if command[0] == "-m":
         command = [*command, "--domains", ",".join(f"{d}={p}" for d, p in paths.items()),
-                   "--out", str(tmp_path / "out")]
+                   "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     # -X importtime writes a line for each module the interpreter runs.
-    done = subprocess.run([sys.executable, "-X", "importtime", *command], env=env,
+    done = subprocess.run([sys.executable, "-X", "importtime", *command], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     ran = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
            if line.startswith("import time:")}
     assert "domainsim.cli" in ran
     assert ("numpy._core" in ran) == loads_numpy
+    if "evaluate" in command:
+        assert (out / "eval_report.csv").is_file()
 
 
 def test_metrics_writes_expected_pair_counts(workspace):
@@ -403,8 +431,8 @@ def test_read_metric_csv_fills_values_in_the_given_domain_order(tmp_path):
     assert (pairs.metric_id, pairs.direction, pairs.domains) == (
         "LM2", LOWER_IS_MORE_SIMILAR, ("C", "A", "B"))
     assert np.isnan(np.diag(pairs.values)).all()
-    assert np.isnan(pairs.values[1, 0])
-    assert pairs.values[1, 2] == 1.5 and pairs.values[0, 2] == 6.5 and pairs.values[2, 1] == 3.5
+    assert np.isnan(pairs.values[1][0])
+    assert pairs.values[1][2] == 1.5 and pairs.values[0][2] == 6.5 and pairs.values[2][1] == 3.5
 
 
 @pytest.mark.parametrize("row, message", [

@@ -1,10 +1,14 @@
 """The CLI's output files, byte for byte, on a tiny fixed synthetic input.
 
 Runs ingest, metrics (LM1-LM4, NGRAM and ULM1-ULM7), baseline, chart and
-evaluate, once in process and once each command in a fresh ``python -m
-domainsim`` interpreter, where numpy loads partway through the command, and
-compares the sha256 of every file they write with digests pinned from an
-earlier build of the package (x86-64, CPython 3.11, numpy 2.4). A refactor
+evaluate, once in process and twice each command in a fresh ``python -m
+domainsim`` interpreter, and compares the sha256 of every file they write
+with digests pinned from an earlier build of the package (x86-64, CPython
+3.11, numpy 2.4). In a fresh interpreter ``metrics`` and ``baseline`` load
+numpy partway through the command, and ``ingest``, ``chart`` and
+``evaluate`` (here with a CSV accuracy matrix) never load it. The two fresh
+runs use the hash seeds 0 and 1: sets iterate in hash order, so an output
+that followed a set's order would change between them. A refactor
 that keeps these bytes keeps the outputs that the repeated-run tests only
 compare run against run. A change that means to alter an output must update
 its digest here and say why.
@@ -12,6 +16,7 @@ its digest here and say why.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -81,8 +86,8 @@ def in_process(argv: list[str]) -> None:
         assert main(argv) == 0, argv
 
 
-def in_a_fresh_interpreter(argv: list[str]) -> None:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def in_a_fresh_interpreter(argv: list[str], hash_seed: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
     done = subprocess.run([sys.executable, "-m", "domainsim", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, (argv, done.stderr)
@@ -93,4 +98,6 @@ def test_every_output_file_matches_its_pinned_digest(tmp_path):
 
 
 def test_python_m_domainsim_writes_the_pinned_bytes(tmp_path):
-    assert run_pipeline(tmp_path, in_a_fresh_interpreter) == GOLDEN
+    for hash_seed in ("0", "1"):
+        run = functools.partial(in_a_fresh_interpreter, hash_seed=hash_seed)
+        assert run_pipeline(tmp_path / hash_seed, run) == GOLDEN, hash_seed

@@ -16,6 +16,8 @@ their matrix must equal ``angular_similarity`` of each pair's mean vectors.
 a loaded corpus's word counts must equal the oracle's, in the same order.
 ``NgramIndex`` must list each corpus's n-grams and counts as the oracle's
 table does, with ids in the ``sorted()`` order of the n-grams' tuples.
+The recommendation chart, computed in plain Python, must equal, bit for
+bit, the one numpy computed while the accuracy matrix was an ndarray.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ from hypothesis import strategies as st
 import oracles
 import synth
 from conftest import build_corpus
-from domainsim.cdsa_baseline import _featurize, _row_sums, _train_lockstep, train_eval_baseline
+from domainsim.cdsa_baseline import (
+    _featurize,
+    _numpy_sum,
+    _row_sums,
+    _train_lockstep,
+    chart,
+    train_eval_baseline,
+)
 from domainsim.corpus import (
     NEGATIVE,
     POSITIVE,
@@ -52,6 +61,7 @@ from domainsim.embedding_metrics import (
 from domainsim.errors import UnrankablePairError
 from domainsim.labelled_metrics import lm2_skld, lm3_chameleon, lm4_matrix
 from domainsim.lexstats import filter_reviews, polar_words, polarity_table, review_score
+from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 RELATIVE_TOLERANCE = 1e-9
 SEEDS = (1, 2)
@@ -352,3 +362,30 @@ def test_lockstep_weights_equal_one_model_at_a_time(make_corpora):
         assert np.array_equal(weights[m, :pad], expected[distinct]), m
         assert weights[m, pad] == 0.0 and not np.delete(expected, distinct).any(), m
         assert bias[m] == expected_bias, m
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 21, 140])
+@pytest.mark.parametrize("decimals", [None, 2, 0], ids=["raw", "two-decimal", "whole"])
+def test_chart_equals_the_numpy_chart(n, decimals):
+    # Two-decimal cells, as in an accuracy matrix CSV, are where a mean summed
+    # in another order reads differently at .2f; whole numbers make ties for
+    # best source and target.
+    rng = np.random.default_rng(n)
+    domains = [f"D{i}" for i in range(n)]
+    for _ in range(5):
+        acc = rng.uniform(40.0, 100.0, size=(n, n))
+        if decimals is not None:
+            acc = np.round(acc, decimals)
+        rows = chart(PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc))
+        assert [(r.domain_id, r.in_domain_acc, r.avg_degradation, r.best_source, r.best_target)
+                for r in rows] == oracles.numpy_chart(acc, domains)
+
+
+def test_numpy_sum_adds_in_numpy_order():
+    rng = np.random.default_rng(12)
+    for n in range(1, 301):
+        # Magnitudes spread over 16 decades, so any other order of additions shows.
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        assert _numpy_sum(values.tolist()) == np.add.reduce(values), n
+        zeros = np.full(n, -0.0)
+        assert repr(_numpy_sum(zeros.tolist())) == repr(float(np.add.reduce(zeros))), n

@@ -29,6 +29,8 @@ def test_ranking_equals_sorted_oracle_on_random_matrices():
                     if i != t
                 }
                 assert pairs.ranking(target) == oracles.sorted_ranking(relevant, domains, direction)
+                assert pairs.ranking(target) == oracles.argsort_ranking(
+                    values, list(domains), direction, target)
                 cases += 1
     assert cases > 5000
 
