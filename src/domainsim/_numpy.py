@@ -2,7 +2,8 @@
 
 Modules take ``np`` from here instead of running ``import numpy as np``, so
 a command that never touches numpy (``ingest``, ``chart`` and ``evaluate``
-with a reference or CSV accuracy matrix) never pays for its import.
+with a reference or CSV accuracy matrix, ``metrics`` of only LM1–LM3) never
+pays for its import.
 ``np`` is the module object that ``sys.modules`` holds for numpy. Until its
 first attribute lookup it is empty; that lookup runs numpy's import in place
 (``importlib.util.LazyLoader``), after which ``np`` is the ordinary, fully

@@ -328,10 +328,11 @@ def train_eval_baseline(
     from it in the last bit on a few percent of inputs.
 
     Memory: the weight matrix holds (splits + 1) * N rows of (distinct
-    hashed ids + 1) float64, at most 120 x 65537 x 8 B = 63 MB for 20
-    domains and 5 splits; the feature matrix 4 B per review per column of
-    the widest review; the training order 4 B per model per example of the
-    largest training set, one epoch at a time.
+    hashed ids + 1) float64, at most (splits + 1) * N * (FEATURE_DIM + 1)
+    * 8 B: with 5 splits, 63 MB for N = 20 and 315 MB for N = 100; the
+    feature matrix 4 B per review per column of the widest review; the
+    training order 4 B per model per example of the largest training set,
+    one epoch at a time.
     """
     if len(corpora) < 2:
         raise InputError("baseline needs at least 2 corpora")

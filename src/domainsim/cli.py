@@ -9,10 +9,11 @@ list, while ``--out ""`` keeps the config's value. All randomness flows
 from the single configured seed, and repeated runs with the same config
 produce byte-identical CSV outputs. ``evaluate`` ranks through
 ``evaluation.rank_sources``; it and ``chart`` write their reports through one writer.
-numpy loads on first use (``_numpy``): ``ingest``, ``chart`` and
-``evaluate`` with a reference or CSV accuracy matrix never load it;
-``metrics``, ``baseline`` and ``evaluate --accuracy-matrix generate`` pay
-for its import inside the command.
+numpy loads on first use (``_numpy``): ``ingest``, ``chart``, ``evaluate``
+with a reference or CSV accuracy matrix, and ``metrics`` whose metrics are
+all among LM1–LM3 never load it; ``metrics`` with LM4, NGRAM or a ULM
+metric, ``baseline`` and ``evaluate --accuracy-matrix generate`` pay for its
+import inside the command.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Sequence
 from . import corpus as corpus_mod
 from . import embedding_metrics as emb
 from . import labelled_metrics as lm
-from ._numpy import np
 from .cdsa_baseline import (
     ChartRow,
     chart,
@@ -158,7 +158,7 @@ class Workspace:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self._vector_values: dict[tuple[Path, str], np.ndarray] = {}
+        self._vector_values: dict[tuple[Path, str], list[list[float]]] = {}
 
     @cached_property
     def corpora(self) -> list[corpus_mod.Corpus]:
@@ -207,8 +207,8 @@ class Workspace:
         lexicon = self.lexicon
         return [emb.filter_reviews(c, lexicon) for c in self.corpora]
 
-    def vector_values(self, metric: str) -> np.ndarray:
-        """A vector metric's N×N values, computed once per (directory, reading)."""
+    def vector_values(self, metric: str) -> list[list[float]]:
+        """A vector metric's N rows of N values, computed once per (directory, reading)."""
         key = (Path(self.config.vectors[metric]), READINGS[metric])
         if key not in self._vector_values:
             directory, reading = key
@@ -218,14 +218,15 @@ class Workspace:
                 self._vector_values.update(self._sentence_values(directory))
         return self._vector_values[key]
 
-    def _word_values(self, directory: Path) -> np.ndarray:
+    def _word_values(self, directory: Path) -> list[list[float]]:
+        """The word-vector metric's rows over every corpus's file in ``directory``."""
         adjectives = self.adjectives
         tables = [emb.load_word_vectors(_vector_file(directory, c.domain_id))
                   for c in self.corpora]
         return emb.word_metric_matrix(tables, adjectives)
 
-    def _sentence_values(self, directory: Path) -> dict[tuple[Path, str], np.ndarray]:
-        """Every sentence mode a selected metric reads from ``directory``, in one pass.
+    def _sentence_values(self, directory: Path) -> dict[tuple[Path, str], list[list[float]]]:
+        """The rows of every sentence mode a selected metric reads from ``directory``, in one pass.
 
         Each file is parsed once and dropped as soon as its reviews are
         selected, so one parsed sentence file is alive at a time.

@@ -315,10 +315,10 @@ def _overlap(tops1: list[frozenset], tops2: list[frozenset]) -> float:
     return matched / available
 
 
-def ngram_overlap_matrix(index: NgramIndex) -> np.ndarray:
-    """N×N overlap of the corpora's top-10 bigrams, trigrams and 4-grams; NaN on the diagonal.
+def ngram_overlap_matrix(index: NgramIndex) -> list[list[float]]:
+    """N rows of N overlaps of the corpora's top-10 bigrams, trigrams and 4-grams.
 
-    Each corpus's top lists are taken once, not once per pair.
+    NaN on the diagonal. Each corpus's top lists are taken once, not once per pair.
     """
     tops = [[frozenset(_top_k(index, order, c, 10).tolist()) for order in (2, 3, 4)]
             for c in range(len(index.domain_ids))]

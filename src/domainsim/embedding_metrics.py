@@ -70,7 +70,8 @@ def load_adjectives(path: str | Path) -> AdjectiveLexicon:
     return AdjectiveLexicon(frozenset(words))
 
 
-def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]]]:
+def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]], list[int]]:
+    """The file's dimensionality, its (key, vector) entries and the line of each entry."""
     if not path.is_file():
         raise InputError(f"vector file not found: {path}")
     dims: int | None = None
@@ -116,23 +117,23 @@ def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]]]:
         lineno = linenos[int(np.argmin(finite))]
         raise InputError(f"{path}, line {lineno}: non-finite vector component")
     assert dims is not None
-    return dims, entries
+    return dims, entries, linenos
 
 
 def load_word_vectors(path: str | Path) -> WordVectorTable:
     """Load a word-vector table; its domain is the file stem."""
     path = Path(path)
-    dims, entries = _parse_vector_file(path)
-    for lineno_key, vec in entries:
+    dims, entries, linenos = _parse_vector_file(path)
+    for (key, vec), lineno in zip(entries, linenos):
         if not np.any(vec):
-            raise InputError(f"{path}: zero vector for {lineno_key!r}")
+            raise InputError(f"{path}, line {lineno}: zero vector for {key!r}")
     return WordVectorTable(path.stem, dims, dict(entries))
 
 
 def load_sentence_vectors(path: str | Path) -> SentenceVectorSet:
     """Load sentence vectors keyed by ``<domain>:<index>`` ids; the domain is the file stem."""
     path = Path(path)
-    dims, entries = _parse_vector_file(path)
+    dims, entries, _ = _parse_vector_file(path)
     return SentenceVectorSet(path.stem, dims, tuple(entries))
 
 
@@ -239,13 +240,13 @@ def select_test_vectors(
 def word_metric_matrix(
     tables: Sequence[WordVectorTable],
     adjectives: AdjectiveLexicon,
-) -> np.ndarray:
-    """N×N word-vector metric values, mirrored; NaN for unrankable pairs."""
+) -> list[list[float]]:
+    """N rows of N word-vector metric values, mirrored; NaN for unrankable pairs."""
     return mirrored(tables, lambda a, b: word_metric(a, b, adjectives))
 
 
-def sentence_metric_matrix(sets: Sequence[SentenceVectorSet]) -> np.ndarray:
-    """N×N angular similarities of the sets' mean vectors, mirrored.
+def sentence_metric_matrix(sets: Sequence[SentenceVectorSet]) -> list[list[float]]:
+    """N rows of N angular similarities of the sets' mean vectors, mirrored.
 
     Each set's mean is taken once. A pair whose mean vector is numerically
     zero on either side is unrankable and left NaN. An empty set is an

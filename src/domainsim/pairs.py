@@ -18,25 +18,25 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._numpy import np
 from .errors import InputError, UnrankablePairError
 
 HIGHER_IS_MORE_SIMILAR = "higher_is_more_similar"
 LOWER_IS_MORE_SIMILAR = "lower_is_more_similar"
 
 
-def mirrored(items: Sequence, pair_value: Callable) -> np.ndarray:
-    """N×N values of a symmetric metric from ``pair_value`` on the upper triangle.
+def mirrored(items: Sequence, pair_value: Callable) -> list[list[float]]:
+    """N rows of N floats of a symmetric metric from ``pair_value`` on the upper triangle.
 
     NaN on the diagonal and for every pair whose ``pair_value`` raises
-    UnrankablePairError.
+    UnrankablePairError. Each value goes through ``float``, so an integer
+    count comes out as a float and the rows need no numpy.
     """
     n = len(items)
-    values = np.full((n, n), np.nan)
+    values = [[math.nan] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             try:
-                values[i, j] = values[j, i] = pair_value(items[i], items[j])
+                values[i][j] = values[j][i] = float(pair_value(items[i], items[j]))
             except UnrankablePairError:
                 pass
     return values

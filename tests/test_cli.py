@@ -113,13 +113,15 @@ EVALUATE = ["-m", "domainsim", "evaluate", "--metrics", "LM2", "--k", "1", "--ac
     (["-c", "import domainsim.cli"], False),
     (["-m", "domainsim", "ingest"], False),
     (["-m", "domainsim", "metrics", "--metrics", "LM4"], True),
+    (["-m", "domainsim", "metrics", "--metrics", "LM1,LM2,LM3"], False),
+    (["-m", "domainsim", "metrics", "--metrics", "NGRAM"], True),
     (["-m", "domainsim", "baseline"], True),
     (["-m", "domainsim", "chart", "--accuracy-matrix", "reference"], False),
     ([*EVALUATE, "reference"], False),
     ([*EVALUATE, "matrix.csv"], False),
     ([*EVALUATE, "generate"], True),
-], ids=["import", "ingest", "metrics", "baseline", "chart", "evaluate-reference", "evaluate-csv",
-        "evaluate-generate"])
+], ids=["import", "ingest", "metrics", "metrics-lm1-lm3", "metrics-ngram", "baseline", "chart",
+        "evaluate-reference", "evaluate-csv", "evaluate-generate"])
 def test_numpy_loads_only_when_a_command_uses_it(tmp_path, command, loads_numpy):
     # In process numpy is always loaded already (this module imports it), so
     # only a fresh interpreter shows whether a command loads it.

@@ -262,8 +262,8 @@ def test_ngram_overlap_identity_and_disjoint():
     c1, twin = build_corpus("a", rows), build_corpus("a2", rows)
     c2 = build_corpus("b", [("positive", "uno dos tres cuatro cinco")])
     values = ngram_overlap_matrix(NgramIndex([c1, twin, c2]))
-    assert values[0, 1] == 1.0
-    assert values[0, 2] == values[1, 2] == 0.0
+    assert values[0][1] == 1.0
+    assert values[0][2] == values[1][2] == 0.0
 
 
 def test_ngram_overlap_symmetric_and_self_unity_on_random_corpora():
@@ -277,13 +277,13 @@ def test_ngram_overlap_symmetric_and_self_unity_on_random_corpora():
             rows.append((label, " ".join(rng.choice(vocab, size=rng.integers(1, 7)))))
         corpora.append(build_corpus(f"d{d}", rows))
     for c in corpora:
-        assert ngram_overlap_matrix(NgramIndex([c, c]))[0, 1] == 1.0
+        assert ngram_overlap_matrix(NgramIndex([c, c]))[0][1] == 1.0
     # The reversed order computes each pair with its arguments swapped.
     values = ngram_overlap_matrix(NgramIndex(corpora))
-    swapped = ngram_overlap_matrix(NgramIndex(corpora[::-1]))[::-1, ::-1]
+    swapped = [row[::-1] for row in ngram_overlap_matrix(NgramIndex(corpora[::-1]))[::-1]]
     for i in range(len(corpora)):
         for j in range(i + 1, len(corpora)):
-            assert values[i, j] == swapped[i, j]
+            assert values[i][j] == swapped[i][j]
 
 
 def test_ngram_overlap_granularity_on_rich_corpora():
@@ -301,7 +301,7 @@ def test_ngram_overlap_granularity_on_rich_corpora():
     for order in (2, 3, 4):
         assert len(c1.ngram_counts(order)) >= 10
         assert len(c2.ngram_counts(order)) >= 10
-    value = ngram_overlap_matrix(NgramIndex([c1, c2]))[0, 1]
+    value = ngram_overlap_matrix(NgramIndex([c1, c2]))[0][1]
     assert abs(value * 30 - round(value * 30)) < 1e-9
 
 
@@ -309,7 +309,7 @@ def test_overlap_matrix_upper_triangle_csv(tmp_path):
     c1 = build_corpus("a", [("positive", "alpha beta gamma")])
     c2 = build_corpus("b", [("positive", "alpha beta gamma")])
     values = ngram_overlap_matrix(NgramIndex([c1, c2]))
-    assert values[0, 1] == values[1, 0] == 1.0
+    assert values[0][1] == values[1][0] == 1.0
     out = tmp_path / "overlap.csv"
     write_overlap_matrix_csv(PairMatrix("NGRAM", HIGHER_IS_MORE_SIMILAR, ("a", "b"), values), out)
     lines = out.read_text().splitlines()

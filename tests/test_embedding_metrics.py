@@ -50,7 +50,7 @@ def test_load_word_vectors_dims_mismatch_names_line(tmp_path):
 def test_load_word_vectors_rejects_zero_vector(tmp_path):
     path = tmp_path / "d.vec"
     path.write_text("good 1.0 0.0\nnull 0.0 0.0\n")
-    with pytest.raises(InputError, match="zero vector"):
+    with pytest.raises(InputError, match=r"line 2: zero vector for 'null'"):
         load_word_vectors(path)
 
 
@@ -182,10 +182,10 @@ def test_sentence_metric_values():
     s3 = SentenceVectorSet("c", 2, (("c:0", np.array([1.0, 0.0])),))
     s4 = SentenceVectorSet("d", 2, (("d:0", np.array([0.0, 1.0])),))
     values = sentence_metric_matrix([s1, s1, s2, s3, s4])
-    assert abs(values[0, 1] - 1.0) < 1e-12
+    assert abs(values[0][1] - 1.0) < 1e-12
     # Mean of s1 is (0.5, 0.5), parallel to (1, 1).
-    assert abs(values[0, 2] - 1.0) < 1e-12
-    assert abs(values[3, 4] - 0.5) < 1e-12
+    assert abs(values[0][2] - 1.0) < 1e-12
+    assert abs(values[3][4] - 0.5) < 1e-12
 
 
 def test_sentence_metric_zero_mean_unrankable():
@@ -193,9 +193,9 @@ def test_sentence_metric_zero_mean_unrankable():
     s2 = SentenceVectorSet("b", 2, (("b:0", np.array([1.0, 1.0])),))
     s3 = SentenceVectorSet("c", 2, (("c:0", np.array([0.0, 1.0])),))
     values = sentence_metric_matrix([s1, s2, s3])
-    assert np.isnan(values[0, 1]) and np.isnan(values[1, 0])
-    assert np.isnan(values[0, 2]) and np.isnan(values[2, 0])
-    assert abs(values[1, 2] - 0.75) < 1e-12
+    assert np.isnan(values[0][1]) and np.isnan(values[1][0])
+    assert np.isnan(values[0][2]) and np.isnan(values[2][0])
+    assert abs(values[1][2] - 0.75) < 1e-12
 
 
 def test_sentence_metric_matrix_rejects_an_empty_set():
@@ -282,7 +282,7 @@ def test_word_metric_matrix_mirrors_and_marks_unrankable():
     t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 0.0])})
     t2 = WordVectorTable("b", 2, {"good": np.array([0.0, 1.0])})
     t3 = WordVectorTable("c", 2, {"noun": np.array([1.0, 1.0])})
-    values = word_metric_matrix([t1, t2, t3], ADJ)
+    values = np.array(word_metric_matrix([t1, t2, t3], ADJ))
     assert values.shape == (3, 3)
     assert values[0, 1] == values[1, 0] == pytest.approx(1.5)
     assert np.isnan(values[0, 2]) and np.isnan(values[2, 0])

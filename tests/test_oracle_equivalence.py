@@ -192,7 +192,7 @@ def test_ngram_matches_oracle_exactly(domains):
     corpora, reviews = domains
     matrix = ngram_overlap_matrix(NgramIndex(corpora))
     for i, j in ordered_pairs(len(corpora)):
-        assert matrix[i, j] == oracles.ngram_overlap(reviews[i], reviews[j]), (i, j)
+        assert matrix[i][j] == oracles.ngram_overlap(reviews[i], reviews[j]), (i, j)
 
 
 def selected_ids(corpus, lexicon, count, mode):
@@ -255,9 +255,9 @@ def test_sentence_metric_matrix_equals_the_pair_loop(domains):
         # A mean vector of norm below 1e-12 on either side leaves the pair unrankable.
         if min(np.linalg.norm(means[i]), np.linalg.norm(means[j])) < 1e-12:
             assert "Z" in (sets[i].domain_id, sets[j].domain_id)
-            assert math.isnan(matrix[i, j]), (i, j)
+            assert math.isnan(matrix[i][j]), (i, j)
         else:
-            assert matrix[i, j] == angular_similarity(means[i], means[j]), (i, j)
+            assert matrix[i][j] == angular_similarity(means[i], means[j]), (i, j)
 
 
 def baseline_acc(corpora, splits=5, seed=0):

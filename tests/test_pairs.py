@@ -65,9 +65,13 @@ def test_mirrored_computes_the_upper_triangle_once_and_marks_unrankable():
         calls.append((a, b))
         if b == 4:
             raise UnrankablePairError("no value")
-        return 10.0 * a + b
+        # An int, as LM1's count of common words is.
+        return 10 * a + b
 
     values = mirrored([1, 2, 4], pair_value)
     assert calls == [(1, 2), (1, 4), (2, 4)]
-    assert values[0, 1] == values[1, 0] == 12.0
-    assert np.isnan(values[[0, 2, 1, 2, 0, 1, 2], [2, 0, 2, 1, 0, 1, 2]]).all()
+    assert values[0][1] == values[1][0] == 12.0
+    assert np.isnan(np.array(values)[[0, 2, 1, 2, 0, 1, 2], [2, 0, 2, 1, 0, 1, 2]]).all()
+    # Rows of Python floats, so that reading them needs no numpy.
+    assert [type(row) for row in values] == [list] * 3
+    assert [type(v) for row in values for v in row] == [float] * 9
