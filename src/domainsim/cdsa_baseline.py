@@ -216,11 +216,11 @@ def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.nd
     lengths: list[int] = []
     labels: list[float] = []
     for corpus in corpora:
-        for review in corpus.reviews:
-            ids = sorted(set(map(hash_of.__getitem__, review.tokens)))
+        for label, tokens in corpus.reviews:
+            ids = sorted(set(map(hash_of.__getitem__, tokens)))
             hashed.extend(ids)
             lengths.append(len(ids))
-            labels.append(1.0 if review.label == POSITIVE else 0.0)
+            labels.append(1.0 if label == POSITIVE else 0.0)
     distinct, columns = np.unique(np.array(hashed, dtype=np.int64), return_inverse=True)
     pad = len(distinct)
     counts = np.array(lengths, dtype=np.int64)

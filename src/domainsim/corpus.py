@@ -5,7 +5,9 @@ line with keys ``domain``, ``label``, ``text``) or as CSV with a
 ``domain,label,text`` header. Text is normalized on ingestion: lowercased,
 non-alphabetic characters stripped from tokens, purely numeric tokens and
 stopwords removed. Reviews that normalize to zero tokens are dropped with a
-warning so that ingestion stays total over dirty data.
+warning so that ingestion stays total over dirty data. A review is a plain
+``(label, tokens)`` tuple; its id is not stored but given by its position
+(see ``load_corpus``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import sys
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -76,45 +77,26 @@ def normalize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     return [sys.intern(word) for word in words if word and word not in stopwords]
 
 
-@dataclass(frozen=True, slots=True)
-class Review:
-    """One labelled review: normalized tokens plus its polarity label.
-
-    Slotted, so a review holds no per-instance ``__dict__``. Reviews made by
-    ``load_corpus`` share their corpus's one domain string and the
-    ``POSITIVE``/``NEGATIVE`` constants.
-    """
-
-    domain_id: str
-    label: str
-    tokens: tuple[str, ...]
-    review_id: str
-
-    def __post_init__(self) -> None:
-        if self.label not in LABELS:
-            raise InputError(f"unknown label {self.label!r} (expected one of {LABELS})")
-        if not self.tokens:
-            raise InputError("review has no tokens after normalization")
-
-
 class Corpus:
     """A domain's reviews with their per-polarity token counts.
 
-    Immutable after construction; safe to share across threads. ``counts``
-    maps each word to its (positive, negative) occurrence counts, in the
-    order of each word's first occurrence over the reviews. N-gram counts
-    live in an ``NgramIndex`` over one or more corpora.
+    ``reviews`` is a tuple of ``(label, tokens)`` pairs, ``label`` one of
+    ``LABELS`` and ``tokens`` a non-empty tuple of strings; the callers
+    check both (``load_corpus`` for file input). Immutable after
+    construction; safe to share across threads. ``counts`` maps each word
+    to its (positive, negative) occurrence counts, in the order of each
+    word's first occurrence over the reviews. N-gram counts live in an
+    ``NgramIndex`` over one or more corpora.
     """
 
-    def __init__(self, domain_id: str, reviews: Sequence[Review]):
+    def __init__(self, domain_id: str, reviews: Sequence[tuple[str, tuple[str, ...]]]):
         if not reviews:
             raise InputError(f"domain {domain_id!r}: corpus has no reviews")
         self.domain_id = domain_id
-        self.reviews: tuple[Review, ...] = tuple(reviews)
-        totals = Counter(chain.from_iterable(r.tokens for r in self.reviews))
-        positive = Counter(
-            chain.from_iterable(r.tokens for r in self.reviews if r.label == POSITIVE)
-        )
+        self.reviews: tuple[tuple[str, tuple[str, ...]], ...] = tuple(reviews)
+        totals = Counter(chain.from_iterable(tokens for _, tokens in self.reviews))
+        positive = Counter(chain.from_iterable(
+            tokens for label, tokens in self.reviews if label == POSITIVE))
         self.counts: dict[str, tuple[int, int]] = {
             w: (positive[w], n - positive[w]) for w, n in totals.items()
         }
@@ -124,7 +106,7 @@ class Corpus:
 
     def label_counts(self) -> tuple[int, int]:
         """(positive, negative) review counts."""
-        pos = sum(1 for r in self.reviews if r.label == POSITIVE)
+        pos = sum(1 for label, _ in self.reviews if label == POSITIVE)
         return pos, len(self.reviews) - pos
 
     def token_count(self) -> int:
@@ -161,9 +143,10 @@ class NgramIndex:
         self.domain_ids = [c.domain_id for c in corpora]
         self.words = sorted(set().union(*(c.counts for c in corpora)))
         self.vocabulary = {w: t for t, w in enumerate(self.words)}
-        lengths = np.array([len(r.tokens) for c in corpora for r in c.reviews], dtype=np.int64)
-        stream = np.fromiter((self.vocabulary[w] for c in corpora for r in c.reviews
-                              for w in r.tokens), dtype=np.int64, count=int(lengths.sum()))
+        lengths = np.array([len(tokens) for c in corpora for _, tokens in c.reviews],
+                           dtype=np.int64)
+        stream = np.fromiter((self.vocabulary[w] for c in corpora for _, tokens in c.reviews
+                              for w in tokens), dtype=np.int64, count=int(lengths.sum()))
         # left[p]: the tokens from position p to the end of its review.
         left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(stream))
         bounds = np.cumsum([0, *(c.token_count() for c in corpora)])
@@ -227,11 +210,14 @@ def load_corpus(
 
     Every record needs ``domain``, ``label`` (positive/negative) and
     ``text``, each a string. Records must all carry the same domain. Record
-    order is preserved; review ids are assigned as ``<domain>:<index>`` over
-    the kept reviews. Reviews whose text normalizes to zero tokens are
-    dropped with a single aggregated warning. Every review shares the first
-    record's domain string and the ``POSITIVE``/``NEGATIVE`` constants, and
-    its tokens are interned (see ``normalize``).
+    order is preserved. Reviews whose text normalizes to zero tokens are
+    dropped with a single aggregated warning. Each kept review is a
+    ``(label, tokens)`` tuple holding the ``POSITIVE``/``NEGATIVE`` constant
+    and interned tokens (see ``normalize``).
+
+    A review's id is ``<domain>:<i>``, ``i`` its position among the kept
+    reviews, not its line in the file; sentence-vector files are keyed by
+    these ids.
     """
     path = Path(path)
     if not path.is_file():
@@ -244,7 +230,7 @@ def load_corpus(
         raise InputError(f"unknown corpus format {format!r} (expected jsonl or csv)")
 
     domain_id: str | None = None
-    reviews: list[Review] = []
+    reviews: list[tuple[str, tuple[str, ...]]] = []
     dropped: list[int] = []
     for lineno, record in records:
         for key in ("domain", "label", "text"):
@@ -269,10 +255,7 @@ def load_corpus(
         if not tokens:
             dropped.append(lineno)
             continue
-        reviews.append(
-            Review(domain_id=domain_id, label=label, tokens=tuple(tokens),
-                   review_id=f"{domain_id}:{len(reviews)}")
-        )
+        reviews.append((label, tuple(tokens)))
     if domain_id is None:
         raise InputError(f"{path}: file contains no records")
     if dropped:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._numpy import np
-from .corpus import Corpus, Review
+from .corpus import Corpus
 from .errors import InputError, UnrankablePairError
 # Not called here: the CLI calls filter_reviews, and the benchmark traces both, by these names.
 from .lexstats import filter_reviews, review_score  # noqa: F401
@@ -196,7 +196,7 @@ def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
 
 def select_test_vectors(
     corpus: Corpus,
-    qualifying: Sequence[tuple[Review, float]],
+    qualifying: Sequence[tuple[int, float]],
     vecs: SentenceVectorSet,
     count: int = 500,
     mode: str = "heldout",
@@ -204,16 +204,19 @@ def select_test_vectors(
     """Pick the sentence vectors of the reviews used for a pair comparison.
 
     ``qualifying`` is ``filter_reviews(corpus, lexicon)``: the
-    ``(review, score)`` pairs passing the sentiment filter (score magnitude
-    above 0.01, at most 100 tokens), in corpus order. ``top`` mode ranks
-    them by score magnitude descending (ties by corpus order) and takes
-    ``count``; ``heldout`` mode takes the last ``count`` in corpus order. If
-    fewer than ``count`` qualify, all are used and a warning is emitted.
+    ``(position, score)`` pairs of the reviews passing the sentiment filter
+    (score magnitude above 0.01, at most 100 tokens), in corpus order.
+    ``top`` mode ranks them by score magnitude descending (ties by corpus
+    order) and takes ``count``; ``heldout`` mode takes the last ``count`` in
+    corpus order. If fewer than ``count`` qualify, all are used and a
+    warning is emitted. The review at position ``i`` has the id
+    ``<domain>:<i>``, and ``vecs`` must hold a vector for every review.
     """
     if mode not in ("top", "heldout"):
         raise InputError(f"unknown selection mode {mode!r} (expected top or heldout)")
     by_id = {rid: vec for rid, vec in vecs.vectors}
-    missing = [r.review_id for r in corpus.reviews if r.review_id not in by_id]
+    ids = [f"{corpus.domain_id}:{i}" for i in range(len(corpus))]
+    missing = [rid for rid in ids if rid not in by_id]
     if missing:
         raise InputError(
             f"sentence vectors for {corpus.domain_id} miss {len(missing)} review id(s),"
@@ -233,7 +236,7 @@ def select_test_vectors(
     return SentenceVectorSet(
         corpus.domain_id,
         vecs.dims,
-        tuple((r.review_id, by_id[r.review_id]) for r, _ in selected),
+        tuple((ids[i], by_id[ids[i]]) for i, _ in selected),
     )
 
 

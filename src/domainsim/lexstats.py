@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .corpus import Corpus, Review
+from .corpus import Corpus
 from .errors import InputError
 
 # Probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any
@@ -166,17 +166,19 @@ def review_score(tokens: tuple[str, ...] | list[str], lexicon: dict[str, float])
     return _harmonic_mean(positives) - _harmonic_mean(negatives)
 
 
-def filter_reviews(corpus: Corpus, lexicon: dict[str, float]) -> list[tuple[Review, float]]:
-    """``(review, review_score)`` pairs, in corpus order, of the reviews that qualify.
+def filter_reviews(corpus: Corpus, lexicon: dict[str, float]) -> list[tuple[int, float]]:
+    """``(position, review_score)`` pairs, in corpus order, of the reviews that qualify.
 
-    Keeps reviews with at most 100 tokens and a score magnitude above
-    0.01; longer reviews are not scored. May return an empty list.
+    ``position`` indexes ``corpus.reviews``. Keeps reviews with at most 100
+    tokens and a score magnitude above 0.01; longer reviews are not scored.
+    Each review's stored token tuple is scored as it is, not a copy. May
+    return an empty list.
     """
     kept = []
-    for review in corpus.reviews:
-        if len(review.tokens) > 100:
+    for position, (_, tokens) in enumerate(corpus.reviews):
+        if len(tokens) > 100:
             continue
-        score = review_score(review.tokens, lexicon)
+        score = review_score(tokens, lexicon)
         if abs(score) > 0.01:
-            kept.append((review, score))
+            kept.append((position, score))
     return kept

@@ -1,12 +1,8 @@
 from __future__ import annotations
 
-from domainsim.corpus import Corpus, Review
+from domainsim.corpus import Corpus
 
 
 def build_corpus(domain_id: str, rows: list[tuple[str, str]]) -> Corpus:
     """Corpus from (label, space-separated tokens) rows, bypassing file I/O."""
-    reviews = [
-        Review(domain_id, label, tuple(text.split()), f"{domain_id}:{i}")
-        for i, (label, text) in enumerate(rows)
-    ]
-    return Corpus(domain_id, reviews)
+    return Corpus(domain_id, [(label, tuple(text.split())) for label, text in rows])

@@ -13,9 +13,10 @@ ndarray: a stable ``np.argsort``, and ``argmax`` and ``mean`` over masks.
 ``evaluation_scores`` is precision at K and NRA counted from those
 rankings in plain loops.
 ``select_reviews`` is the sentence metrics' review selection as it was
-before each review was scored once per command. ``normalize`` is text
-normalization as it was before its all-letters fast path and token
-interning: the per-character rule applied to every token.
+before each review was scored once per command; it names each review
+``<domain>:<position>``. ``normalize`` is text normalization as it was
+before its all-letters fast path and token interning: the per-character
+rule applied to every token.
 """
 
 from __future__ import annotations
@@ -286,18 +287,17 @@ def select_reviews(corpus, score, count: int = 500, mode: str = "heldout") -> li
     first ``count``, ``heldout`` keeps the last ``count`` in corpus order.
     """
     qualifying = []
-    for review in corpus.reviews:
-        if len(review.tokens) > 100:
+    for i, (_, tokens) in enumerate(corpus.reviews):
+        if len(tokens) > 100:
             continue
-        if abs(score(review.tokens)) > 0.01:
-            qualifying.append(review)
+        if abs(score(tokens)) > 0.01:
+            qualifying.append(i)
     if mode == "top":
-        order = {r.review_id: i for i, r in enumerate(corpus.reviews)}
-        qualifying.sort(key=lambda r: (-abs(score(r.tokens)), order[r.review_id]))
+        qualifying.sort(key=lambda i: (-abs(score(corpus.reviews[i][1])), i))
         selected = qualifying[:count]
     else:
         selected = qualifying[-count:]
-    return [r.review_id for r in selected]
+    return [f"{corpus.domain_id}:{i}" for i in selected]
 
 
 FEATURE_DIM = 1 << 16
@@ -310,8 +310,8 @@ def _hash_features(tokens) -> np.ndarray:
 
 def _featurize(corpus) -> list[tuple[np.ndarray, int]]:
     return [
-        (_hash_features(r.tokens), 1 if r.label == "positive" else 0)
-        for r in corpus.reviews
+        (_hash_features(tokens), 1 if label == "positive" else 0)
+        for label, tokens in corpus.reviews
     ]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from domainsim.corpus import Corpus, Review
+from domainsim.corpus import Corpus
 from domainsim.embedding_metrics import AdjectiveLexicon, SentenceVectorSet, WordVectorTable
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -65,14 +65,8 @@ def synthetic_reviews(
 
 
 def build_corpora(data: dict[str, list[tuple[str, str]]]) -> list[Corpus]:
-    corpora = []
-    for name, rows in data.items():
-        reviews = [
-            Review(name, label, tuple(text.split()), f"{name}:{i}")
-            for i, (label, text) in enumerate(rows)
-        ]
-        corpora.append(Corpus(name, reviews))
-    return corpora
+    return [Corpus(name, [(label, tuple(text.split())) for label, text in rows])
+            for name, rows in data.items()]
 
 
 def write_jsonl(data: dict[str, list[tuple[str, str]]], directory: Path) -> dict[str, str]:
@@ -111,14 +105,14 @@ def synthetic_sentence_sets(
     dims: int = 8,
     seed: int = 9,
 ) -> list[SentenceVectorSet]:
-    """Per-review vectors around a stable per-domain direction."""
+    """Per-review vectors around a stable per-domain direction, keyed ``<domain>:<position>``."""
     sets = []
     for di, corpus in enumerate(corpora):
         rng = np.random.default_rng(np.random.SeedSequence([seed, di]))
         base = rng.normal(size=dims)
         vectors = tuple(
-            (review.review_id, base + 0.1 * rng.normal(size=dims))
-            for review in corpus.reviews
+            (f"{corpus.domain_id}:{i}", base + 0.1 * rng.normal(size=dims))
+            for i in range(len(corpus))
         )
         sets.append(SentenceVectorSet(corpus.domain_id, dims, vectors))
     return sets

@@ -11,7 +11,6 @@ from domainsim.corpus import (
     POSITIVE,
     Corpus,
     NgramIndex,
-    Review,
     load_corpus,
     load_stopwords,
     ngram_overlap_matrix,
@@ -64,8 +63,7 @@ def test_load_jsonl_counts_and_order(tmp_path):
     corpus = load_corpus(path)
     assert len(corpus) == 2
     assert corpus.counts == {"good": (1, 0), "product": (1, 1), "bad": (0, 1)}
-    assert [r.review_id for r in corpus.reviews] == ["d:0", "d:1"]
-    assert corpus.reviews[0].tokens == ("good", "product")
+    assert corpus.reviews == (("positive", ("good", "product")), ("negative", ("bad", "product")))
 
 
 def test_load_jsonl_drops_empty_normalized_review_with_warning(tmp_path):
@@ -176,7 +174,7 @@ def test_load_stopwords_normalizes_entries_like_tokens(tmp_path):
     assert normalize("I don't think it's the best", stopwords) == ["i", "think", "best"]
 
 
-def test_loaded_corpora_share_token_label_and_domain_objects(tmp_path):
+def test_loaded_corpora_share_token_and_label_objects(tmp_path):
     paths = []
     for name, texts in (("a", ["Great movie!", "great plot, dull movie"]),
                         ("b", ["dull plot", "a GREAT film"])):
@@ -188,19 +186,13 @@ def test_loaded_corpora_share_token_label_and_domain_objects(tmp_path):
     first: dict[str, str] = {}
     for corpus in corpora:
         for review in corpus.reviews:
-            assert review.label is POSITIVE or review.label is NEGATIVE
-            assert review.domain_id is corpus.domain_id
-            for token in review.tokens:
+            assert type(review) is tuple and len(review) == 2
+            label, tokens = review
+            assert label is POSITIVE or label is NEGATIVE
+            assert type(tokens) is tuple
+            for token in tokens:
                 assert first.setdefault(token, token) is token
     assert set(first) == {"great", "movie", "plot", "dull", "film"}
-    assert not hasattr(corpora[0].reviews[0], "__dict__")
-
-
-def test_review_rejects_empty_tokens_and_bad_label():
-    with pytest.raises(InputError):
-        Review("d", "positive", (), "d:0")
-    with pytest.raises(InputError):
-        Review("d", "mixed", ("x",), "d:0")
 
 
 def test_corpus_rejects_no_reviews():
@@ -218,8 +210,8 @@ def test_counts_consistent_with_reviews():
             tokens = " ".join(rng.choice(vocab, size=rng.integers(1, 6)))
             rows.append((label, tokens))
         corpus = build_corpus("d", rows)
-        pos_total = sum(len(r.tokens) for r in corpus.reviews if r.label == "positive")
-        neg_total = sum(len(r.tokens) for r in corpus.reviews if r.label == "negative")
+        pos_total = sum(len(tokens) for label, tokens in corpus.reviews if label == "positive")
+        neg_total = sum(len(tokens) for label, tokens in corpus.reviews if label == "negative")
         assert sum(c_p for c_p, _ in corpus.counts.values()) == pos_total
         assert sum(c_n for _, c_n in corpus.counts.values()) == neg_total
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import build_corpus
+from domainsim.corpus import load_corpus
 from domainsim.embedding_metrics import (
     AdjectiveLexicon,
     SentenceVectorSet,
@@ -80,6 +83,22 @@ def test_load_sentence_vectors_keeps_ids_and_order(tmp_path):
     assert [rid for rid, _ in vectors.vectors] == ["d:0", "d:1"]
     assert vectors.dims == 2
     assert vectors.domain_id == "d"
+
+
+def test_review_ids_number_the_kept_reviews_not_file_lines(tmp_path):
+    corpus_path = tmp_path / "d.jsonl"
+    corpus_path.write_text("".join(
+        json.dumps({"domain": "d", "label": label, "text": text}) + "\n"
+        for label, text in [("positive", "lovely"), ("negative", "100 . the"),
+                            ("negative", "awful")]))
+    with pytest.warns(UserWarning, match="zero tokens"):
+        corpus = load_corpus(corpus_path)
+    vec_path = tmp_path / "d.vec"
+    vec_path.write_text("d:0 1.0 0.0\nd:1 0.0 1.0\n")
+    qualifying = filter_reviews(corpus, {"awful": -0.8})
+    picked = select_test_vectors(corpus, qualifying, load_sentence_vectors(vec_path), count=1)
+    assert [(rid, vec.tolist()) for rid, vec in picked.vectors] == [("d:1", [0.0, 1.0])]
+    assert corpus.reviews[1] == ("negative", ("awful",))
 
 
 def test_angular_similarity_reference_points():
@@ -222,7 +241,7 @@ def _qualifying(corpus):
 def _vectors_for(corpus):
     rng = np.random.default_rng(1)
     return SentenceVectorSet(
-        "d", 3, tuple((r.review_id, rng.normal(size=3)) for r in corpus.reviews)
+        "d", 3, tuple((f"d:{i}", rng.normal(size=3)) for i in range(len(corpus)))
     )
 
 

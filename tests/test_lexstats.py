@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_corpus
+from domainsim import lexstats
 from domainsim.errors import InputError
 from domainsim.lexstats import (
     chi_square,
@@ -133,7 +134,28 @@ def test_filter_reviews_threshold_and_length():
     ]
     corpus = build_corpus("d", [(label, text.strip()) for label, text in rows])
     kept = filter_reviews(corpus, lexicon)
-    assert [(r.review_id, score) for r, score in kept] == [("d:1", -0.5)]
+    assert kept == [(1, -0.5)]
+
+
+def test_filter_reviews_scores_the_stored_token_tuples(monkeypatch):
+    corpus = build_corpus("d", [
+        ("positive", "good film"),
+        ("negative", "pad " * 101),
+        ("negative", "bad film"),
+        ("positive", "good film"),
+    ])
+    scored = []
+
+    def recording_score(tokens, lexicon):
+        scored.append(tokens)
+        return review_score(tokens, lexicon)
+
+    monkeypatch.setattr(lexstats, "review_score", recording_score)
+    kept = filter_reviews(corpus, {"good": 0.5, "bad": -0.5})
+    assert [position for position, _ in kept] == [0, 2, 3]
+    assert len(scored) == 3
+    for tokens, i in zip(scored, (0, 2, 3)):
+        assert tokens is corpus.reviews[i][1]
 
 
 def test_filter_reviews_boundary_is_strict():

@@ -46,7 +46,6 @@ from domainsim.corpus import (
     POSITIVE,
     Corpus,
     NgramIndex,
-    Review,
     bundled_stopwords,
     load_corpus,
     ngram_overlap_matrix,
@@ -146,7 +145,7 @@ def assert_ngram_index_matches_oracle(token_rows_per_corpus):
     """Per order: ids number the distinct n-grams in ``sorted()`` order of
     their string tuples, and each corpus lists the oracle's n-grams and
     counts in first-occurrence order."""
-    corpora = [Corpus(f"d{c}", [Review(f"d{c}", (POSITIVE, NEGATIVE)[i % 2], tuple(tokens), f"d{c}:{i}")
+    corpora = [Corpus(f"d{c}", [((POSITIVE, NEGATIVE)[i % 2], tuple(tokens))
                                 for i, tokens in enumerate(rows)])
                for c, rows in enumerate(token_rows_per_corpus)]
     index = NgramIndex(corpora)
@@ -197,7 +196,7 @@ def test_ngram_matches_oracle_exactly(domains):
 
 def selected_ids(corpus, lexicon, count, mode):
     vectors = SentenceVectorSet(
-        corpus.domain_id, 2, tuple((r.review_id, np.ones(2)) for r in corpus.reviews))
+        corpus.domain_id, 2, tuple((f"{corpus.domain_id}:{i}", np.ones(2)) for i in range(len(corpus))))
     picked = select_test_vectors(corpus, filter_reviews(corpus, lexicon), vectors, count, mode)
     return [review_id for review_id, _ in picked.vectors]
 
@@ -327,7 +326,7 @@ def test_row_sums_equal_the_sum_of_the_gathered_weights():
     corpus = build_corpus(
         "A", [("positive", " ".join(rng.choice(tokens, size=n, replace=False))) for n in range(1, 301)])
     features, widths, _, _ = _featurize([corpus])
-    ids = [oracles._hash_features(review.tokens) for review in corpus.reviews]
+    ids = [oracles._hash_features(tokens) for _, tokens in corpus.reviews]
     # Magnitudes spread over 12 decades, so any change of summation order shows.
     by_id = rng.normal(size=oracles.FEATURE_DIM) * 10.0 ** rng.integers(-6, 7, size=oracles.FEATURE_DIM)
     weights = np.append(by_id[np.unique(np.concatenate(ids))], 0.0)
