@@ -92,14 +92,6 @@ def load_accuracy_matrix(path: str | Path) -> PairMatrix:
     return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc)
 
 
-def write_accuracy_matrix_csv(matrix: PairMatrix, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["domain", *matrix.domains])
-        for i, source in enumerate(matrix.domains):
-            writer.writerow([source, *(f"{v:.2f}" for v in matrix.values[i])])
-
-
 def reference_accuracy_matrix() -> PairMatrix:
     """The bundled 20-domain reference accuracy matrix."""
     with resources.as_file(
@@ -172,17 +164,6 @@ def _numpy_sum(values: Sequence[float]) -> float:
     for value in values[blocks:]:
         total += value
     return total
-
-
-def write_chart_csv(rows: Sequence[ChartRow], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["domain", "in_domain_accuracy", "avg_degradation", "best_source", "best_target"])
-        for row in rows:
-            writer.writerow(
-                [row.domain_id, f"{row.in_domain_acc:.2f}", f"{row.avg_degradation:.2f}",
-                 row.best_source, row.best_target]
-            )
 
 
 def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -8,7 +8,8 @@ repeat and splits each value at commas, so ``--metrics ""`` gives an empty
 list, while ``--out ""`` keeps the config's value. All randomness flows
 from the single configured seed, and repeated runs with the same config
 produce byte-identical CSV outputs. ``evaluate`` ranks through
-``evaluation.rank_sources``; it and ``chart`` write their reports through one writer.
+``evaluation.rank_sources``. This module writes every output file, each
+CSV through ``_write_csv`` (UTF-8, minimal quoting, lines ending in ``\n``).
 numpy loads on first use (``_numpy``): ``ingest``, ``chart``, ``evaluate``
 with a reference or CSV accuracy matrix, and ``metrics`` whose metrics are
 all among LM1–LM3 never load it; ``metrics`` with LM4, NGRAM or a ULM
@@ -26,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import corpus as corpus_mod
 from . import embedding_metrics as emb
@@ -37,11 +38,9 @@ from .cdsa_baseline import (
     load_accuracy_matrix,
     reference_accuracy_matrix,
     train_eval_baseline,
-    write_accuracy_matrix_csv,
-    write_chart_csv,
 )
 from .errors import InputError
-from .evaluation import EvalReport, build_markdown_report, recommendation_report, write_eval_csv
+from .evaluation import EvalReport, recommendation_report
 from .lexstats import (
     load_sentiment_lexicon_tsv,
     load_sentiwordnet,
@@ -100,8 +99,14 @@ class RunConfig:
     def _apply_flags(self, args: argparse.Namespace) -> None:
         for key in self.__dataclass_fields__:
             value = getattr(args, key)
-            if value is not None and value != "":
-                setattr(self, key, dict(value) if key in ("domains", "vectors") else value)
+            if value is None or value == "":
+                continue
+            if key in ("domains", "vectors"):
+                repeated = _repeated([name for name, _ in value])
+                if repeated:
+                    raise InputError(f"--{key} names {', '.join(repeated)} more than once")
+                value = dict(value)
+            setattr(self, key, value)
 
     def _validate(self) -> None:
         for key in ("domains", "vectors"):
@@ -122,7 +127,7 @@ class RunConfig:
         for metric in self.metrics:
             if not isinstance(metric, str) or metric not in METRICS:
                 raise InputError(f"unknown metric {metric!r} (known: {', '.join(METRICS)})")
-        repeated = sorted({metric for metric in self.metrics if self.metrics.count(metric) > 1})
+        repeated = _repeated(self.metrics)
         if repeated:
             raise InputError(f"metrics listed more than once: {', '.join(repeated)}")
         stray = sorted(set(self.vectors) - set(READINGS))
@@ -136,7 +141,7 @@ class RunConfig:
         for k in self.k:
             if not _is_int(k) or k < 1:
                 raise InputError(f"K values must be positive integers, got {k!r}")
-        repeated_k = sorted({k for k in self.k if self.k.count(k) > 1})
+        repeated_k = _repeated(self.k)
         if repeated_k:
             raise InputError(f"K values listed more than once: {', '.join(map(str, repeated_k))}")
 
@@ -248,6 +253,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _repeated(values: list) -> list:
+    return sorted({value for value in values if values.count(value) > 1})
+
+
 def _looks_like_tsv(path: Path) -> bool:
     if not path.is_file():
         raise InputError(f"lexicon file not found: {path}")
@@ -281,20 +290,24 @@ def _mapping(chunk: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write one output CSV, the only way this package writes one (see the module docstring)."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_ingest(workspace: Workspace) -> None:
     corpora = workspace.corpora
     out = workspace.config.out_dir() / "ingest_summary.csv"
-    with out.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["domain", "reviews", "positive", "negative", "tokens", "vocabulary", "balanced"]
-        )
-        for corpus in corpora:
-            pos, neg = corpus.label_counts()
-            writer.writerow(
-                [corpus.domain_id, len(corpus), pos, neg, corpus.token_count(),
-                 len(corpus.counts), "yes" if pos == neg else "no"]
-            )
+    rows = []
+    for corpus in corpora:
+        pos, neg = corpus.label_counts()
+        rows.append([corpus.domain_id, len(corpus), pos, neg, corpus.token_count(),
+                     len(corpus.counts), "yes" if pos == neg else "no"])
+    _write_csv(out, ["domain", "reviews", "positive", "negative", "tokens", "vocabulary",
+                     "balanced"], rows)
     print(f"wrote {out} ({len(corpora)} domains)")
 
 
@@ -341,15 +354,13 @@ def _preflight(config: RunConfig, metrics: Sequence[str]) -> None:
 
 
 def write_metric_csv(pairs: PairMatrix, path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRIC_CSV_HEADER)
-        for i, source in enumerate(pairs.domains):
-            for j, target in enumerate(pairs.domains):
-                if i != j:
-                    value = pairs.values[i][j]
-                    writer.writerow([pairs.metric_id, source, target,
-                                     "" if math.isnan(value) else repr(value), pairs.direction])
+    """One row per ordered pair of distinct domains; an unrankable pair's value is empty."""
+    _write_csv(path, METRIC_CSV_HEADER, (
+        [pairs.metric_id, source, target, "" if math.isnan(value) else repr(value), pairs.direction]
+        for source, row in zip(pairs.domains, pairs.values)
+        for target, value in zip(pairs.domains, row)
+        if source != target
+    ))
 
 
 def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> PairMatrix:
@@ -407,6 +418,85 @@ def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> Pa
     return PairMatrix(metric, direction, tuple(domains), values)
 
 
+def write_overlap_matrix_csv(matrix: PairMatrix, path: str | Path) -> None:
+    """The overlap matrix, upper triangle only, 2 decimals."""
+    _write_csv(path, ["domain", *matrix.domains], (
+        [source, *(f"{v:.2f}" if j > i and not math.isnan(v) else "" for j, v in enumerate(row))]
+        for i, (source, row) in enumerate(zip(matrix.domains, matrix.values))
+    ))
+
+
+def write_accuracy_matrix_csv(matrix: PairMatrix, path: str | Path) -> None:
+    """The accuracy matrix, one row per source, 2 decimals; ``load_accuracy_matrix`` reads it."""
+    _write_csv(path, ["domain", *matrix.domains], (
+        [source, *(f"{v:.2f}" for v in row)] for source, row in zip(matrix.domains, matrix.values)
+    ))
+
+
+def _chart_cells(row: ChartRow) -> list[str]:
+    """A chart row's cells, for the chart CSV and the report's chart table."""
+    return [row.domain_id, f"{row.in_domain_acc:.2f}", f"{row.avg_degradation:.2f}",
+            row.best_source, row.best_target]
+
+
+def _eval_cells(report: EvalReport) -> list[str]:
+    """An evaluation row's cells, for ``eval_report.csv`` and (K onwards) the report's tables."""
+    return [report.metric_id, str(report.k), f"{report.precision_pct:.2f}", f"{report.nra:.3f}"]
+
+
+def write_chart_csv(rows: Sequence[ChartRow], path: str | Path) -> None:
+    _write_csv(path, ["domain", "in_domain_accuracy", "avg_degradation", "best_source",
+                      "best_target"], map(_chart_cells, rows))
+
+
+def write_eval_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
+    _write_csv(path, ["metric_id", "k", "precision_pct", "nra"], map(_eval_cells, reports))
+
+
+def _markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(headers)]
+    def fmt(cells):
+        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
+    lines = [fmt(headers), "| " + " | ".join("-" * w for w in widths) + " |"]
+    lines.extend(fmt(row) for row in rows)
+    return lines
+
+
+def build_markdown_report(
+    chart_rows: Sequence[ChartRow],
+    reports: Sequence[EvalReport],
+) -> str:
+    """Aligned Markdown with the recommendation chart and evaluation tables."""
+    lines = ["# Source-domain recommendation chart", ""]
+    lines.extend(
+        _markdown_table(
+            ["Domain", "In-Domain Accuracy", "Avg CDSA Degradation", "Best Source", "Best Target"],
+            [_chart_cells(r) for r in chart_rows],
+        )
+    )
+    lines.append("")
+    if not reports:
+        lines.append("No metrics selected; evaluation section omitted.")
+        lines.append("")
+        return "\n".join(lines)
+    lines.append("# Metric evaluation")
+    lines.append("")
+    by_metric: dict[str, list[EvalReport]] = {}
+    for report in reports:
+        by_metric.setdefault(report.metric_id, []).append(report)
+    for metric_id, metric_reports in by_metric.items():
+        lines.append(f"## {metric_id}")
+        lines.append("")
+        lines.extend(
+            _markdown_table(
+                ["K", "Precision (%)", "NRA"],
+                [_eval_cells(r)[1:] for r in sorted(metric_reports, key=lambda r: r.k)],
+            )
+        )
+        lines.append("")
+    return "\n".join(lines)
+
+
 def cmd_metrics(workspace: Workspace) -> None:
     config = workspace.config
     if not config.metrics:
@@ -418,7 +508,7 @@ def cmd_metrics(workspace: Workspace) -> None:
         direction, compute = METRICS[metric]
         pairs = PairMatrix(metric, direction, domains, compute(workspace, metric))
         if metric == "NGRAM":
-            corpus_mod.write_overlap_matrix_csv(pairs, out_dir / "ngram_overlap_matrix.csv")
+            write_overlap_matrix_csv(pairs, out_dir / "ngram_overlap_matrix.csv")
         path = out_dir / f"metric_{metric}.csv"
         write_metric_csv(pairs, path)
         print(f"wrote {path} ({len(domains) * (len(domains) - 1)} pairs)")

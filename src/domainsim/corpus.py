@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 import sys
 import warnings
 from collections import Counter
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 
 from ._numpy import np
 from .errors import InputError
-from .pairs import PairMatrix, mirrored
+from .pairs import mirrored
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -306,15 +305,3 @@ def ngram_overlap_matrix(index: NgramIndex) -> list[list[float]]:
     tops = [[frozenset(_top_k(index, order, c, 10).tolist()) for order in (2, 3, 4)]
             for c in range(len(index.domain_ids))]
     return mirrored(tops, _overlap)
-
-
-def write_overlap_matrix_csv(matrix: PairMatrix, path: str | Path) -> None:
-    """Write the overlap matrix as CSV, upper triangle only, 2 decimals."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["domain", *matrix.domains])
-        for i, name in enumerate(matrix.domains):
-            row: list[str] = [name]
-            for j, v in enumerate(matrix.values[i]):
-                row.append(f"{v:.2f}" if j > i and not math.isnan(v) else "")
-            writer.writerow(row)

@@ -5,8 +5,9 @@ angular similarity of word vectors over common adjectives plus a Jaccard
 term (ULM1/ULM3/ULM4/ULM6, depending only on which embedding trainer
 produced the vector file), and angular similarity of averaged sentence
 vectors over sentiment-filtered reviews (ULM2/ULM5/ULM7). Vector files are
-plain text: an optional ``<count> <dims>`` header line, then one entry per
-line as a key followed by whitespace-separated floats.
+plain text: an optional ``<count> <dims>`` header line, whose count must be
+the number of entries, then one entry per line as a key followed by
+whitespace-separated floats.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]], l
     """The file's dimensionality, its (key, vector) entries and the line of each entry."""
     if not path.is_file():
         raise InputError(f"vector file not found: {path}")
+    count: int | None = None
     dims: int | None = None
     entries: list[tuple[str, np.ndarray]] = []
     linenos: list[int] = []
@@ -85,11 +87,10 @@ def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]], l
                 continue
             if lineno == 1 and len(parts) == 2:
                 try:
-                    int(parts[0]), int(parts[1])
+                    count, dims = int(parts[0]), int(parts[1])
                 except ValueError:
                     pass
                 else:
-                    dims = int(parts[1])
                     continue
             key = parts[0]
             if len(parts) < 2:
@@ -111,6 +112,9 @@ def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]], l
             linenos.append(lineno)
     if not entries:
         raise InputError(f"{path}: no vector entries")
+    if count is not None and count != len(entries):
+        raise InputError(f"{path}, line 1: header gives {count} entries,"
+                         f" the file has {len(entries)}")
     # Checked once per file: np.isfinite on every line would add ~8% to parsing.
     finite = np.isfinite(np.array([vec for _, vec in entries])).all(axis=1)
     if not finite.all():
@@ -210,18 +214,26 @@ def select_test_vectors(
     order) and takes ``count``; ``heldout`` mode takes the last ``count`` in
     corpus order. If fewer than ``count`` qualify, all are used and a
     warning is emitted. The review at position ``i`` has the id
-    ``<domain>:<i>``, and ``vecs`` must hold a vector for every review.
+    ``<domain>:<i>``. ``vecs`` must hold a vector for every review, and no
+    other ``<domain>:<i>`` key, such as one that numbers a dropped line.
     """
     if mode not in ("top", "heldout"):
         raise InputError(f"unknown selection mode {mode!r} (expected top or heldout)")
     by_id = {rid: vec for rid, vec in vecs.vectors}
-    ids = [f"{corpus.domain_id}:{i}" for i in range(len(corpus))]
+    prefix = f"{corpus.domain_id}:"
+    ids = [f"{prefix}{i}" for i in range(len(corpus))]
     missing = [rid for rid in ids if rid not in by_id]
     if missing:
         raise InputError(
             f"sentence vectors for {corpus.domain_id} miss {len(missing)} review id(s),"
             f" e.g. {missing[:3]}"
         )
+    kept = set(ids)
+    stray = [rid for rid in by_id
+             if rid.startswith(prefix) and rid[len(prefix):].isdigit() and rid not in kept]
+    if stray:
+        raise InputError(f"sentence vectors for {corpus.domain_id}: {len(stray)} id(s) name no"
+                         f" kept review, e.g. {stray[:3]}; ids number kept reviews, not file lines")
     if mode == "top":
         # The sort is stable, so equal magnitudes keep corpus order.
         selected = sorted(qualifying, key=lambda scored: -abs(scored[1]))[:count]

@@ -7,17 +7,15 @@ target. ``rank_sources`` is the one place that ranks: it takes every
 target's ranking from ``PairMatrix.ranking``, for each metric and for the
 truth alike. Rankings are scored with precision at K (top-K intersection
 size) and ranking accuracy (exact-position matches within the top K),
-aggregated over all targets and normalized.
+aggregated over all targets and normalized. This module ranks and scores
+but writes nothing: ``cli`` writes the CSV and Markdown reports.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
-from .cdsa_baseline import ChartRow
 from .errors import InputError
 from .pairs import PairMatrix
 
@@ -107,67 +105,3 @@ def recommendation_report(
         for k in ks:
             reports.append(aggregate(metric_id, truths, predictions, k))
     return reports
-
-
-def write_eval_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric_id", "k", "precision_pct", "nra"])
-        for report in reports:
-            writer.writerow(
-                [report.metric_id, report.k, f"{report.precision_pct:.2f}", f"{report.nra:.3f}"]
-            )
-
-
-def _markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    widths = [
-        max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-        for i, h in enumerate(headers)
-    ]
-    def fmt(cells):
-        return "| " + " | ".join(str(c).ljust(w) for c, w in zip(cells, widths)) + " |"
-    lines = [fmt(headers), "| " + " | ".join("-" * w for w in widths) + " |"]
-    lines.extend(fmt(row) for row in rows)
-    return lines
-
-
-def build_markdown_report(
-    chart_rows: Sequence[ChartRow],
-    reports: Sequence[EvalReport],
-) -> str:
-    """Aligned Markdown with the recommendation chart and evaluation tables."""
-    lines = ["# Source-domain recommendation chart", ""]
-    lines.extend(
-        _markdown_table(
-            ["Domain", "In-Domain Accuracy", "Avg CDSA Degradation", "Best Source", "Best Target"],
-            [
-                [r.domain_id, f"{r.in_domain_acc:.2f}", f"{r.avg_degradation:.2f}",
-                 r.best_source, r.best_target]
-                for r in chart_rows
-            ],
-        )
-    )
-    lines.append("")
-    if not reports:
-        lines.append("No metrics selected; evaluation section omitted.")
-        lines.append("")
-        return "\n".join(lines)
-    lines.append("# Metric evaluation")
-    lines.append("")
-    by_metric: dict[str, list[EvalReport]] = {}
-    for report in reports:
-        by_metric.setdefault(report.metric_id, []).append(report)
-    for metric_id, metric_reports in by_metric.items():
-        lines.append(f"## {metric_id}")
-        lines.append("")
-        lines.extend(
-            _markdown_table(
-                ["K", "Precision (%)", "NRA"],
-                [
-                    [str(r.k), f"{r.precision_pct:.2f}", f"{r.nra:.3f}"]
-                    for r in sorted(metric_reports, key=lambda r: r.k)
-                ],
-            )
-        )
-        lines.append("")
-    return "\n".join(lines)

@@ -9,8 +9,8 @@ from domainsim.cdsa_baseline import (
     load_accuracy_matrix,
     reference_accuracy_matrix,
     train_eval_baseline,
-    write_accuracy_matrix_csv,
 )
+from domainsim.cli import write_accuracy_matrix_csv
 from domainsim.errors import InputError
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 

@@ -20,10 +20,8 @@ from domainsim.cdsa_baseline import (
     chart,
     reference_accuracy_matrix,
     train_eval_baseline,
-    write_accuracy_matrix_csv,
-    write_chart_csv,
 )
-from domainsim.cli import main
+from domainsim.cli import main, write_accuracy_matrix_csv, write_chart_csv
 from domainsim.errors import InputError
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix
 
@@ -592,6 +590,20 @@ def test_unknown_metric_and_config_keys_rejected(workspace, capsys):
     for key in ("ULM9", "LM1"):
         assert main(["metrics", "--config", str(config), "--vectors", f"{key}={tmp_path}"]) == 1
         assert f"vectors given for {key}, which are not vector metrics" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--domains", "A={A},B={B},A={A}"], "--domains names A more than once"),
+    (["--domains", "A={A}", "--domains", "B={B},A={B}"], "--domains names A more than once"),
+    (["--vectors", "ULM1={dir},ULM3={dir},ULM1={dir}"], "--vectors names ULM1 more than once"),
+])
+def test_a_name_repeated_in_a_mapping_flag_exits_one(workspace, capsys, flags, message):
+    tmp_path, config = workspace
+    paths = {name: tmp_path / f"{name}.jsonl" for name in "AB"}
+    flags = [flag.format(**paths, dir=tmp_path) for flag in flags]
+    assert main(["ingest", "--config", str(config), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "ingest_summary.csv").exists()
 
 
 @pytest.mark.parametrize("key, value", [

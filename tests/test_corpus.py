@@ -16,8 +16,8 @@ from domainsim.corpus import (
     ngram_overlap_matrix,
     normalize,
     top_k_ngrams,
-    write_overlap_matrix_csv,
 )
+from domainsim.cli import write_overlap_matrix_csv
 from domainsim.errors import InputError
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 

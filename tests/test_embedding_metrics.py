@@ -43,6 +43,16 @@ def test_load_word_vectors_header_consumed(tmp_path):
     assert len(table.entries) == 2
 
 
+def test_load_word_vectors_rejects_a_header_count_other_than_the_entries(tmp_path):
+    path = tmp_path / "d.vec"
+    path.write_text("3 2\ngood 1.0 0.0\nbad 0.0 1.0\n")
+    with pytest.raises(InputError, match=r"d\.vec, line 1: header gives 3 entries, the file has 2"):
+        load_word_vectors(path)
+    path.write_text("1 2\ngood 1.0 0.0\nbad 0.0 1.0\n")
+    with pytest.raises(InputError, match=r"d\.vec, line 1: header gives 1 entries, the file has 2"):
+        load_sentence_vectors(path)
+
+
 def test_load_word_vectors_dims_mismatch_names_line(tmp_path):
     path = tmp_path / "d.vec"
     path.write_text("good 1.0 0.0\nbad 0.0 1.0 0.5\n")
@@ -99,6 +109,23 @@ def test_review_ids_number_the_kept_reviews_not_file_lines(tmp_path):
     picked = select_test_vectors(corpus, qualifying, load_sentence_vectors(vec_path), count=1)
     assert [(rid, vec.tolist()) for rid, vec in picked.vectors] == [("d:1", [0.0, 1.0])]
     assert corpus.reviews[1] == ("negative", ("awful",))
+
+
+def test_sentence_vector_ids_past_the_last_kept_review_are_rejected(tmp_path):
+    corpus_path = tmp_path / "d.jsonl"
+    corpus_path.write_text("".join(
+        json.dumps({"domain": "d", "label": label, "text": text}) + "\n"
+        for label, text in [("positive", "lovely"), ("negative", "100 . the"),
+                            ("negative", "awful")]))
+    with pytest.warns(UserWarning, match="zero tokens"):
+        corpus = load_corpus(corpus_path)
+    vec_path = tmp_path / "d.vec"
+    # Keyed by file line: d:1 is the dropped line's vector, d:2 the third review's.
+    vec_path.write_text("d:0 1.0 0.0\nd:1 0.0 1.0\nd:2 1.0 1.0\nother:7 1.0 0.0\n")
+    qualifying = filter_reviews(corpus, {"awful": -0.8})
+    with pytest.raises(InputError, match=r"sentence vectors for d: 1 id\(s\) name no kept review,"
+                       r" e\.g\. \['d:2'\]; ids number kept reviews, not file lines"):
+        select_test_vectors(corpus, qualifying, load_sentence_vectors(vec_path), count=1)
 
 
 def test_angular_similarity_reference_points():

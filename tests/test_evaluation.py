@@ -5,15 +5,14 @@ import pytest
 
 import oracles
 from domainsim.cdsa_baseline import chart, reference_accuracy_matrix
+from domainsim.cli import build_markdown_report, write_eval_csv
 from domainsim.errors import InputError
 from domainsim.evaluation import (
     aggregate,
-    build_markdown_report,
     precision_at_k,
     rank_sources,
     ranking_accuracy,
     recommendation_report,
-    write_eval_csv,
 )
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix
 

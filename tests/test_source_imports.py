@@ -4,6 +4,8 @@ A name bound by an import must be read somewhere in its module. Skipped:
 ``__init__.py``, whose imports are the package's exports; ``from
 __future__`` imports; and an import marked ``# noqa: F401``, a name kept on
 purpose for another module to look up.
+
+Also: the package writes its CSV files through one ``csv.writer``, in ``cli``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     assert len(modules) > 5
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def test_csv_writer_occurs_once_in_the_package_in_cli():
+    counts = {path.name: path.read_text("utf-8").count("csv.writer")
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
 
 
 def test_an_unused_import_is_found(tmp_path):
