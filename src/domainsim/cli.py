@@ -10,11 +10,12 @@ from the single configured seed, and repeated runs with the same config
 produce byte-identical CSV outputs. ``evaluate`` ranks through
 ``evaluation.rank_sources``. This module writes every output file, each
 CSV through ``_write_csv`` (UTF-8, minimal quoting, lines ending in ``\n``).
-numpy loads on first use (``_numpy``): ``ingest``, ``chart``, ``evaluate``
-with a reference or CSV accuracy matrix, and ``metrics`` whose metrics are
-all among LM1–LM3 never load it; ``metrics`` with LM4, NGRAM or a ULM
-metric, ``baseline`` and ``evaluate --accuracy-matrix generate`` pay for its
-import inside the command.
+``chart`` and ``evaluate`` read the accuracy matrix from a CSV file, such
+as the one ``baseline`` writes, or take the bundled reference; they never
+load corpora. numpy loads on first use (``_numpy``): ``ingest``, ``chart``,
+``evaluate`` and ``metrics`` whose metrics are all among LM1–LM3 never load
+it; ``metrics`` with LM4, NGRAM or a ULM metric, and ``baseline``, pay for
+its import inside the command.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class RunConfig:
             if not path.is_file():
                 raise InputError(f"config file not found: {path}")
             try:
-                raw = json.loads(path.read_text("utf-8"))
+                raw = json.loads(path.read_text("utf-8"),
+                                 object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: malformed JSON config ({exc.msg})") from exc
             if not isinstance(raw, dict):
@@ -255,6 +257,14 @@ def _is_int(value) -> bool:
 
 def _repeated(values: list) -> list:
     return sorted({value for value in values if values.count(value) > 1})
+
+
+def _unique_keys(path: Path, pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the config file at ``path``, which may not repeat a key."""
+    repeated = _repeated([key for key, _ in pairs])
+    if repeated:
+        raise InputError(f"{path}: a config object repeats key {', '.join(map(repr, repeated))}")
+    return dict(pairs)
 
 
 def _looks_like_tsv(path: Path) -> bool:
@@ -514,18 +524,15 @@ def cmd_metrics(workspace: Workspace) -> None:
         print(f"wrote {path} ({len(domains) * (len(domains) - 1)} pairs)")
 
 
-def _resolve_matrix(workspace: Workspace) -> PairMatrix:
-    config = workspace.config
+def _resolve_matrix(config: RunConfig) -> PairMatrix:
     if config.accuracy_matrix in (None, "", "reference"):
         return reference_accuracy_matrix()
-    if config.accuracy_matrix == "generate":
-        return train_eval_baseline(workspace.corpora, seed=config.seed)
     return load_accuracy_matrix(config.accuracy_matrix)
 
 
 def cmd_evaluate(workspace: Workspace) -> None:
     config = workspace.config
-    matrix = _resolve_matrix(workspace)
+    matrix = _resolve_matrix(config)
     out_dir = config.out_dir()
     pairs_by_metric = {
         metric: read_metric_csv(out_dir / f"metric_{metric}.csv", metric, matrix.domains)
@@ -539,7 +546,7 @@ def cmd_evaluate(workspace: Workspace) -> None:
 
 
 def cmd_chart(workspace: Workspace) -> None:
-    chart_rows = chart(_resolve_matrix(workspace))
+    chart_rows = chart(_resolve_matrix(workspace.config))
     out_dir = workspace.config.out_dir()
     _write_reports(out_dir, chart_rows, [])
     print(f"wrote chart for {len(chart_rows)} domains to {out_dir}")
@@ -579,8 +586,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vectors", action="extend", type=_mapping,
                         help="vector directories as METRIC=DIR[,METRIC=DIR...]")
     parser.add_argument("--accuracy-matrix",
-                        help="accuracy matrix CSV, 'reference' for the bundled one,"
-                             " or 'generate' to train the baseline")
+                        help="accuracy matrix CSV (such as baseline's accuracy_matrix.csv)"
+                             " or 'reference' for the bundled one")
     parser.add_argument("--metrics", action="extend", type=_names,
                         help="metric ids, comma separated")
     parser.add_argument("--k", action="extend", type=_ints, help="top-K cutoffs, comma separated")

@@ -7,7 +7,7 @@ produced the vector file), and angular similarity of averaged sentence
 vectors over sentiment-filtered reviews (ULM2/ULM5/ULM7). Vector files are
 plain text: an optional ``<count> <dims>`` header line, whose count must be
 the number of entries, then one entry per line as a key followed by
-whitespace-separated floats.
+whitespace-separated floats. The loaders return a dict of vectors by key.
 """
 
 from __future__ import annotations
@@ -24,27 +24,6 @@ from .errors import InputError, UnrankablePairError
 # Not called here: the CLI calls filter_reviews, and the benchmark traces both, by these names.
 from .lexstats import filter_reviews, review_score  # noqa: F401
 from .pairs import mirrored
-
-
-@dataclass(frozen=True)
-class WordVectorTable:
-    """One domain's word vectors; uniform dimensionality, no zero vectors."""
-
-    domain_id: str
-    dims: int
-    entries: dict[str, np.ndarray]
-
-    def __getitem__(self, word: str) -> np.ndarray:
-        return self.entries[word]
-
-
-@dataclass(frozen=True)
-class SentenceVectorSet:
-    """Per-review vectors for one domain, keyed by review id."""
-
-    domain_id: str
-    dims: int
-    vectors: tuple[tuple[str, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -71,15 +50,14 @@ def load_adjectives(path: str | Path) -> AdjectiveLexicon:
     return AdjectiveLexicon(frozenset(words))
 
 
-def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]], list[int]]:
-    """The file's dimensionality, its (key, vector) entries and the line of each entry."""
+def _parse_vector_file(path: Path) -> tuple[dict[str, np.ndarray], list[int]]:
+    """The file's vectors by key, in file order, and the line of each entry."""
     if not path.is_file():
         raise InputError(f"vector file not found: {path}")
     count: int | None = None
     dims: int | None = None
-    entries: list[tuple[str, np.ndarray]] = []
+    entries: dict[str, np.ndarray] = {}
     linenos: list[int] = []
-    seen: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -105,10 +83,9 @@ def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]], l
                 raise InputError(
                     f"{path}, line {lineno}: expected {dims} components, got {vec.shape[0]}"
                 )
-            if key in seen:
+            if key in entries:
                 raise InputError(f"{path}, line {lineno}: duplicate entry {key!r}")
-            seen.add(key)
-            entries.append((key, vec))
+            entries[key] = vec
             linenos.append(lineno)
     if not entries:
         raise InputError(f"{path}: no vector entries")
@@ -116,29 +93,26 @@ def _parse_vector_file(path: Path) -> tuple[int, list[tuple[str, np.ndarray]], l
         raise InputError(f"{path}, line 1: header gives {count} entries,"
                          f" the file has {len(entries)}")
     # Checked once per file: np.isfinite on every line would add ~8% to parsing.
-    finite = np.isfinite(np.array([vec for _, vec in entries])).all(axis=1)
+    finite = np.isfinite(np.array(list(entries.values()))).all(axis=1)
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]
         raise InputError(f"{path}, line {lineno}: non-finite vector component")
-    assert dims is not None
-    return dims, entries, linenos
+    return entries, linenos
 
 
-def load_word_vectors(path: str | Path) -> WordVectorTable:
-    """Load a word-vector table; its domain is the file stem."""
+def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
+    """Load a domain's word vectors by word, in file order; none may be zero."""
     path = Path(path)
-    dims, entries, linenos = _parse_vector_file(path)
-    for (key, vec), lineno in zip(entries, linenos):
+    entries, linenos = _parse_vector_file(path)
+    for (key, vec), lineno in zip(entries.items(), linenos):
         if not np.any(vec):
             raise InputError(f"{path}, line {lineno}: zero vector for {key!r}")
-    return WordVectorTable(path.stem, dims, dict(entries))
+    return entries
 
 
-def load_sentence_vectors(path: str | Path) -> SentenceVectorSet:
-    """Load sentence vectors keyed by ``<domain>:<index>`` ids; the domain is the file stem."""
-    path = Path(path)
-    dims, entries, _ = _parse_vector_file(path)
-    return SentenceVectorSet(path.stem, dims, tuple(entries))
+def load_sentence_vectors(path: str | Path) -> dict[str, np.ndarray]:
+    """Load a domain's sentence vectors by ``<domain>:<index>`` review id, in file order."""
+    return _parse_vector_file(Path(path))[0]
 
 
 def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -170,8 +144,8 @@ def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
 
 
 def word_metric(
-    tab_s: WordVectorTable,
-    tab_t: WordVectorTable,
+    tab_s: dict[str, np.ndarray],
+    tab_t: dict[str, np.ndarray],
     adjectives: AdjectiveLexicon,
 ) -> float:
     """Average angular similarity over common adjectives, plus the Jaccard term.
@@ -180,13 +154,11 @@ def word_metric(
     (table words intersected with the adjective lexicon). Symmetric; higher
     values mean more similar domains.
     """
-    adj_s = set(tab_s.entries) & adjectives.words
-    adj_t = set(tab_t.entries) & adjectives.words
+    adj_s = set(tab_s) & adjectives.words
+    adj_t = set(tab_t) & adjectives.words
     common = adj_s & adj_t
     if not common:
-        raise UnrankablePairError(
-            f"no common adjectives between {tab_s.domain_id} and {tab_t.domain_id}"
-        )
+        raise UnrankablePairError("no common adjectives")
     j = len(common) / len(adj_s | adj_t)
     avg = sum(angular_similarity(tab_s[w], tab_t[w]) for w in sorted(common)) / len(common)
     return avg + j
@@ -201,10 +173,10 @@ def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
 def select_test_vectors(
     corpus: Corpus,
     qualifying: Sequence[tuple[int, float]],
-    vecs: SentenceVectorSet,
+    vecs: dict[str, np.ndarray],
     count: int = 500,
     mode: str = "heldout",
-) -> SentenceVectorSet:
+) -> list[tuple[str, np.ndarray]]:
     """Pick the sentence vectors of the reviews used for a pair comparison.
 
     ``qualifying`` is ``filter_reviews(corpus, lexicon)``: the
@@ -213,23 +185,23 @@ def select_test_vectors(
     ``top`` mode ranks them by score magnitude descending (ties by corpus
     order) and takes ``count``; ``heldout`` mode takes the last ``count`` in
     corpus order. If fewer than ``count`` qualify, all are used and a
-    warning is emitted. The review at position ``i`` has the id
-    ``<domain>:<i>``. ``vecs`` must hold a vector for every review, and no
-    other ``<domain>:<i>`` key, such as one that numbers a dropped line.
+    warning is emitted; if none qualifies, the domain is an ``InputError``.
+    The review at position ``i`` has the id ``<domain>:<i>``. ``vecs`` must
+    hold a vector for every review, and no other ``<domain>:<i>`` key, such
+    as one that numbers a dropped line. Returns the ``(id, vector)`` pairs.
     """
     if mode not in ("top", "heldout"):
         raise InputError(f"unknown selection mode {mode!r} (expected top or heldout)")
-    by_id = {rid: vec for rid, vec in vecs.vectors}
     prefix = f"{corpus.domain_id}:"
     ids = [f"{prefix}{i}" for i in range(len(corpus))]
-    missing = [rid for rid in ids if rid not in by_id]
+    missing = [rid for rid in ids if rid not in vecs]
     if missing:
         raise InputError(
             f"sentence vectors for {corpus.domain_id} miss {len(missing)} review id(s),"
             f" e.g. {missing[:3]}"
         )
     kept = set(ids)
-    stray = [rid for rid in by_id
+    stray = [rid for rid in vecs
              if rid.startswith(prefix) and rid[len(prefix):].isdigit() and rid not in kept]
     if stray:
         raise InputError(f"sentence vectors for {corpus.domain_id}: {len(stray)} id(s) name no"
@@ -239,36 +211,30 @@ def select_test_vectors(
         selected = sorted(qualifying, key=lambda scored: -abs(scored[1]))[:count]
     else:
         selected = qualifying[-count:]
+    if not selected:
+        raise InputError(f"sentence vector set for {corpus.domain_id} is empty")
     if len(qualifying) < count:
         warnings.warn(
             f"{corpus.domain_id}: only {len(qualifying)} of {count} requested reviews"
             f" qualify; using all of them",
             stacklevel=2,
         )
-    return SentenceVectorSet(
-        corpus.domain_id,
-        vecs.dims,
-        tuple((ids[i], by_id[ids[i]]) for i, _ in selected),
-    )
+    return [(ids[i], vecs[ids[i]]) for i, _ in selected]
 
 
 def word_metric_matrix(
-    tables: Sequence[WordVectorTable],
+    tables: Sequence[dict[str, np.ndarray]],
     adjectives: AdjectiveLexicon,
 ) -> list[list[float]]:
     """N rows of N word-vector metric values, mirrored; NaN for unrankable pairs."""
     return mirrored(tables, lambda a, b: word_metric(a, b, adjectives))
 
 
-def sentence_metric_matrix(sets: Sequence[SentenceVectorSet]) -> list[list[float]]:
+def sentence_metric_matrix(sets: Sequence[Sequence[tuple[str, np.ndarray]]]) -> list[list[float]]:
     """N rows of N angular similarities of the sets' mean vectors, mirrored.
 
-    Each set's mean is taken once. A pair whose mean vector is numerically
-    zero on either side is unrankable and left NaN. An empty set is an
-    ``InputError``.
+    Each set is a non-empty ``select_test_vectors`` result, and its mean is
+    taken once. A pair whose mean vector is numerically zero on either side
+    is unrankable and left NaN.
     """
-    for s in sets:
-        if not s.vectors:
-            raise InputError(f"sentence vector set for {s.domain_id} is empty")
-    return mirrored([np.mean([vec for _, vec in s.vectors], axis=0) for s in sets],
-                    _mean_similarity)
+    return mirrored([np.mean([vec for _, vec in s], axis=0) for s in sets], _mean_similarity)

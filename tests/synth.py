@@ -9,14 +9,21 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from domainsim.corpus import Corpus
-from domainsim.embedding_metrics import AdjectiveLexicon, SentenceVectorSet, WordVectorTable
+from domainsim.embedding_metrics import AdjectiveLexicon
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+# One domain's synthetic vectors. The library takes ``entries`` (word -> vector)
+# or ``vectors`` ((review id, vector) pairs) alone. The benchmark's input writer
+# (perfbench/workloads.py) reads all three attributes, so they keep their names.
+WordTable = namedtuple("WordTable", "domain_id entries")
+SentenceSet = namedtuple("SentenceSet", "domain_id vectors")
 
 
 def word_token(prefix: str, i: int) -> str:
@@ -86,7 +93,7 @@ def synthetic_word_tables(
     adjectives: AdjectiveLexicon,
     dims: int = 8,
     seed: int = 5,
-) -> list[WordVectorTable]:
+) -> list[WordTable]:
     """One stable random vector per (domain, adjective in vocabulary)."""
     tables = []
     for di, corpus in enumerate(corpora):
@@ -96,7 +103,7 @@ def synthetic_word_tables(
                 np.random.SeedSequence([seed, di, zlib.crc32(word.encode())])
             )
             entries[word] = rng.normal(size=dims)
-        tables.append(WordVectorTable(corpus.domain_id, dims, entries))
+        tables.append(WordTable(corpus.domain_id, entries))
     return tables
 
 
@@ -104,7 +111,7 @@ def synthetic_sentence_sets(
     corpora: list[Corpus],
     dims: int = 8,
     seed: int = 9,
-) -> list[SentenceVectorSet]:
+) -> list[SentenceSet]:
     """Per-review vectors around a stable per-domain direction, keyed ``<domain>:<position>``."""
     sets = []
     for di, corpus in enumerate(corpora):
@@ -114,7 +121,7 @@ def synthetic_sentence_sets(
             (f"{corpus.domain_id}:{i}", base + 0.1 * rng.normal(size=dims))
             for i in range(len(corpus))
         )
-        sets.append(SentenceVectorSet(corpus.domain_id, dims, vectors))
+        sets.append(SentenceSet(corpus.domain_id, vectors))
     return sets
 
 

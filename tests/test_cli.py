@@ -16,12 +16,8 @@ import pytest
 import synth
 from domainsim import cli, corpus, evaluation, lexstats
 from domainsim import embedding_metrics as emb
-from domainsim.cdsa_baseline import (
-    chart,
-    reference_accuracy_matrix,
-    train_eval_baseline,
-)
-from domainsim.cli import main, write_accuracy_matrix_csv, write_chart_csv
+from domainsim.cdsa_baseline import reference_accuracy_matrix
+from domainsim.cli import main, write_accuracy_matrix_csv
 from domainsim.errors import InputError
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix
 
@@ -117,9 +113,8 @@ EVALUATE = ["-m", "domainsim", "evaluate", "--metrics", "LM2", "--k", "1", "--ac
     (["-m", "domainsim", "chart", "--accuracy-matrix", "reference"], False),
     ([*EVALUATE, "reference"], False),
     ([*EVALUATE, "matrix.csv"], False),
-    ([*EVALUATE, "generate"], True),
 ], ids=["import", "ingest", "metrics", "metrics-lm1-lm3", "metrics-ngram", "baseline", "chart",
-        "evaluate-reference", "evaluate-csv", "evaluate-generate"])
+        "evaluate-reference", "evaluate-csv"])
 def test_numpy_loads_only_when_a_command_uses_it(tmp_path, command, loads_numpy):
     # In process numpy is always loaded already (this module imports it), so
     # only a fresh interpreter shows whether a command loads it.
@@ -311,20 +306,14 @@ def test_chart_command_uses_bundled_reference(tmp_path):
     assert by_domain["D1"]["best_source"] == "D10"
 
 
-def test_chart_generates_its_matrix_with_the_baseline(tmp_path):
-    data = synth.synthetic_reviews(n_domains=3, reviews_per_domain=40, seed=8)
-    paths = synth.write_jsonl(data, tmp_path / "corpora")
-    out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="proportional splits"):
-        code = main(["chart", "--domains", ",".join(f"{d}={p}" for d, p in paths.items()),
-                     "--accuracy-matrix", "generate", "--seed", "3", "--out", str(out)])
-    assert code == 0
-    corpora = [corpus.load_corpus(path, "jsonl") for path in paths.values()]
-    with pytest.warns(UserWarning, match="proportional splits"):
-        matrix = train_eval_baseline(corpora, seed=3)
-    expected = tmp_path / "expected.csv"
-    write_chart_csv(chart(matrix), expected)
-    assert (out / "recommendation_chart.csv").read_bytes() == expected.read_bytes()
+@pytest.mark.parametrize("command", ["chart", "evaluate"])
+def test_an_accuracy_matrix_is_a_file_or_the_reference(tmp_path, capsys, command):
+    # The corpus file does not exist: neither command loads corpora.
+    code = main([command, "--accuracy-matrix", "generate", "--metrics", "",
+                 "--domains", f"A={tmp_path / 'absent.jsonl'}", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: accuracy matrix file not found: generate\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_chart_ranks_no_target(tmp_path, monkeypatch):
@@ -517,7 +506,7 @@ FLAG_OVERRIDES = {
     "adjectives": (["--adjectives", "other_adj.txt"], "other_adj.txt"),
     "sentiment_lexicon": (["--sentiment-lexicon", "other.tsv"], "other.tsv"),
     "vectors": (["--vectors", "ULM3=v3", "--vectors", "ULM4=v4"], {"ULM3": "v3", "ULM4": "v4"}),
-    "accuracy_matrix": (["--accuracy-matrix", "generate"], "generate"),
+    "accuracy_matrix": (["--accuracy-matrix", "other_matrix.csv"], "other_matrix.csv"),
     "metrics": (["--metrics", "LM2,NGRAM", "--metrics", "LM3"], ["LM2", "NGRAM", "LM3"]),
     "k": (["--k", "1,3", "--k", "5"], [1, 3, 5]),
     "out": (["--out", "flag_out"], "flag_out"),
@@ -590,6 +579,19 @@ def test_unknown_metric_and_config_keys_rejected(workspace, capsys):
     for key in ("ULM9", "LM1"):
         assert main(["metrics", "--config", str(config), "--vectors", f"{key}={tmp_path}"]) == 1
         assert f"vectors given for {key}, which are not vector metrics" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["A", "seed"], ids=["nested", "top-level"])
+def test_a_key_repeated_in_the_config_file_exits_one(workspace, capsys, key):
+    tmp_path, _ = workspace
+    a, b, out = (json.dumps(str(tmp_path / name)) for name in ("A.jsonl", "B.jsonl", "out"))
+    domains = f'"A": {a}, "B": {b}' + (f', "A": {a}' if key == "A" else "")
+    seed = '"seed": 1, "seed": 2' if key == "seed" else '"seed": 1'
+    path = tmp_path / "repeated.json"
+    path.write_text(f'{{"domains": {{{domains}}}, {seed}, "out": {out}}}')
+    assert main(["ingest", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: a config object repeats key '{key}'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -693,6 +695,10 @@ def _all_vector_metrics(inputs) -> dict[str, str]:
             for i in range(1, 8)}
 
 
+class _Tracked(dict):
+    """A loaded vector dict that, unlike a plain dict, a weak reference can watch."""
+
+
 def _outputs(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -736,7 +742,7 @@ def test_metrics_key_word_values_by_directory_and_drop_the_tables_after_their_ma
     load, matrix = emb.load_word_vectors, emb.word_metric_matrix
 
     def recording_load(*args):
-        table = load(*args)
+        table = _Tracked(load(*args))
         loaded.append(weakref.ref(table))
         return table
 
@@ -770,12 +776,14 @@ def test_metrics_compute_one_word_matrix_per_directory(vector_inputs, monkeypatc
     matrix = emb.word_metric_matrix
 
     def counting_matrix(tables, adjectives):
-        calls.append([table.domain_id for table in tables])
+        calls.append([list(table) for table in tables])
         return matrix(tables, adjectives)
 
     monkeypatch.setattr(emb, "word_metric_matrix", counting_matrix)
     assert main(_metrics_argv(corpora, first, directories, tmp_path / "all")) == 0
-    assert calls == [list(corpora)] * 2
+    words = [list(emb.load_word_vectors(Path(first["words"]) / f"{d}.vec")) for d in corpora]
+    assert len(set(map(tuple, words))) == len(corpora)
+    assert calls == [words] * 2
     for metric in directories:
         name = f"metric_{metric}.csv"
         assert (tmp_path / "all" / name).read_bytes() == (tmp_path / metric / name).read_bytes()
@@ -798,7 +806,7 @@ def test_metrics_read_a_sentence_directory_in_one_pass_one_file_at_a_time(
     def recording_load(path):
         count_alive("load")
         loads[str(path)] += 1
-        vectors = load(path)
+        vectors = _Tracked(load(path))
         parsed.append(weakref.ref(vectors))
         return vectors
 
@@ -840,3 +848,24 @@ def test_metrics_runs_in_one_process_match_each_run_alone(vector_inputs):
         assert done.returncode == 0, done.stderr
         assert _outputs(tmp_path / f"in-{name}") == _outputs(out)
     assert _outputs(tmp_path / "in-first") != _outputs(tmp_path / "in-second")
+
+
+@pytest.mark.filterwarnings(SHORTFALL)
+def test_a_sentence_metric_on_a_domain_with_no_qualifying_review_exits_one(tmp_path, capsys):
+    vec_dir = tmp_path / "sentences"
+    vec_dir.mkdir()
+    domains = []
+    for name, texts in (("A", ["lovely day", "awful day"]), ("B", ["plain day", "plain night"])):
+        path = tmp_path / f"{name}.jsonl"
+        _write_domain(path, name, zip(("positive", "negative"), texts))
+        (vec_dir / f"{name}.vec").write_text(f"{name}:0 1.0 0.0\n{name}:1 0.0 1.0\n")
+        domains.append(f"{name}={path}")
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("lovely\t0.8\t0.0\nawful\t0.0\t0.8\n")
+    out = tmp_path / "out"
+    code = main(["metrics", "--domains", ",".join(domains), "--metrics", "ULM2",
+                 "--vectors", f"ULM2={vec_dir}", "--sentiment-lexicon", str(lexicon),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: sentence vector set for B is empty\n"
+    assert not (out / "metric_ULM2.csv").exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from conftest import build_corpus
 from domainsim.corpus import load_corpus
 from domainsim.embedding_metrics import (
     AdjectiveLexicon,
-    SentenceVectorSet,
-    WordVectorTable,
     angular_similarity,
     load_adjectives,
     load_sentence_vectors,
@@ -28,9 +27,8 @@ def test_load_word_vectors_basic(tmp_path):
     path = tmp_path / "d.vec"
     path.write_text("good 1.0 0.0\nbad 0.0 1.0\n")
     table = load_word_vectors(path)
-    assert table.dims == 2
-    assert set(table.entries) == {"good", "bad"}
-    assert table.domain_id == "d"
+    assert list(table) == ["good", "bad"]
+    assert all(len(vec) == 2 for vec in table.values())
     assert np.allclose(table["good"], [1.0, 0.0])
 
 
@@ -38,9 +36,8 @@ def test_load_word_vectors_header_consumed(tmp_path):
     path = tmp_path / "d.vec"
     path.write_text("2 2\ngood 1.0 0.0\nbad 0.0 1.0\n")
     table = load_word_vectors(path)
-    assert table.dims == 2
-    assert table.domain_id == "d"
-    assert len(table.entries) == 2
+    assert all(len(vec) == 2 for vec in table.values())
+    assert len(table) == 2
 
 
 def test_load_word_vectors_rejects_a_header_count_other_than_the_entries(tmp_path):
@@ -90,9 +87,9 @@ def test_load_sentence_vectors_keeps_ids_and_order(tmp_path):
     path = tmp_path / "d.vec"
     path.write_text("d:0 1.0 2.0\nd:1 3.0 4.0\n")
     vectors = load_sentence_vectors(path)
-    assert [rid for rid, _ in vectors.vectors] == ["d:0", "d:1"]
-    assert vectors.dims == 2
-    assert vectors.domain_id == "d"
+    assert list(vectors) == ["d:0", "d:1"]
+    assert all(len(vec) == 2 for vec in vectors.values())
+    assert vectors["d:1"].tolist() == [3.0, 4.0]
 
 
 def test_review_ids_number_the_kept_reviews_not_file_lines(tmp_path):
@@ -107,7 +104,7 @@ def test_review_ids_number_the_kept_reviews_not_file_lines(tmp_path):
     vec_path.write_text("d:0 1.0 0.0\nd:1 0.0 1.0\n")
     qualifying = filter_reviews(corpus, {"awful": -0.8})
     picked = select_test_vectors(corpus, qualifying, load_sentence_vectors(vec_path), count=1)
-    assert [(rid, vec.tolist()) for rid, vec in picked.vectors] == [("d:1", [0.0, 1.0])]
+    assert [(rid, vec.tolist()) for rid, vec in picked] == [("d:1", [0.0, 1.0])]
     assert corpus.reviews[1] == ("negative", ("awful",))
 
 
@@ -167,38 +164,36 @@ ADJ = AdjectiveLexicon(frozenset({"good", "bad", "fair"}))
 def test_word_metric_identity():
     entries = {"good": np.array([1.0, 2.0]), "bad": np.array([2.0, -1.0]),
                "noun": np.array([5.0, 5.0])}
-    t1 = WordVectorTable("a", 2, entries)
-    t2 = WordVectorTable("b", 2, dict(entries))
-    assert abs(word_metric(t1, t2, ADJ) - 2.0) < 1e-12
+    assert abs(word_metric(entries, dict(entries), ADJ) - 2.0) < 1e-12
 
 
 def test_word_metric_orthogonal_single_adjective():
-    t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 0.0])})
-    t2 = WordVectorTable("b", 2, {"good": np.array([0.0, 1.0])})
+    t1 = {"good": np.array([1.0, 0.0])}
+    t2 = {"good": np.array([0.0, 1.0])}
     assert abs(word_metric(t1, t2, ADJ) - 1.5) < 1e-12
 
 
 def test_word_metric_jaccard_term():
     # Common adjective set {good}; each side has 2 adjectives; J = 1/3.
-    t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 1.0]), "bad": np.array([1.0, 0.0])})
-    t2 = WordVectorTable("b", 2, {"good": np.array([1.0, 2.0]), "fair": np.array([0.0, 1.0])})
+    t1 = {"good": np.array([1.0, 1.0]), "bad": np.array([1.0, 0.0])}
+    t2 = {"good": np.array([1.0, 2.0]), "fair": np.array([0.0, 1.0])}
     expected = angular_similarity(t1["good"], t2["good"]) + 1.0 / 3.0
     assert abs(word_metric(t1, t2, ADJ) - expected) < 1e-12
 
 
 def test_word_metric_no_common_adjectives_unrankable():
-    t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 0.0])})
-    t2 = WordVectorTable("b", 2, {"bad": np.array([1.0, 0.0])})
-    with pytest.raises(UnrankablePairError):
+    t1 = {"good": np.array([1.0, 0.0])}
+    t2 = {"bad": np.array([1.0, 0.0])}
+    with pytest.raises(UnrankablePairError, match="no common adjectives"):
         word_metric(t1, t2, ADJ)
 
 
 def test_word_metric_ignores_non_adjectives():
-    t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 0.0])})
-    t2 = WordVectorTable("b", 2, {"good": np.array([1.0, 0.1])})
+    t1 = {"good": np.array([1.0, 0.0])}
+    t2 = {"good": np.array([1.0, 0.1])}
     base = word_metric(t1, t2, ADJ)
-    t1b = WordVectorTable("a", 2, {**t1.entries, "noun": np.array([9.0, 9.0])})
-    t2b = WordVectorTable("b", 2, {**t2.entries, "verb": np.array([1.0, 9.0])})
+    t1b = {**t1, "noun": np.array([9.0, 9.0])}
+    t2b = {**t2, "verb": np.array([1.0, 9.0])}
     assert word_metric(t1b, t2b, ADJ) == base
     assert 0.0 < base <= 2.0
 
@@ -206,16 +201,13 @@ def test_word_metric_ignores_non_adjectives():
 def test_word_metric_ranking_invariant_under_rotation():
     rng = np.random.default_rng(30)
     adjectives = AdjectiveLexicon(frozenset(f"adj{i}" for i in range(6)))
-    def random_table(name):
-        return WordVectorTable(
-            name, 4, {f"adj{i}": rng.normal(size=4) for i in range(6)}
-        )
-    base = random_table("base")
-    others = [random_table(f"o{i}") for i in range(4)]
+    def random_table():
+        return {f"adj{i}": rng.normal(size=4) for i in range(6)}
+    base = random_table()
+    others = [random_table() for _ in range(4)]
     rotation, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     def rotate(tab):
-        return WordVectorTable(tab.domain_id, 4,
-                               {w: rotation @ v for w, v in tab.entries.items()})
+        return {w: rotation @ v for w, v in tab.items()}
     plain = [word_metric(base, o, adjectives) for o in others]
     rotated = [word_metric(rotate(base), rotate(o), adjectives) for o in others]
     assert np.argsort(plain).tolist() == np.argsort(rotated).tolist()
@@ -223,10 +215,10 @@ def test_word_metric_ranking_invariant_under_rotation():
 
 
 def test_sentence_metric_values():
-    s1 = SentenceVectorSet("a", 2, (("a:0", np.array([1.0, 0.0])), ("a:1", np.array([0.0, 1.0]))))
-    s2 = SentenceVectorSet("b", 2, (("b:0", np.array([1.0, 1.0])),))
-    s3 = SentenceVectorSet("c", 2, (("c:0", np.array([1.0, 0.0])),))
-    s4 = SentenceVectorSet("d", 2, (("d:0", np.array([0.0, 1.0])),))
+    s1 = [("a:0", np.array([1.0, 0.0])), ("a:1", np.array([0.0, 1.0]))]
+    s2 = [("b:0", np.array([1.0, 1.0]))]
+    s3 = [("c:0", np.array([1.0, 0.0]))]
+    s4 = [("d:0", np.array([0.0, 1.0]))]
     values = sentence_metric_matrix([s1, s1, s2, s3, s4])
     assert abs(values[0][1] - 1.0) < 1e-12
     # Mean of s1 is (0.5, 0.5), parallel to (1, 1).
@@ -235,19 +227,13 @@ def test_sentence_metric_values():
 
 
 def test_sentence_metric_zero_mean_unrankable():
-    s1 = SentenceVectorSet("a", 2, (("a:0", np.array([1.0, 0.0])), ("a:1", np.array([-1.0, 0.0]))))
-    s2 = SentenceVectorSet("b", 2, (("b:0", np.array([1.0, 1.0])),))
-    s3 = SentenceVectorSet("c", 2, (("c:0", np.array([0.0, 1.0])),))
+    s1 = [("a:0", np.array([1.0, 0.0])), ("a:1", np.array([-1.0, 0.0]))]
+    s2 = [("b:0", np.array([1.0, 1.0]))]
+    s3 = [("c:0", np.array([0.0, 1.0]))]
     values = sentence_metric_matrix([s1, s2, s3])
     assert np.isnan(values[0][1]) and np.isnan(values[1][0])
     assert np.isnan(values[0][2]) and np.isnan(values[2][0])
     assert abs(values[1][2] - 0.75) < 1e-12
-
-
-def test_sentence_metric_matrix_rejects_an_empty_set():
-    s1 = SentenceVectorSet("a", 2, (("a:0", np.array([1.0, 0.0])),))
-    with pytest.raises(InputError, match="sentence vector set for e is empty"):
-        sentence_metric_matrix([s1, SentenceVectorSet("e", 2, ())])
 
 
 def _scored_corpus(n, strong_positions=()):
@@ -267,16 +253,14 @@ def _qualifying(corpus):
 
 def _vectors_for(corpus):
     rng = np.random.default_rng(1)
-    return SentenceVectorSet(
-        "d", 3, tuple((f"d:{i}", rng.normal(size=3)) for i in range(len(corpus)))
-    )
+    return {f"d:{i}": rng.normal(size=3) for i in range(len(corpus))}
 
 
 def test_select_test_vectors_takes_requested_count(tmp_path):
     corpus = _scored_corpus(600)
     vecs = _vectors_for(corpus)
     picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=500)
-    assert len(picked.vectors) == 500
+    assert len(picked) == 500
 
 
 def test_select_test_vectors_shortfall_warns():
@@ -284,28 +268,40 @@ def test_select_test_vectors_shortfall_warns():
     vecs = _vectors_for(corpus)
     with pytest.warns(UserWarning, match="only 300"):
         picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=500)
-    assert len(picked.vectors) == 300
+    assert len(picked) == 300
 
 
 def test_select_test_vectors_top_mode_ranks_by_magnitude():
     corpus = _scored_corpus(2, strong_positions={1})
     vecs = _vectors_for(corpus)
     picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=1, mode="top")
-    assert [rid for rid, _ in picked.vectors] == ["d:1"]
+    assert [rid for rid, _ in picked] == ["d:1"]
 
 
 def test_select_test_vectors_heldout_takes_tail():
     corpus = _scored_corpus(5)
     vecs = _vectors_for(corpus)
     picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=2, mode="heldout")
-    assert [rid for rid, _ in picked.vectors] == ["d:3", "d:4"]
+    assert [rid for rid, _ in picked] == ["d:3", "d:4"]
 
 
 def test_select_test_vectors_requires_coverage():
     corpus = _scored_corpus(3)
-    vecs = SentenceVectorSet("d", 3, (("d:0", np.ones(3)),))
+    vecs = {"d:0": np.ones(3)}
     with pytest.raises(InputError, match="miss 2"):
         select_test_vectors(corpus, _qualifying(corpus), vecs, count=2)
+
+
+def test_select_test_vectors_rejects_a_domain_with_no_qualifying_review():
+    corpus = build_corpus("e", [("positive", "plain"), ("negative", "plain text")])
+    vecs = {"e:0": np.ones(3), "e:1": np.ones(3)}
+    qualifying = filter_reviews(corpus, SCORING)
+    assert qualifying == []
+    for mode in ("top", "heldout"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="sentence vector set for e is empty"):
+                select_test_vectors(corpus, qualifying, vecs, count=2, mode=mode)
 
 
 def test_select_test_vectors_rejects_bad_mode():
@@ -325,9 +321,9 @@ def test_load_adjectives(tmp_path):
 
 
 def test_word_metric_matrix_mirrors_and_marks_unrankable():
-    t1 = WordVectorTable("a", 2, {"good": np.array([1.0, 0.0])})
-    t2 = WordVectorTable("b", 2, {"good": np.array([0.0, 1.0])})
-    t3 = WordVectorTable("c", 2, {"noun": np.array([1.0, 1.0])})
+    t1 = {"good": np.array([1.0, 0.0])}
+    t2 = {"good": np.array([0.0, 1.0])}
+    t3 = {"noun": np.array([1.0, 1.0])}
     values = np.array(word_metric_matrix([t1, t2, t3], ADJ))
     assert values.shape == (3, 3)
     assert values[0, 1] == values[1, 0] == pytest.approx(1.5)
