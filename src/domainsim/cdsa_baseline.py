@@ -24,7 +24,7 @@ from typing import Sequence
 
 from ._numpy import np
 from .corpus import POSITIVE, Corpus
-from .errors import InputError
+from .errors import InputError, read_lines
 from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 FEATURE_DIM = 1 << 16
@@ -41,11 +41,8 @@ def load_accuracy_matrix(path: str | Path) -> PairMatrix:
     number in [0, 100]; then rows that name other domains than the header.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"accuracy matrix file not found: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader]
+    reader = csv.reader(line for _, line in read_lines(path, "accuracy matrix"))
+    rows = [(reader.line_num, row) for row in reader]
     if len(rows) < 2:
         raise InputError(f"{path}: matrix CSV needs a header and at least one row")
     domains = tuple(h.strip() for h in rows[0][1][1:])

@@ -15,7 +15,8 @@ as the one ``baseline`` writes, or take the bundled reference; they never
 load corpora. numpy loads on first use (``_numpy``): ``ingest``, ``chart``,
 ``evaluate`` and ``metrics`` whose metrics are all among LM1–LM3 never load
 it; ``metrics`` with LM4, NGRAM or a ULM metric, and ``baseline``, pay for
-its import inside the command.
+its import inside the command. Bad input, such as an input file that is missing,
+unreadable or not UTF-8, exits 1 (``InputError``); any other failure exits 2.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .cdsa_baseline import (
     reference_accuracy_matrix,
     train_eval_baseline,
 )
-from .errors import InputError
+from .errors import InputError, read_lines
 from .evaluation import EvalReport, recommendation_report
 from .lexstats import (
     load_sentiment_lexicon_tsv,
@@ -79,11 +80,9 @@ class RunConfig:
         config = cls()
         if args.config:
             path = Path(args.config)
-            if not path.is_file():
-                raise InputError(f"config file not found: {path}")
+            text = "".join(line for _, line in read_lines(path, "config"))
             try:
-                raw = json.loads(path.read_text("utf-8"),
-                                 object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
+                raw = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: malformed JSON config ({exc.msg})") from exc
             if not isinstance(raw, dict):
@@ -149,7 +148,10 @@ class RunConfig:
 
     def out_dir(self) -> Path:
         path = Path(self.out)
-        path.mkdir(parents=True, exist_ok=True)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create output directory {path}: {exc.strerror}") from exc
         return path
 
 
@@ -268,12 +270,9 @@ def _unique_keys(path: Path, pairs: list[tuple[str, object]]) -> dict:
 
 
 def _looks_like_tsv(path: Path) -> bool:
-    if not path.is_file():
-        raise InputError(f"lexicon file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip() and not line.startswith("#"):
-                return len(line.rstrip("\n").split("\t")) == 3
+    for _, line in read_lines(path, "lexicon"):
+        if line.strip() and not line.startswith("#"):
+            return len(line.rstrip("\r\n").split("\t")) == 3
     return True
 
 
@@ -382,38 +381,35 @@ def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> Pa
     a file whose domains differ from ``domains`` or that misses a pair.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"metric file not found: {path}")
     direction = METRICS[metric][0]
     index = {d: i for i, d in enumerate(domains)}
     values = [[math.nan] * len(domains) for _ in domains]
     seen: set[tuple[str, str]] = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            fields = [row.get(key) for key in METRIC_CSV_HEADER]
-            if None in fields:
-                raise InputError(f"{where}: bad metric row")
-            row_metric, source, target, cell, row_direction = fields
-            try:
-                value = float(cell) if cell else math.nan
-            except ValueError:
-                raise InputError(f"{where}: bad metric row") from None
-            if cell and not math.isfinite(value):
-                raise InputError(f"{where}: non-finite metric value {cell!r}")
-            if (row_metric, row_direction) != (metric, direction):
-                raise InputError(
-                    f"{where}: row of metric {row_metric} ({row_direction}),"
-                    f" expected {metric} ({direction})"
-                )
-            if source == target:
-                raise InputError(f"{where}: self-pair ({source}, {target})")
-            if (source, target) in seen:
-                raise InputError(f"{where}: duplicate pair ({source}, {target})")
-            seen.add((source, target))
-            if source in index and target in index:
-                values[index[source]][index[target]] = value
+    reader = csv.DictReader(line for _, line in read_lines(path, "metric"))
+    for row in reader:
+        where = f"{path}, line {reader.line_num}"
+        fields = [row.get(key) for key in METRIC_CSV_HEADER]
+        if None in fields:
+            raise InputError(f"{where}: bad metric row")
+        row_metric, source, target, cell, row_direction = fields
+        try:
+            value = float(cell) if cell else math.nan
+        except ValueError:
+            raise InputError(f"{where}: bad metric row") from None
+        if cell and not math.isfinite(value):
+            raise InputError(f"{where}: non-finite metric value {cell!r}")
+        if (row_metric, row_direction) != (metric, direction):
+            raise InputError(
+                f"{where}: row of metric {row_metric} ({row_direction}),"
+                f" expected {metric} ({direction})"
+            )
+        if source == target:
+            raise InputError(f"{where}: self-pair ({source}, {target})")
+        if (source, target) in seen:
+            raise InputError(f"{where}: duplicate pair ({source}, {target})")
+        seen.add((source, target))
+        if source in index and target in index:
+            values[index[source]][index[target]] = value
     named = {d for pair in seen for d in pair}
     if named != set(domains):
         raise InputError(

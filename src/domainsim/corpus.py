@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._numpy import np
-from .errors import InputError
+from .errors import InputError, read_lines
 from .pairs import mirrored
 
 POSITIVE = "positive"
@@ -50,10 +50,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     characters stripped), so ``don't`` stops the token ``dont``; a word
     with no letters left, such as ``123``, is dropped.
     """
-    try:
-        text = Path(path).read_text("utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read stopword file {path}: {exc}") from exc
+    text = "".join(line for _, line in read_lines(path, "stopword"))
     return frozenset(normalize(text, frozenset()))
 
 
@@ -175,29 +172,34 @@ class NgramIndex:
 
 
 def _records_from_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}, line {lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise InputError(f"{path}, line {lineno}: expected a JSON object")
-            yield lineno, record
+    for lineno, line in read_lines(path, "corpus"):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}, line {lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise InputError(f"{path}, line {lineno}: expected a JSON object")
+        yield lineno, record
 
 
 def _records_from_csv(path: Path) -> Iterable[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    # Strict, so an unterminated quote is an error, not a field that runs to the end of the file.
+    reader = csv.DictReader((line for _, line in read_lines(path, "corpus")), strict=True)
+    try:
         if reader.fieldnames is None:
             return
         missing = {"domain", "label", "text"} - set(reader.fieldnames)
         if missing:
             raise InputError(f"{path}: CSV header missing columns {sorted(missing)}")
         for record in reader:
+            if None in record:  # DictReader's key for the fields past the header's
+                raise InputError(f"{path}, line {reader.line_num}: more fields than the header")
             yield reader.line_num, record
+    except csv.Error as exc:
+        # DictReader.line_num ends the last record read whole; the bad one starts after it.
+        raise InputError(f"{path}, line {reader.line_num + 1}: malformed CSV ({exc})") from exc
 
 
 def load_corpus(
@@ -219,8 +221,6 @@ def load_corpus(
     these ids.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"corpus file not found: {path}")
     if format == "jsonl":
         records = _records_from_jsonl(path)
     elif format == "csv":

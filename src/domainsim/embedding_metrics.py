@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ._numpy import np
 from .corpus import Corpus
-from .errors import InputError, UnrankablePairError
+from .errors import InputError, UnrankablePairError, read_lines
 # Not called here: the CLI calls filter_reviews, and the benchmark traces both, by these names.
 from .lexstats import filter_reviews, review_score  # noqa: F401
 from .pairs import mirrored
@@ -39,11 +39,8 @@ class AdjectiveLexicon:
 
 def load_adjectives(path: str | Path) -> AdjectiveLexicon:
     """Load an adjective list, one lowercase word per line; # starts a comment."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"adjective file not found: {path}")
     words = set()
-    for line in path.read_text("utf-8").splitlines():
+    for _, line in read_lines(Path(path), "adjective"):
         word = line.strip().lower()
         if word and not word.startswith("#"):
             words.add(word)
@@ -52,41 +49,38 @@ def load_adjectives(path: str | Path) -> AdjectiveLexicon:
 
 def _parse_vector_file(path: Path) -> tuple[dict[str, np.ndarray], list[int]]:
     """The file's vectors by key, in file order, and the line of each entry."""
-    if not path.is_file():
-        raise InputError(f"vector file not found: {path}")
     count: int | None = None
     dims: int | None = None
     entries: dict[str, np.ndarray] = {}
     linenos: list[int] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    count, dims = int(parts[0]), int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    continue
-            key = parts[0]
-            if len(parts) < 2:
-                raise InputError(f"{path}, line {lineno}: entry has no vector components")
+    for lineno, line in read_lines(path, "vector"):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise InputError(f"{path}, line {lineno}: non-numeric vector component") from exc
-            if dims is None:
-                dims = vec.shape[0]
-            elif vec.shape[0] != dims:
-                raise InputError(
-                    f"{path}, line {lineno}: expected {dims} components, got {vec.shape[0]}"
-                )
-            if key in entries:
-                raise InputError(f"{path}, line {lineno}: duplicate entry {key!r}")
-            entries[key] = vec
-            linenos.append(lineno)
+                count, dims = int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                continue
+        key = parts[0]
+        if len(parts) < 2:
+            raise InputError(f"{path}, line {lineno}: entry has no vector components")
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise InputError(f"{path}, line {lineno}: non-numeric vector component") from exc
+        if dims is None:
+            dims = vec.shape[0]
+        elif vec.shape[0] != dims:
+            raise InputError(
+                f"{path}, line {lineno}: expected {dims} components, got {vec.shape[0]}"
+            )
+        if key in entries:
+            raise InputError(f"{path}, line {lineno}: duplicate entry {key!r}")
+        entries[key] = vec
+        linenos.append(lineno)
     if not entries:
         raise InputError(f"{path}: no vector entries")
     if count is not None and count != len(entries):
@@ -192,6 +186,8 @@ def select_test_vectors(
     """
     if mode not in ("top", "heldout"):
         raise InputError(f"unknown selection mode {mode!r} (expected top or heldout)")
+    if count < 1:
+        raise InputError(f"count must be positive, got {count}")
     prefix = f"{corpus.domain_id}:"
     ids = [f"{prefix}{i}" for i in range(len(corpus))]
     missing = [rid for rid in ids if rid not in vecs]

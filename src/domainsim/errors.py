@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``read_lines``, which every loader reads
+its file through, so an input that is missing, unreadable or not UTF-8 is an ``InputError``."""
+
+from collections.abc import Iterator
+from pathlib import Path
 
 
 class InputError(Exception):
@@ -17,3 +21,19 @@ class UnrankablePairError(Exception):
     entropy-change metric. Callers ranking many pairs catch this and record
     the pair as having no value.
     """
+
+
+def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each line of a UTF-8 file, from 1, ends kept (``newline=""``,
+    as ``csv`` needs). A missing, unreadable or non-UTF-8 file is an ``InputError`` naming it;
+    a decode error names no line, as text-mode buffering decodes ahead of the line read.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from enumerate(fh, 1)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise InputError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import InputError
+from .errors import InputError, read_lines
 
 # Probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any
 # logarithm; common polar words can have a zero count on one side in a
@@ -85,19 +85,16 @@ def load_sentiment_lexicon_tsv(path: str | Path) -> dict[str, float]:
     Returns word -> pos_score - neg_score; a repeated word keeps its last line.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"lexicon file not found: {path}")
     lexicon: dict[str, float] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InputError(f"{path}, line {lineno}: expected 3 tab-separated columns")
-            pos, neg = _scores(parts[1], parts[2], f"{path}, line {lineno}")
-            lexicon[parts[0].strip().lower()] = pos - neg
+    for lineno, line in read_lines(path, "lexicon"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise InputError(f"{path}, line {lineno}: expected 3 tab-separated columns")
+        pos, neg = _scores(parts[1], parts[2], f"{path}, line {lineno}")
+        lexicon[parts[0].strip().lower()] = pos - neg
     if not lexicon:
         raise InputError(f"{path}: sentiment lexicon has no entries")
     return lexicon
@@ -112,26 +109,23 @@ def load_sentiwordnet(path: str | Path) -> dict[str, float]:
     speech; returns word -> mean pos_score - mean neg_score.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"lexicon file not found: {path}")
     sums: dict[str, list[float]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+    for lineno, line in read_lines(path, "lexicon"):
+        line = line.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 5:
+            raise InputError(f"{path}, line {lineno}: expected at least 5 tab-separated columns")
+        pos, neg = _scores(parts[2], parts[3], f"{path}, line {lineno}")
+        for term in parts[4].split():
+            word = term.rsplit("#", 1)[0].strip().lower()
+            if not word:
                 continue
-            parts = line.split("\t")
-            if len(parts) < 5:
-                raise InputError(f"{path}, line {lineno}: expected at least 5 tab-separated columns")
-            pos, neg = _scores(parts[2], parts[3], f"{path}, line {lineno}")
-            for term in parts[4].split():
-                word = term.rsplit("#", 1)[0].strip().lower()
-                if not word:
-                    continue
-                acc = sums.setdefault(word, [0.0, 0.0, 0.0])
-                acc[0] += pos
-                acc[1] += neg
-                acc[2] += 1.0
+            acc = sums.setdefault(word, [0.0, 0.0, 0.0])
+            acc[0] += pos
+            acc[1] += neg
+            acc[2] += 1.0
     if not sums:
         raise InputError(f"{path}: sentiment lexicon has no entries")
     return {w: s[0] / s[2] - s[1] / s[2] for w, s in sums.items()}

@@ -92,6 +92,15 @@ def test_ingest_missing_file_exit_one(tmp_path, capsys):
     assert "domain X" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+def test_an_output_directory_that_cannot_be_made_exits_one(tmp_path, capsys, under_file):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "out" if under_file else taken
+    assert main(["chart", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
+
+
 def test_domain_name_mismatch_exit_one(tmp_path, capsys):
     path = tmp_path / "real.jsonl"
     _write_domain(path, "real", [("positive", "good"), ("negative", "bad")])

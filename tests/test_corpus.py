@@ -153,6 +153,22 @@ def test_load_csv_missing_column(tmp_path):
         load_corpus(path, format="csv")
 
 
+def test_load_csv_rejects_an_unterminated_quote(tmp_path):
+    # Not strict, the csv module reads lines 2-5 into one text field: 1 review.
+    path = tmp_path / "d.csv"
+    path.write_text('domain,label,text\nd,positive,"good film\nd,negative,bad film\n'
+                    "d,positive,fine film\nd,negative,poor film\n")
+    with pytest.raises(InputError, match=r"d\.csv, line 2: malformed CSV \(unexpected end of data"):
+        load_corpus(path, format="csv")
+
+
+def test_load_csv_rejects_a_row_with_more_fields_than_the_header(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("domain,label,text\nd,negative,bad film\nd,positive,good film,extra\n")
+    with pytest.raises(InputError, match=r"d\.csv, line 3: more fields than the header"):
+        load_corpus(path, format="csv")
+
+
 def test_load_unknown_format(tmp_path):
     path = tmp_path / "d.xml"
     path.write_text("<x/>")

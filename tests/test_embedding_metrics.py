@@ -310,6 +310,14 @@ def test_select_test_vectors_rejects_bad_mode():
         select_test_vectors(corpus, _qualifying(corpus), _vectors_for(corpus), mode="middle")
 
 
+@pytest.mark.parametrize("mode", ["top", "heldout"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_select_test_vectors_rejects_a_count_below_one(mode, count):
+    corpus = _scored_corpus(3)
+    with pytest.raises(InputError, match=f"count must be positive, got {count}"):
+        select_test_vectors(corpus, _qualifying(corpus), _vectors_for(corpus), count, mode)
+
+
 def test_load_adjectives(tmp_path):
     path = tmp_path / "adj.txt"
     path.write_text("Good\n# comment\nbad\n\n")

@@ -5,7 +5,8 @@ A name bound by an import must be read somewhere in its module. Skipped:
 __future__`` imports; and an import marked ``# noqa: F401``, a name kept on
 purpose for another module to look up.
 
-Also: the package writes its CSV files through one ``csv.writer``, in ``cli``.
+Also: the package writes its CSV files through one ``csv.writer``, in ``cli``,
+and reads its input files through one ``open``, in ``errors.read_lines``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,59 @@ def test_csv_writer_occurs_once_in_the_package_in_cli():
     counts = {path.name: path.read_text("utf-8").count("csv.writer")
               for path in sorted(SRC.glob("*.py"))}
     assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
+
+
+def file_reads(path: Path) -> list[str]:
+    """``<module>.<function>: <call>`` for each call in ``path`` that reads a file or tests one.
+
+    The calls are ``open`` in a reading mode, ``read_text``, ``read_bytes``
+    and ``is_file``; ``<function>`` is the innermost enclosing function.
+    """
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            # ``Path.open`` takes the mode first, the builtin ``open`` second.
+            first = 0 if isinstance(func, ast.Attribute) else 1
+            modes = [*node.args[first:first + 1], *(k.value for k in node.keywords
+                                                   if k.arg == "mode")]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+            reads = name == "open" and not set(mode) & set("wax")
+            if reads or name in ("read_text", "read_bytes", "is_file"):
+                found.append(f"{path.name}.{where}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text("utf-8")), "<module>")
+    return found
+
+
+def test_input_files_are_read_only_through_read_lines():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in file_reads(path)]
+    assert found == [
+        # _preflight checks that every vector file exists before any metric runs.
+        "cli.py._preflight: is_file",
+        # The bundled stopword list, a package resource.
+        "corpus.py.bundled_stopwords: read_text",
+        "errors.py.read_lines: open",
+    ]
+
+
+def test_a_file_read_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from pathlib import Path\n"
+                    "data = Path('a').read_bytes()\n"
+                    "def load(p):\n    with open(p) as fh:\n        return fh.read()\n"
+                    "def save(p):\n    open(p, 'w').close()\n"
+                    "    Path(p).open(mode='a').close()\n"
+                    "    return Path(p).open('rb'), Path(p).read_text(), Path(p).is_file()\n")
+    assert file_reads(path) == ["module.py.<module>: read_bytes", "module.py.load: open",
+                                "module.py.save: open", "module.py.save: read_text",
+                                "module.py.save: is_file"]
 
 
 def test_an_unused_import_is_found(tmp_path):
