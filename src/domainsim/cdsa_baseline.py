@@ -36,13 +36,21 @@ LEARNING_RATE = 0.5
 def load_accuracy_matrix(path: str | Path) -> PairMatrix:
     """Load an accuracy matrix CSV: header of domain ids, one row per source.
 
-    Rejects, naming file and line, fewer than 2 domains, a repeated domain
+    Rejects, naming file and line, malformed CSV (read strictly, so an
+    unterminated quote is an error), fewer than 2 domains, a repeated domain
     or row, a row of the wrong length and a cell that is not a finite
     number in [0, 100]; then rows that name other domains than the header.
     """
     path = Path(path)
-    reader = csv.reader(line for _, line in read_lines(path, "accuracy matrix"))
-    rows = [(reader.line_num, row) for row in reader]
+    reader = csv.reader((line for _, line in read_lines(path, "accuracy matrix")), strict=True)
+    rows: list[tuple[int, list[str]]] = []
+    try:
+        for row in reader:
+            rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        # A record starts on the line after the one the last whole record ended on.
+        start = rows[-1][0] + 1 if rows else 1
+        raise InputError(f"{path}, line {start}: malformed CSV ({exc})") from exc
     if len(rows) < 2:
         raise InputError(f"{path}: matrix CSV needs a header and at least one row")
     domains = tuple(h.strip() for h in rows[0][1][1:])

@@ -16,7 +16,7 @@ load corpora. numpy loads on first use (``_numpy``): ``ingest``, ``chart``,
 ``evaluate`` and ``metrics`` whose metrics are all among LM1–LM3 never load
 it; ``metrics`` with LM4, NGRAM or a ULM metric, and ``baseline``, pay for
 its import inside the command. Bad input, such as an input file that is missing,
-unreadable or not UTF-8, exits 1 (``InputError``); any other failure exits 2.
+unreadable, not UTF-8 or malformed, exits 1 (``InputError``); any other failure exits 2.
 """
 
 from __future__ import annotations
@@ -83,8 +83,10 @@ class RunConfig:
             text = "".join(line for _, line in read_lines(path, "config"))
             try:
                 raw = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: malformed JSON config ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError is a ValueError; so is an integer past Python's digit limit.
+                reason = getattr(exc, "msg", exc)
+                raise InputError(f"{path}: malformed JSON config ({reason})") from exc
             if not isinstance(raw, dict):
                 raise InputError(f"{path}: config must be a JSON object")
             known = set(cls.__dataclass_fields__)
@@ -198,8 +200,6 @@ class Workspace:
 
     @cached_property
     def lexicon(self):
-        if not self.config.sentiment_lexicon:
-            raise InputError("sentiment lexicon required (use --sentiment-lexicon)")
         path = Path(self.config.sentiment_lexicon)
         # The standard distribution format starts with a comment block.
         if path.suffix.lower() in (".tsv", ".txt") and _looks_like_tsv(path):
@@ -375,41 +375,49 @@ def write_metric_csv(pairs: PairMatrix, path: Path) -> None:
 def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> PairMatrix:
     """Load ``metric``'s values over ``domains``, in that order, which breaks ranking ties.
 
-    Rejects, naming file and line, a row that is malformed, belongs to
-    another metric or direction, pairs a domain with itself, repeats a pair
-    or holds a non-finite value (only an empty cell means unrankable); then
-    a file whose domains differ from ``domains`` or that misses a pair.
+    Rejects, naming file and line, malformed CSV (read strictly, as the
+    corpus reader does) and a row that has more fields than the header, is
+    malformed, belongs to another metric or direction, pairs a domain with
+    itself, repeats a pair or holds a non-finite value (only an empty cell
+    means unrankable); then a file whose domains differ from ``domains`` or
+    that misses a pair.
     """
     path = Path(path)
     direction = METRICS[metric][0]
     index = {d: i for i, d in enumerate(domains)}
     values = [[math.nan] * len(domains) for _ in domains]
     seen: set[tuple[str, str]] = set()
-    reader = csv.DictReader(line for _, line in read_lines(path, "metric"))
-    for row in reader:
-        where = f"{path}, line {reader.line_num}"
-        fields = [row.get(key) for key in METRIC_CSV_HEADER]
-        if None in fields:
-            raise InputError(f"{where}: bad metric row")
-        row_metric, source, target, cell, row_direction = fields
-        try:
-            value = float(cell) if cell else math.nan
-        except ValueError:
-            raise InputError(f"{where}: bad metric row") from None
-        if cell and not math.isfinite(value):
-            raise InputError(f"{where}: non-finite metric value {cell!r}")
-        if (row_metric, row_direction) != (metric, direction):
-            raise InputError(
-                f"{where}: row of metric {row_metric} ({row_direction}),"
-                f" expected {metric} ({direction})"
-            )
-        if source == target:
-            raise InputError(f"{where}: self-pair ({source}, {target})")
-        if (source, target) in seen:
-            raise InputError(f"{where}: duplicate pair ({source}, {target})")
-        seen.add((source, target))
-        if source in index and target in index:
-            values[index[source]][index[target]] = value
+    reader = csv.DictReader((line for _, line in read_lines(path, "metric")), strict=True)
+    try:
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row:  # DictReader's key for the fields past the header's
+                raise InputError(f"{where}: more fields than the header")
+            fields = [row.get(key) for key in METRIC_CSV_HEADER]
+            if None in fields:
+                raise InputError(f"{where}: bad metric row")
+            row_metric, source, target, cell, row_direction = fields
+            try:
+                value = float(cell) if cell else math.nan
+            except ValueError:
+                raise InputError(f"{where}: bad metric row") from None
+            if cell and not math.isfinite(value):
+                raise InputError(f"{where}: non-finite metric value {cell!r}")
+            if (row_metric, row_direction) != (metric, direction):
+                raise InputError(
+                    f"{where}: row of metric {row_metric} ({row_direction}),"
+                    f" expected {metric} ({direction})"
+                )
+            if source == target:
+                raise InputError(f"{where}: self-pair ({source}, {target})")
+            if (source, target) in seen:
+                raise InputError(f"{where}: duplicate pair ({source}, {target})")
+            seen.add((source, target))
+            if source in index and target in index:
+                values[index[source]][index[target]] = value
+    except csv.Error as exc:
+        # DictReader.line_num ends the last record read whole; the bad one starts after it.
+        raise InputError(f"{path}, line {reader.line_num + 1}: malformed CSV ({exc})") from exc
     named = {d for pair in seen for d in pair}
     if named != set(domains):
         raise InputError(

@@ -177,8 +177,10 @@ def _records_from_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}, line {lineno}: malformed JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError is a ValueError; so is an integer past Python's digit limit.
+            reason = getattr(exc, "msg", exc)
+            raise InputError(f"{path}, line {lineno}: malformed JSON ({reason})") from exc
         if not isinstance(record, dict):
             raise InputError(f"{path}, line {lineno}: expected a JSON object")
         yield lineno, record

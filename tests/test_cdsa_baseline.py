@@ -66,6 +66,11 @@ def test_load_matrix_reorders_rows_to_header(tmp_path):
          r"m\.csv, line 3: cell '-0\.5' in row B out of range \[0, 100\]"),
         ("domain,A,B\nA,100.01,70\nB,60,80\n",
          r"m\.csv, line 2: cell '100\.01' in row A out of range \[0, 100\]"),
+        # Not strict, the open quote swallowed line 3: "missing rows ['B']".
+        ('domain,A,B\nA,90,"70\nB,60,80\n',
+         r"m\.csv, line 2: malformed CSV \(unexpected end of data\)"),
+        ('domain,A,B\nA,90,70\nB,"60" 5,80\n',
+         r"m\.csv, line 3: malformed CSV \(',' expected after '\"'\)"),
     ],
 )
 def test_load_matrix_rejects_bad_input(tmp_path, content, match):

@@ -442,7 +442,11 @@ def test_read_metric_csv_fills_values_in_the_given_domain_order(tmp_path):
     (["LM2", "C", "C", "9.0", LOWER_IS_MORE_SIMILAR], "self-pair (C, C)"),
     (["LM2", "C", "B"], "bad metric row"),
     (["LM2", "C", "B", "high", LOWER_IS_MORE_SIMILAR], "bad metric row"),
-], ids=["duplicate", "other-metric", "other-direction", "self-pair", "short-row", "non-numeric"])
+    (["LM2", "C", "B", "9.0", LOWER_IS_MORE_SIMILAR, "extra", "more"],
+     "more fields than the header"),
+    (["LM2", "C", "B", '"9.0', LOWER_IS_MORE_SIMILAR], "malformed CSV (unexpected end of data)"),
+], ids=["duplicate", "other-metric", "other-direction", "self-pair", "short-row", "non-numeric",
+        "extra-fields", "unterminated-quote"])
 def test_read_metric_csv_rejects_bad_rows(tmp_path, row, message):
     path = _write_metric_rows(tmp_path / "metric_LM2.csv", LM2_ROWS + [row])
     with pytest.raises(InputError) as info:

@@ -8,7 +8,6 @@ from domainsim.cdsa_baseline import chart, reference_accuracy_matrix
 from domainsim.cli import build_markdown_report, write_eval_csv
 from domainsim.errors import InputError
 from domainsim.evaluation import (
-    aggregate,
     precision_at_k,
     rank_sources,
     ranking_accuracy,
@@ -96,17 +95,6 @@ def test_ranking_accuracy():
     assert ranking_accuracy(("B", "D", "C", "E"), truth, 3) == 1
 
 
-def test_rank_scores_reject_bad_k_and_universe():
-    truth = ("B", "C", "D")
-    with pytest.raises(InputError, match="K exceeds"):
-        precision_at_k(truth, truth, 4)
-    with pytest.raises(InputError, match="K exceeds"):
-        ranking_accuracy(truth, truth, 0)
-    other = ("B", "C", "E")
-    with pytest.raises(InputError, match="different domain sets"):
-        precision_at_k(truth, other, 2)
-
-
 def test_ranking_accuracy_never_exceeds_precision():
     rng = np.random.default_rng(23)
     names = [f"d{i}" for i in range(8)]
@@ -127,45 +115,41 @@ def test_scores_invariant_under_monotone_value_transform():
     assert base == squashed
 
 
-def test_aggregate_reference_granularity_points():
-    # 20 targets, K=3: 27 total intersections -> 45.00%; 12 positional -> 0.200.
+def test_recommendation_report_reference_granularity_points():
+    # 20 targets, K=3: 27 total intersections -> 45.00%; 27 positional -> 0.450.
     matrix = reference_accuracy_matrix()
+    values = np.array(matrix.values)
+    values[:, 9:] *= -1  # targets 10..20 rank their sources in reverse: 0 of 3 at K=3
+    pairs = PairMatrix("LM1", HIGHER_IS_MORE_SIMILAR, matrix.domains, values)
     truths = rank_sources(matrix)
-    preds = {}
-    total_p = 0
-    ra_total = 0
-    for i, (target, truth) in enumerate(truths.items()):
-        if i < 9:
-            preds[target] = truth  # contributes 3 intersections and 3 positions
-        else:
-            preds[target] = tuple(reversed(truth))  # contributes 0 at K=3 for N=20
-        total_p += precision_at_k(preds[target], truth, 3)
-        ra_total += ranking_accuracy(preds[target], truth, 3)
-    report = aggregate("LM1", truths, preds, 3)
-    assert total_p == 27
+    preds = rank_sources(pairs)
+    assert [preds[t] == truths[t] for t in matrix.domains] == [True] * 9 + [False] * 11
+    assert sum(precision_at_k(preds[t], truths[t], 3) for t in matrix.domains) == 27
+    assert sum(ranking_accuracy(preds[t], truths[t], 3) for t in matrix.domains) == 27
+    [report] = recommendation_report(matrix, {"LM1": pairs}, (3,))
     assert report.precision_pct == pytest.approx(45.00)
-    assert ra_total == 27
     assert report.nra == pytest.approx(27 / 60)
     # Scale check for NRA at the published example value: 12/60 = 0.200.
     assert 12 / (len(matrix.domains) * 3) == pytest.approx(0.200)
 
 
-def test_aggregate_self_consistency():
+def test_recommendation_report_self_consistency():
     rng = np.random.default_rng(24)
     matrix = accuracy_matrix(
         tuple(f"d{i}" for i in range(6)), rng.uniform(50, 95, size=(6, 6))
     )
-    preds = rank_sources(matrix)
-    for k in (1, 2, 3, 5):
-        report = aggregate("LM1", preds, preds, k)
-        assert report.precision_pct == 100.0
-        assert report.nra == 1.0
+    pairs = PairMatrix("LM1", HIGHER_IS_MORE_SIMILAR, matrix.domains, matrix.values)
+    reports = recommendation_report(matrix, {"LM1": pairs}, (1, 2, 3, 5))
+    assert [(r.k, r.precision_pct, r.nra) for r in reports] == [
+        (k, 100.0, 1.0) for k in (1, 2, 3, 5)]
 
 
 def test_aggregate_requires_all_targets():
-    matrix = accuracy_matrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
-    with pytest.raises(InputError, match="missing prediction"):
-        aggregate("LM1", rank_sources(matrix), {}, 1)
+    # A metric missing a domain would leave a target without a ranking.
+    matrix = accuracy_matrix(("A", "B", "C"), np.full((3, 3), 80.0))
+    pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, ("A", "B"), 0.3)
+    with pytest.raises(InputError, match="metric NGRAM domains differ"):
+        recommendation_report(matrix, {"NGRAM": pairs}, ks=(1,))
 
 
 def test_recommendation_report_shapes():
@@ -186,6 +170,18 @@ def test_recommendation_report_rejects_large_k():
     pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, matrix.domains, 0.5)
     with pytest.raises(InputError, match="K exceeds N-1: K=8, N-1=7"):
         recommendation_report(matrix, {"NGRAM": pairs}, ks=(7, 8))
+
+
+def test_recommendation_report_checks_every_k_before_scoring():
+    matrix = accuracy_matrix(("A", "B", "C", "D"), np.full((4, 4), 80.0))
+    pairs = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, matrix.domains, 0.3)
+    for k in (0, 4):
+        with pytest.raises(InputError, match=f"K exceeds N-1: K={k}, N-1=3"):
+            recommendation_report(matrix, {"NGRAM": pairs}, ks=(1, k))
+    # A bad K is reported before any metric is compared with the matrix.
+    other_order = constant_pairs("NGRAM", HIGHER_IS_MORE_SIMILAR, ("D", "C", "B", "A"), 0.3)
+    with pytest.raises(InputError, match="K exceeds N-1: K=4"):
+        recommendation_report(matrix, {"NGRAM": pairs, "LM1": other_order}, ks=(4,))
 
 
 def test_recommendation_report_chart_only():
@@ -212,10 +208,9 @@ def test_markdown_report_contains_tables():
 
 def test_write_eval_csv_formats(tmp_path):
     matrix = accuracy_matrix(("A", "B"), np.array([[90.0, 60.0], [70.0, 80.0]]))
-    preds = rank_sources(matrix)
-    report = aggregate("LM1", preds, preds, 1)
+    pairs = PairMatrix("LM1", HIGHER_IS_MORE_SIMILAR, matrix.domains, matrix.values)
     path = tmp_path / "eval.csv"
-    write_eval_csv([report], path)
+    write_eval_csv(recommendation_report(matrix, {"LM1": pairs}, (1,)), path)
     assert path.read_text().splitlines()[1] == "LM1,1,100.00,1.000"
 
 

@@ -2,14 +2,21 @@
 
 A missing, unreadable or non-UTF-8 input of any kind is an ``InputError``
 (exit code 1) naming the file, and a CRLF copy of a line-based input loads
-to the same values as its LF copy.
+to the same values as its LF copy. JSON or CSV that Python's parsers cannot
+read into values is exit code 1 too, and no mutation of any input file
+makes a command exit 2.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from domainsim import cli
 from domainsim.corpus import load_corpus, load_stopwords
@@ -145,3 +152,79 @@ def test_a_non_utf8_byte_in_any_input_exits_one_naming_the_file(tmp_path, capsys
     assert cli.main([*argv, "--out", str(out)]) == 1
     assert f"{path}: not UTF-8 text (invalid start byte)\n" in capsys.readouterr().err
 
+
+DEEP = "[" * 100_000 + "]" * 100_000
+RECORD = '{"domain": "A", "label": "positive", "text": "good film"'
+FIELD_LIMIT = "malformed CSV (field larger than field limit (131072))"
+
+# Per case: the input kind, the file's new text, and the end of the error message.
+UNPARSABLE = {
+    "config-deep": ("config", DEEP, "malformed JSON config (maximum recursion depth exceeded"),
+    "config-digits": ("config", '{"seed": ' + "1" * 5000 + "}",
+                      "malformed JSON config (Exceeds the limit (4300 digits)"),
+    "jsonl-corpus-deep": ("jsonl-corpus", f"{RECORD}}}\n{DEEP}\n",
+                          "line 2: malformed JSON (maximum recursion depth exceeded"),
+    "jsonl-corpus-digits": ("jsonl-corpus", f'{RECORD}, "n": {"1" * 5000}}}\n',
+                            "line 1: malformed JSON (Exceeds the limit (4300 digits)"),
+    "accuracy-matrix-field": ("accuracy-matrix",
+                              "domain,A,B\nA,90," + "7" * 200_000 + "\nB,60,80\n",
+                              f"line 2: {FIELD_LIMIT}"),
+    "metric-csv-field": ("metric-csv", "metric_id,source,target,value,direction\n"
+                         f"LM1,A,B,{'1' * 200_000},higher_is_more_similar\n",
+                         f"line 2: {FIELD_LIMIT}"),
+}
+
+
+@pytest.mark.parametrize("case", UNPARSABLE)
+def test_json_or_csv_that_python_cannot_parse_exits_one(tmp_path, capsys, case):
+    kind, text, message = UNPARSABLE[case]
+    inputs, out = _inputs(tmp_path)
+    name, argv = inputs[kind]
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}" in err and message in err, err
+
+
+@pytest.fixture()
+def valid_inputs(tmp_path):
+    return tmp_path, *_inputs(tmp_path)
+
+
+TOKENS = [b"\xff", b'"', b"NaN", b"inf", "\ufeff".encode(), b"\x00"]
+EDITS = ["replace", "insert", "delete", "truncate", "inject"]
+
+
+def _mutate(data, original: bytes) -> bytes:
+    """``original`` with bytes replaced, inserted or deleted, cut short, or a token injected."""
+    i, j = sorted(data.draw(st.lists(st.integers(0, len(original)), min_size=2, max_size=2)))
+    noise = data.draw(st.binary(min_size=1, max_size=8))
+    return {
+        "replace": lambda: original[:i] + noise + original[j:],
+        "insert": lambda: original[:i] + noise + original[i:],
+        "delete": lambda: original[:i] + original[j:],
+        "truncate": lambda: original[:i],
+        "inject": lambda: original[:i] + data.draw(st.sampled_from(TOKENS)) + original[i:],
+    }[data.draw(st.sampled_from(EDITS))]()
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(INPUT_KINDS), data=st.data())
+def test_a_mutated_input_exits_zero_or_one(valid_inputs, kind, data):
+    root, inputs, out = valid_inputs
+    name, argv = inputs[kind]
+    path = root / name
+    original = path.read_bytes()
+    path.write_bytes(_mutate(data, original))
+    err = io.StringIO()
+    try:
+        # A warning, such as a dropped review's, is not an error here.
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = cli.main([*argv, "--out", str(out)])
+    finally:
+        path.write_bytes(original)
+    assert code in (0, 1), err.getvalue()

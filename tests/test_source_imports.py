@@ -6,7 +6,8 @@ __future__`` imports; and an import marked ``# noqa: F401``, a name kept on
 purpose for another module to look up.
 
 Also: the package writes its CSV files through one ``csv.writer``, in ``cli``,
-and reads its input files through one ``open``, in ``errors.read_lines``.
+reads its input files through one ``open``, in ``errors.read_lines``, and
+reads every CSV file strictly.
 """
 
 from __future__ import annotations
@@ -48,6 +49,43 @@ def test_csv_writer_occurs_once_in_the_package_in_cli():
     counts = {path.name: path.read_text("utf-8").count("csv.writer")
               for path in sorted(SRC.glob("*.py"))}
     assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
+
+
+def csv_readers(path: Path) -> list[str]:
+    """``<file>: <call>, strict`` or ``..., lax`` for each ``csv.reader``/``DictReader`` call.
+
+    Strict means ``strict=True``; without it an unterminated quote runs a field to the end of
+    the file.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and func.attr in ("reader", "DictReader")
+                and getattr(func.value, "id", None) == "csv"):
+            continue
+        strict = any(k.arg == "strict" and isinstance(k.value, ast.Constant)
+                     and k.value.value is True for k in node.keywords)
+        found.append(f"{path.name}: {func.attr}, {'strict' if strict else 'lax'}")
+    return found
+
+
+def test_every_csv_reader_is_strict():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in csv_readers(path)]
+    assert found == ["cdsa_baseline.py: reader, strict", "cli.py: DictReader, strict",
+                     "corpus.py: DictReader, strict"]
+
+
+def test_a_lax_csv_reader_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import csv\n"
+                    "a = csv.reader(lines, strict=True)\n"
+                    "b = csv.DictReader(lines)\n"
+                    "c = csv.reader(lines, strict=False)\n"
+                    "d = csv.DictReader(lines, delimiter=',', strict=True)\n"
+                    "e = csv.writer(fh)\n")
+    assert csv_readers(path) == ["module.py: reader, strict", "module.py: DictReader, lax",
+                                 "module.py: reader, lax", "module.py: DictReader, strict"]
 
 
 def file_reads(path: Path) -> list[str]:
