@@ -17,15 +17,16 @@ import csv
 import math
 import warnings
 import zlib
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._numpy import np
-from .corpus import POSITIVE, Corpus
 from .errors import InputError, read_lines
 from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
 
 FEATURE_DIM = 1 << 16
 TARGET_SPLIT_SIZE = 2000
@@ -43,14 +44,15 @@ def load_accuracy_matrix(path: str | Path) -> PairMatrix:
     """
     path = Path(path)
     reader = csv.reader((line for _, line in read_lines(path, "accuracy matrix")), strict=True)
+    # Each record with the line it starts on, the line after the one the last record ended on.
     rows: list[tuple[int, list[str]]] = []
+    end = 0
     try:
         for row in reader:
-            rows.append((reader.line_num, row))
+            rows.append((end + 1, row))
+            end = reader.line_num
     except csv.Error as exc:
-        # A record starts on the line after the one the last whole record ended on.
-        start = rows[-1][0] + 1 if rows else 1
-        raise InputError(f"{path}, line {start}: malformed CSV ({exc})") from exc
+        raise InputError(f"{path}, line {end + 1}: malformed CSV ({exc})") from exc
     if len(rows) < 2:
         raise InputError(f"{path}: matrix CSV needs a header and at least one row")
     domains = tuple(h.strip() for h in rows[0][1][1:])
@@ -105,8 +107,7 @@ def reference_accuracy_matrix() -> PairMatrix:
         return load_accuracy_matrix(path)
 
 
-@dataclass(frozen=True)
-class ChartRow:
+class ChartRow(NamedTuple):
     """Per-domain recommendation chart entry."""
 
     domain_id: str
@@ -194,6 +195,9 @@ def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.nd
     Zeros anywhere else change the association and the last bits of the
     sum. A review with 128 features or more is summed at its exact length.
     """
+    # Imported here, so the commands that only read an accuracy matrix never load corpus.
+    from .corpus import POSITIVE
+
     # Each word is hashed once, so reviews share one int object per id
     # instead of holding one per token occurrence (a smaller peak).
     hash_of = {w: zlib.crc32(w.encode("utf-8")) & (FEATURE_DIM - 1)

@@ -15,8 +15,13 @@ as the one ``baseline`` writes, or take the bundled reference; they never
 load corpora. numpy loads on first use (``_numpy``): ``ingest``, ``chart``,
 ``evaluate`` and ``metrics`` whose metrics are all among LM1–LM3 never load
 it; ``metrics`` with LM4, NGRAM or a ULM metric, and ``baseline``, pay for
-its import inside the command. Bad input, such as an input file that is missing,
-unreadable, not UTF-8 or malformed, exits 1 (``InputError``); any other failure exits 2.
+its import inside the command. The metric modules are imported in the code
+that uses them: ``chart`` and ``evaluate`` load none of ``corpus``,
+``labelled_metrics`` and ``embedding_metrics``; ``ingest`` and ``baseline``
+load only ``corpus``; ``metrics`` adds ``labelled_metrics`` for LM1–LM4 and
+``embedding_metrics`` for a ULM metric. Bad input, such as an input file that
+is missing, unreadable, not UTF-8 or malformed, exits 1 (``InputError``); any
+other failure exits 2.
 """
 
 from __future__ import annotations
@@ -26,14 +31,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import corpus as corpus_mod
-from . import embedding_metrics as emb
-from . import labelled_metrics as lm
 from .cdsa_baseline import (
     ChartRow,
     chart,
@@ -52,6 +53,9 @@ from .lexstats import (
 )
 from .pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix, mirrored
 
+if TYPE_CHECKING:
+    from .corpus import Corpus, NgramIndex
+
 METRIC_CSV_HEADER = ("metric_id", "source", "target", "value", "direction")
 
 EXIT_OK = 0
@@ -59,21 +63,25 @@ EXIT_INPUT_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
 
 
-@dataclass
 class RunConfig:
     """Resolved inputs for one batch run; domain order fixes tie-breaks."""
 
-    domains: dict[str, str] = field(default_factory=dict)
-    format: str = "jsonl"
-    stopwords: str | None = None
-    adjectives: str | None = None
-    sentiment_lexicon: str | None = None
-    vectors: dict[str, str] = field(default_factory=dict)
-    accuracy_matrix: str | None = None
-    metrics: list[str] = field(default_factory=list)
-    k: list[int] = field(default_factory=lambda: [3, 5, 7, 10])
-    out: str = "out"
-    seed: int = 0
+    # The config file's keys, each also a flag and an attribute set in __init__.
+    KEYS = ("domains", "format", "stopwords", "adjectives", "sentiment_lexicon", "vectors",
+            "accuracy_matrix", "metrics", "k", "out", "seed")
+
+    def __init__(self) -> None:
+        self.domains: dict[str, str] = {}
+        self.format = "jsonl"
+        self.stopwords: str | None = None
+        self.adjectives: str | None = None
+        self.sentiment_lexicon: str | None = None
+        self.vectors: dict[str, str] = {}
+        self.accuracy_matrix: str | None = None
+        self.metrics: list[str] = []
+        self.k: list[int] = [3, 5, 7, 10]
+        self.out = "out"
+        self.seed = 0
 
     @classmethod
     def load(cls, args: argparse.Namespace) -> "RunConfig":
@@ -89,8 +97,7 @@ class RunConfig:
                 raise InputError(f"{path}: malformed JSON config ({reason})") from exc
             if not isinstance(raw, dict):
                 raise InputError(f"{path}: config must be a JSON object")
-            known = set(cls.__dataclass_fields__)
-            unknown = set(raw) - known
+            unknown = set(raw) - set(cls.KEYS)
             if unknown:
                 raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
             for key, value in raw.items():
@@ -100,7 +107,7 @@ class RunConfig:
         return config
 
     def _apply_flags(self, args: argparse.Namespace) -> None:
-        for key in self.__dataclass_fields__:
+        for key in self.KEYS:
             value = getattr(args, key)
             if value is None or value == "":
                 continue
@@ -172,7 +179,9 @@ class Workspace:
         self._vector_values: dict[tuple[Path, str], list[list[float]]] = {}
 
     @cached_property
-    def corpora(self) -> list[corpus_mod.Corpus]:
+    def corpora(self) -> list[Corpus]:
+        from . import corpus as corpus_mod
+
         config = self.config
         if not config.domains:
             raise InputError("no domains configured (use --domains or the config file)")
@@ -191,11 +200,15 @@ class Workspace:
         return corpora
 
     @cached_property
-    def ngram_index(self) -> corpus_mod.NgramIndex:
+    def ngram_index(self) -> NgramIndex:
+        from . import corpus as corpus_mod
+
         return corpus_mod.NgramIndex(self.corpora)
 
     @cached_property
     def adjectives(self):
+        from . import embedding_metrics as emb
+
         return emb.load_adjectives(self.config.adjectives)
 
     @cached_property
@@ -213,6 +226,8 @@ class Workspace:
     @cached_property
     def qualifying_reviews(self):
         """Per corpus, ``filter_reviews(corpus, lexicon)``: each review is scored once."""
+        from . import embedding_metrics as emb
+
         lexicon = self.lexicon
         return [emb.filter_reviews(c, lexicon) for c in self.corpora]
 
@@ -229,6 +244,8 @@ class Workspace:
 
     def _word_values(self, directory: Path) -> list[list[float]]:
         """The word-vector metric's rows over every corpus's file in ``directory``."""
+        from . import embedding_metrics as emb
+
         adjectives = self.adjectives
         tables = [emb.load_word_vectors(_vector_file(directory, c.domain_id))
                   for c in self.corpora]
@@ -240,6 +257,8 @@ class Workspace:
         Each file is parsed once and dropped as soon as its reviews are
         selected, so one parsed sentence file is alive at a time.
         """
+        from . import embedding_metrics as emb
+
         config = self.config
         modes = sorted({READINGS[m] for m in config.metrics
                         if READINGS.get(m) in ("heldout", "top")
@@ -331,18 +350,36 @@ def _vector_file(directory: Path, domain: str) -> Path:
 READINGS = {"ULM1": "words", "ULM2": "heldout", "ULM3": "words", "ULM4": "words",
             "ULM5": "heldout", "ULM6": "words", "ULM7": "top"}
 
+
+def _labelled_values(ws: Workspace, metric: str) -> list[list[float]]:
+    """LM1-LM4's N rows, the only code that loads ``labelled_metrics``."""
+    from . import labelled_metrics as lm
+
+    if metric == "LM1":
+        return mirrored([significant_words(c) for c in ws.corpora], lm.lm1_overlap)
+    if metric == "LM4":
+        return lm.lm4_matrix(ws.ngram_index, [polar_words(t) for t in ws.polarity_tables])
+    return mirrored(ws.polarity_tables, lm.lm2_skld if metric == "LM2" else lm.lm3_chameleon)
+
+
+def _ngram_values(ws: Workspace, metric: str) -> list[list[float]]:
+    """NGRAM's N rows, from the n-gram index LM4 also reads."""
+    from . import corpus as corpus_mod
+
+    return corpus_mod.ngram_overlap_matrix(ws.ngram_index)
+
+
 # Metric id -> (direction, compute(workspace, metric) -> N×N values).
-# Each compute looks its functions up when it runs, through this module's
-# globals or a module attribute, so a wrapper set on such an attribute
-# (perfbench/traced_cli.py sets them) sees every call.
+# Each compute imports the modules it needs when it runs and looks their
+# functions up then, through this module's globals or a module attribute, so
+# a wrapper set on such an attribute (perfbench/traced_cli.py sets them)
+# sees every call.
 METRICS = {
-    "LM1": (HIGHER_IS_MORE_SIMILAR, lambda ws, _: mirrored(
-        [significant_words(c) for c in ws.corpora], lm.lm1_overlap)),
-    "LM2": (LOWER_IS_MORE_SIMILAR, lambda ws, _: mirrored(ws.polarity_tables, lm.lm2_skld)),
-    "LM3": (LOWER_IS_MORE_SIMILAR, lambda ws, _: mirrored(ws.polarity_tables, lm.lm3_chameleon)),
-    "LM4": (LOWER_IS_MORE_SIMILAR, lambda ws, _: lm.lm4_matrix(
-        ws.ngram_index, [polar_words(t) for t in ws.polarity_tables])),
-    "NGRAM": (HIGHER_IS_MORE_SIMILAR, lambda ws, _: corpus_mod.ngram_overlap_matrix(ws.ngram_index)),
+    "LM1": (HIGHER_IS_MORE_SIMILAR, _labelled_values),
+    "LM2": (LOWER_IS_MORE_SIMILAR, _labelled_values),
+    "LM3": (LOWER_IS_MORE_SIMILAR, _labelled_values),
+    "LM4": (LOWER_IS_MORE_SIMILAR, _labelled_values),
+    "NGRAM": (HIGHER_IS_MORE_SIMILAR, _ngram_values),
     **{m: (HIGHER_IS_MORE_SIMILAR, Workspace.vector_values) for m in READINGS},
 }
 
@@ -376,7 +413,9 @@ def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> Pa
     """Load ``metric``'s values over ``domains``, in that order, which breaks ranking ties.
 
     Rejects, naming file and line, malformed CSV (read strictly, as the
-    corpus reader does) and a row that has more fields than the header, is
+    corpus reader does), a header with a column outside
+    ``METRIC_CSV_HEADER`` or a repeated column, and a row that has more
+    fields than the header, is
     malformed, belongs to another metric or direction, pairs a domain with
     itself, repeats a pair or holds a non-finite value (only an empty cell
     means unrankable); then a file whose domains differ from ``domains`` or
@@ -389,6 +428,10 @@ def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> Pa
     seen: set[tuple[str, str]] = set()
     reader = csv.DictReader((line for _, line in read_lines(path, "metric")), strict=True)
     try:
+        header = reader.fieldnames or []
+        if _repeated(header) or not set(header) <= set(METRIC_CSV_HEADER):
+            raise InputError(f"{path}, line 1: header {','.join(header)} must name only"
+                             f" {','.join(METRIC_CSV_HEADER)}, each at most once")
         for row in reader:
             where = f"{path}, line {reader.line_num}"
             if None in row:  # DictReader's key for the fields past the header's

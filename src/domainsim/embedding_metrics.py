@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -26,15 +25,15 @@ from .lexstats import filter_reviews, review_score  # noqa: F401
 from .pairs import mirrored
 
 
-@dataclass(frozen=True)
 class AdjectiveLexicon:
     """Word forms treated as adjectives when comparing word-vector tables."""
 
-    words: frozenset[str]
+    __slots__ = ("words",)
 
-    def __post_init__(self) -> None:
-        if not self.words:
+    def __init__(self, words: frozenset[str]) -> None:
+        if not words:
             raise InputError("adjective lexicon is empty")
+        self.words = words
 
 
 def load_adjectives(path: str | Path) -> AdjectiveLexicon:

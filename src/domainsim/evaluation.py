@@ -14,15 +14,13 @@ nothing: ``cli`` writes the CSV and Markdown reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .pairs import PairMatrix
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Aggregate precision/NRA of one metric at one K over all targets."""
 
     metric_id: str

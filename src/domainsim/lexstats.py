@@ -9,9 +9,12 @@ a sentiment lexicon is a dict word -> pos_score - neg_score, made at load.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .corpus import Corpus
 from .errors import InputError, read_lines
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
 
 # Probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any
 # logarithm; common polar words can have a zero count on one side in a

@@ -15,7 +15,6 @@ unrankable sources come last, also in domain order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InputError, UnrankablePairError
@@ -42,7 +41,6 @@ def mirrored(items: Sequence, pair_value: Callable) -> list[list[float]]:
     return values
 
 
-@dataclass(frozen=True)
 class PairMatrix:
     """``values[i][j]`` is the metric from source ``domains[i]`` to target ``domains[j]``.
 
@@ -51,15 +49,14 @@ class PairMatrix:
     needs no numpy.
     """
 
-    metric_id: str
-    direction: str
-    domains: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
+    __slots__ = ("metric_id", "direction", "domains", "values")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domains", tuple(self.domains))
-        values = tuple(tuple(map(float, row)) for row in self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, metric_id: str, direction: str, domains: Sequence[str], values) -> None:
+        self.metric_id = metric_id
+        self.direction = direction
+        self.domains: tuple[str, ...] = tuple(domains)
+        values = tuple(tuple(map(float, row)) for row in values)
+        self.values: tuple[tuple[float, ...], ...] = values
         if self.direction not in (HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR):
             raise InputError(f"invalid direction {self.direction!r}")
         if len(set(self.domains)) != len(self.domains):

@@ -71,6 +71,14 @@ def test_load_matrix_reorders_rows_to_header(tmp_path):
          r"m\.csv, line 2: malformed CSV \(unexpected end of data\)"),
         ('domain,A,B\nA,90,70\nB,"60" 5,80\n',
          r"m\.csv, line 3: malformed CSV \(',' expected after '\"'\)"),
+        # A record over several lines is named by the line it starts on.
+        ('domain,A,B\nA,"9\n0",70\nB,60,80\n',
+         r"m\.csv, line 2: non-numeric cell '9\\n0' in row A$"),
+        ('domain,A,B\nA,"9\n0"\nB,60,80\n', r"m\.csv, line 2: row for 'A' has 1 cells"),
+        ('domain,A,B\nA,"9\n0",60\nA,10,20\nB,70,80\n',
+         r"m\.csv, line 4: repeated row for 'A' \(first on line 2\)"),
+        ('domain,A,B\nA,90,60\nA,"1\n0",20\nB,70,80\n',
+         r"m\.csv, line 3: repeated row for 'A' \(first on line 2\)"),
     ],
 )
 def test_load_matrix_rejects_bad_input(tmp_path, content, match):

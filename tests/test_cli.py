@@ -110,23 +110,26 @@ def test_domain_name_mismatch_exit_one(tmp_path, capsys):
 
 
 EVALUATE = ["-m", "domainsim", "evaluate", "--metrics", "LM2", "--k", "1", "--accuracy-matrix"]
+CORPUS, EMB, LM = "domainsim.corpus", "domainsim.embedding_metrics", "domainsim.labelled_metrics"
 
 
-@pytest.mark.parametrize("command, loads_numpy", [
-    (["-c", "import domainsim.cli"], False),
-    (["-m", "domainsim", "ingest"], False),
-    (["-m", "domainsim", "metrics", "--metrics", "LM4"], True),
-    (["-m", "domainsim", "metrics", "--metrics", "LM1,LM2,LM3"], False),
-    (["-m", "domainsim", "metrics", "--metrics", "NGRAM"], True),
-    (["-m", "domainsim", "baseline"], True),
-    (["-m", "domainsim", "chart", "--accuracy-matrix", "reference"], False),
-    ([*EVALUATE, "reference"], False),
-    ([*EVALUATE, "matrix.csv"], False),
+@pytest.mark.parametrize("command, loads_numpy, unloaded", [
+    (["-c", "import domainsim.cli"], False, {CORPUS, EMB, LM}),
+    (["-m", "domainsim", "ingest"], False, {EMB, LM}),
+    (["-m", "domainsim", "metrics", "--metrics", "LM4"], True, {EMB}),
+    (["-m", "domainsim", "metrics", "--metrics", "LM1,LM2,LM3"], False, {EMB}),
+    (["-m", "domainsim", "metrics", "--metrics", "NGRAM"], True, {EMB, LM}),
+    (["-m", "domainsim", "baseline"], True, {EMB, LM}),
+    (["-m", "domainsim", "chart", "--accuracy-matrix", "reference"], False, {CORPUS, EMB, LM}),
+    ([*EVALUATE, "reference"], False, {CORPUS, EMB, LM}),
+    ([*EVALUATE, "matrix.csv"], False, {CORPUS, EMB, LM}),
 ], ids=["import", "ingest", "metrics", "metrics-lm1-lm3", "metrics-ngram", "baseline", "chart",
         "evaluate-reference", "evaluate-csv"])
-def test_numpy_loads_only_when_a_command_uses_it(tmp_path, command, loads_numpy):
-    # In process numpy is always loaded already (this module imports it), so
-    # only a fresh interpreter shows whether a command loads it.
+def test_numpy_loads_only_when_a_command_uses_it(tmp_path, command, loads_numpy, unloaded):
+    # In process numpy and every module are loaded already (this module
+    # imports them), so only a fresh interpreter shows what a command loads:
+    # numpy only when it computes with it, dataclasses never, and none of the
+    # ``unloaded`` package modules.
     paths = synth.write_jsonl(synth.synthetic_reviews(n_domains=2, reviews_per_domain=8, seed=5),
                               tmp_path / "corpora")
     out = tmp_path / "out"
@@ -152,6 +155,8 @@ def test_numpy_loads_only_when_a_command_uses_it(tmp_path, command, loads_numpy)
            if line.startswith("import time:")}
     assert "domainsim.cli" in ran
     assert ("numpy._core" in ran) == loads_numpy
+    assert "dataclasses" not in ran
+    assert ran & unloaded == set()
     if "evaluate" in command:
         assert (out / "eval_report.csv").is_file()
 
@@ -454,6 +459,20 @@ def test_read_metric_csv_rejects_bad_rows(tmp_path, row, message):
     assert str(info.value) == f"{path}, line 8: {message}"
 
 
+@pytest.mark.parametrize("header, cells", [
+    ("metric_id,source,target,value,direction,note", lambda row: [*row, "checked"]),
+    ("metric_id,source,target,value,value,direction", lambda row: [*row[:4], *row[3:]]),
+], ids=["extra-column", "repeated-column"])
+def test_read_metric_csv_rejects_a_header_column_outside_the_five_or_repeated(
+        tmp_path, header, cells):
+    path = tmp_path / "metric_LM2.csv"
+    path.write_text("\n".join([header, *(",".join(cells(row)) for row in LM2_ROWS)]) + "\n")
+    with pytest.raises(InputError) as info:
+        cli.read_metric_csv(path, "LM2", DOMAINS3)
+    assert str(info.value) == (f"{path}, line 1: header {header} must name only"
+                               " metric_id,source,target,value,direction, each at most once")
+
+
 def test_read_metric_csv_rejects_missing_pair(tmp_path):
     path = _write_metric_rows(tmp_path / "metric_LM2.csv", LM2_ROWS[:2] + LM2_ROWS[3:])
     with pytest.raises(InputError, match=r"missing pair \(B, A\)"):
@@ -547,7 +566,7 @@ def test_every_config_key_has_a_flag_on_every_subcommand(monkeypatch):
     monkeypatch.setattr(cli.RunConfig, "load", capture)
     for command in ("ingest", "metrics", "evaluate", "chart", "baseline"):
         assert main([command]) == 1
-    fields = set(cli.RunConfig.__dataclass_fields__)
+    fields = set(cli.RunConfig.KEYS)
     assert fields == set(FILE_CONFIG) == set(FLAG_OVERRIDES)
     for command, namespace in namespaces.items():
         assert fields <= set(namespace), command

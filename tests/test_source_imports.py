@@ -7,7 +7,8 @@ purpose for another module to look up.
 
 Also: the package writes its CSV files through one ``csv.writer``, in ``cli``,
 reads its input files through one ``open``, in ``errors.read_lines``, and
-reads every CSV file strictly.
+reads every CSV file strictly. No module imports ``dataclasses``, which loads
+``inspect``, ``ast``, ``dis`` and ``tokenize`` into every command's start-up.
 """
 
 from __future__ import annotations
@@ -43,6 +44,42 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     assert len(modules) > 5
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def imported_modules(path: Path) -> list[str]:
+    """``<file>, line <n>: <module>`` for each module an import in ``path`` names.
+
+    ``from . import x`` names ``.x``; ``from .y import x`` names ``.y``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level
+            names = [prefix + node.module] if node.module else [prefix + a.name for a in node.names]
+        else:
+            continue
+        found += [f"{path.name}, line {node.lineno}: {name}" for name in names]
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in imported_modules(path)]
+    assert len(found) > 20
+    assert [entry for entry in found if entry.endswith(": dataclasses")] == []
+
+
+def test_an_imported_module_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import os.path, json\n"
+                    "from dataclasses import dataclass\n"
+                    "from . import corpus as c\n"
+                    "def f():\n    from .pairs import mirrored\n"
+                    "    import dataclasses\n")
+    assert imported_modules(path) == [
+        "module.py, line 1: os.path", "module.py, line 1: json", "module.py, line 2: dataclasses",
+        "module.py, line 3: .corpus", "module.py, line 5: .pairs", "module.py, line 6: dataclasses"]
 
 
 def test_csv_writer_occurs_once_in_the_package_in_cli():
