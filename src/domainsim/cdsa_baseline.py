@@ -13,7 +13,6 @@ match the accuracies of a tuned neural classifier.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 import zlib
@@ -22,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._numpy import np
-from .errors import InputError, read_lines
+from .errors import InputError, read_csv
 from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 if TYPE_CHECKING:
@@ -43,16 +42,7 @@ def load_accuracy_matrix(path: str | Path) -> PairMatrix:
     number in [0, 100]; then rows that name other domains than the header.
     """
     path = Path(path)
-    reader = csv.reader((line for _, line in read_lines(path, "accuracy matrix")), strict=True)
-    # Each record with the line it starts on, the line after the one the last record ended on.
-    rows: list[tuple[int, list[str]]] = []
-    end = 0
-    try:
-        for row in reader:
-            rows.append((end + 1, row))
-            end = reader.line_num
-    except csv.Error as exc:
-        raise InputError(f"{path}, line {end + 1}: malformed CSV ({exc})") from exc
+    rows = list(read_csv(path, "accuracy matrix"))
     if len(rows) < 2:
         raise InputError(f"{path}: matrix CSV needs a header and at least one row")
     domains = tuple(h.strip() for h in rows[0][1][1:])

@@ -19,16 +19,16 @@ its import inside the command. The metric modules are imported in the code
 that uses them: ``chart`` and ``evaluate`` load none of ``corpus``,
 ``labelled_metrics`` and ``embedding_metrics``; ``ingest`` and ``baseline``
 load only ``corpus``; ``metrics`` adds ``labelled_metrics`` for LM1–LM4 and
-``embedding_metrics`` for a ULM metric. Bad input, such as an input file that
-is missing, unreadable, not UTF-8 or malformed, exits 1 (``InputError``); any
-other failure exits 2.
+``embedding_metrics`` for a ULM metric; ``json`` loads only to parse a JSONL
+corpus or ``--config``, so ``chart`` and ``evaluate`` load it only with
+``--config``. Bad input, such as an input file that is missing, unreadable,
+not UTF-8 or malformed, exits 1 (``InputError``); any other failure exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from functools import cached_property
@@ -42,15 +42,9 @@ from .cdsa_baseline import (
     reference_accuracy_matrix,
     train_eval_baseline,
 )
-from .errors import InputError, read_lines
+from .errors import InputError, parse_json, read_csv, read_lines
 from .evaluation import EvalReport, recommendation_report
-from .lexstats import (
-    load_sentiment_lexicon_tsv,
-    load_sentiwordnet,
-    polar_words,
-    polarity_table,
-    significant_words,
-)
+from .lexstats import load_sentiment_lexicon, polar_words, polarity_table, significant_words
 from .pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix, mirrored
 
 if TYPE_CHECKING:
@@ -89,12 +83,8 @@ class RunConfig:
         if args.config:
             path = Path(args.config)
             text = "".join(line for _, line in read_lines(path, "config"))
-            try:
-                raw = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
-            except (ValueError, RecursionError) as exc:
-                # JSONDecodeError is a ValueError; so is an integer past Python's digit limit.
-                reason = getattr(exc, "msg", exc)
-                raise InputError(f"{path}: malformed JSON config ({reason})") from exc
+            raw = parse_json(text, path, kind="JSON config",
+                             hook=lambda pairs: _unique_keys(path, pairs))
             if not isinstance(raw, dict):
                 raise InputError(f"{path}: config must be a JSON object")
             unknown = set(raw) - set(cls.KEYS)
@@ -213,11 +203,7 @@ class Workspace:
 
     @cached_property
     def lexicon(self):
-        path = Path(self.config.sentiment_lexicon)
-        # The standard distribution format starts with a comment block.
-        if path.suffix.lower() in (".tsv", ".txt") and _looks_like_tsv(path):
-            return load_sentiment_lexicon_tsv(path)
-        return load_sentiwordnet(path)
+        return load_sentiment_lexicon(self.config.sentiment_lexicon)
 
     @cached_property
     def polarity_tables(self):
@@ -286,13 +272,6 @@ def _unique_keys(path: Path, pairs: list[tuple[str, object]]) -> dict:
     if repeated:
         raise InputError(f"{path}: a config object repeats key {', '.join(map(repr, repeated))}")
     return dict(pairs)
-
-
-def _looks_like_tsv(path: Path) -> bool:
-    for _, line in read_lines(path, "lexicon"):
-        if line.strip() and not line.startswith("#"):
-            return len(line.rstrip("\r\n").split("\t")) == 3
-    return True
 
 
 def _names(chunk: str) -> list[str]:
@@ -412,55 +391,54 @@ def write_metric_csv(pairs: PairMatrix, path: Path) -> None:
 def read_metric_csv(path: str | Path, metric: str, domains: Sequence[str]) -> PairMatrix:
     """Load ``metric``'s values over ``domains``, in that order, which breaks ranking ties.
 
-    Rejects, naming file and line, malformed CSV (read strictly, as the
-    corpus reader does), a header with a column outside
-    ``METRIC_CSV_HEADER`` or a repeated column, and a row that has more
-    fields than the header, is
-    malformed, belongs to another metric or direction, pairs a domain with
-    itself, repeats a pair or holds a non-finite value (only an empty cell
-    means unrankable); then a file whose domains differ from ``domains`` or
-    that misses a pair.
+    Rejects, naming file and line, malformed CSV, a header with a column
+    outside ``METRIC_CSV_HEADER`` or a repeated column, and a row that has
+    more fields than the header, is malformed, belongs to another metric or
+    direction, pairs a domain with itself, repeats a pair or holds a
+    non-finite value (only an empty cell means unrankable); then a file with
+    no rows, whose domains differ from ``domains`` or that misses a pair.
     """
     path = Path(path)
     direction = METRICS[metric][0]
     index = {d: i for i, d in enumerate(domains)}
     values = [[math.nan] * len(domains) for _ in domains]
     seen: set[tuple[str, str]] = set()
-    reader = csv.DictReader((line for _, line in read_lines(path, "metric")), strict=True)
-    try:
-        header = reader.fieldnames or []
-        if _repeated(header) or not set(header) <= set(METRIC_CSV_HEADER):
-            raise InputError(f"{path}, line 1: header {','.join(header)} must name only"
-                             f" {','.join(METRIC_CSV_HEADER)}, each at most once")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if None in row:  # DictReader's key for the fields past the header's
-                raise InputError(f"{where}: more fields than the header")
-            fields = [row.get(key) for key in METRIC_CSV_HEADER]
-            if None in fields:
-                raise InputError(f"{where}: bad metric row")
-            row_metric, source, target, cell, row_direction = fields
-            try:
-                value = float(cell) if cell else math.nan
-            except ValueError:
-                raise InputError(f"{where}: bad metric row") from None
-            if cell and not math.isfinite(value):
-                raise InputError(f"{where}: non-finite metric value {cell!r}")
-            if (row_metric, row_direction) != (metric, direction):
-                raise InputError(
-                    f"{where}: row of metric {row_metric} ({row_direction}),"
-                    f" expected {metric} ({direction})"
-                )
-            if source == target:
-                raise InputError(f"{where}: self-pair ({source}, {target})")
-            if (source, target) in seen:
-                raise InputError(f"{where}: duplicate pair ({source}, {target})")
-            seen.add((source, target))
-            if source in index and target in index:
-                values[index[source]][index[target]] = value
-    except csv.Error as exc:
-        # DictReader.line_num ends the last record read whole; the bad one starts after it.
-        raise InputError(f"{path}, line {reader.line_num + 1}: malformed CSV ({exc})") from exc
+    records = read_csv(path, "metric")
+    header = next(records, (0, []))[1]
+    if _repeated(header) or not set(header) <= set(METRIC_CSV_HEADER):
+        raise InputError(f"{path}, line 1: header {','.join(header)} must name only"
+                         f" {','.join(METRIC_CSV_HEADER)}, each at most once")
+    for line, fields in records:
+        if not fields:
+            continue
+        where = f"{path}, line {line}"
+        if len(fields) > len(header):
+            raise InputError(f"{where}: more fields than the header")
+        # The header names only the five columns, each at most once: a row has all or is short.
+        if len(fields) < len(METRIC_CSV_HEADER):
+            raise InputError(f"{where}: bad metric row")
+        row = dict(zip(header, fields))
+        row_metric, source, target, cell, row_direction = map(row.get, METRIC_CSV_HEADER)
+        try:
+            value = float(cell) if cell else math.nan
+        except ValueError:
+            raise InputError(f"{where}: bad metric row") from None
+        if cell and not math.isfinite(value):
+            raise InputError(f"{where}: non-finite metric value {cell!r}")
+        if (row_metric, row_direction) != (metric, direction):
+            raise InputError(
+                f"{where}: row of metric {row_metric} ({row_direction}),"
+                f" expected {metric} ({direction})"
+            )
+        if source == target:
+            raise InputError(f"{where}: self-pair ({source}, {target})")
+        if (source, target) in seen:
+            raise InputError(f"{where}: duplicate pair ({source}, {target})")
+        seen.add((source, target))
+        if source in index and target in index:
+            values[index[source]][index[target]] = value
+    if not seen:
+        raise InputError(f"{path}: no metric rows")
     named = {d for pair in seen for d in pair}
     if named != set(domains):
         raise InputError(

@@ -12,9 +12,7 @@ warning so that ingestion stays total over dirty data. A review is a plain
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import sys
 import warnings
 from collections import Counter
@@ -24,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._numpy import np
-from .errors import InputError, read_lines
+from .errors import InputError, parse_json, read_csv, read_lines
 from .pairs import mirrored
 
 POSITIVE = "positive"
@@ -175,33 +173,25 @@ def _records_from_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
     for lineno, line in read_lines(path, "corpus"):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError is a ValueError; so is an integer past Python's digit limit.
-            reason = getattr(exc, "msg", exc)
-            raise InputError(f"{path}, line {lineno}: malformed JSON ({reason})") from exc
+        record = parse_json(line, path, lineno)
         if not isinstance(record, dict):
             raise InputError(f"{path}, line {lineno}: expected a JSON object")
         yield lineno, record
 
 
 def _records_from_csv(path: Path) -> Iterable[tuple[int, dict]]:
-    # Strict, so an unterminated quote is an error, not a field that runs to the end of the file.
-    reader = csv.DictReader((line for _, line in read_lines(path, "corpus")), strict=True)
-    try:
-        if reader.fieldnames is None:
-            return
-        missing = {"domain", "label", "text"} - set(reader.fieldnames)
-        if missing:
-            raise InputError(f"{path}: CSV header missing columns {sorted(missing)}")
-        for record in reader:
-            if None in record:  # DictReader's key for the fields past the header's
-                raise InputError(f"{path}, line {reader.line_num}: more fields than the header")
-            yield reader.line_num, record
-    except csv.Error as exc:
-        # DictReader.line_num ends the last record read whole; the bad one starts after it.
-        raise InputError(f"{path}, line {reader.line_num + 1}: malformed CSV ({exc})") from exc
+    records = read_csv(path, "corpus")
+    header = next(records, (0, None))[1]
+    if header is None:
+        return
+    missing = {"domain", "label", "text"} - set(header)
+    if missing:
+        raise InputError(f"{path}: CSV header missing columns {sorted(missing)}")
+    for lineno, fields in records:
+        if len(fields) > len(header):
+            raise InputError(f"{path}, line {lineno}: more fields than the header")
+        if fields:
+            yield lineno, dict(zip(header, fields))
 
 
 def load_corpus(

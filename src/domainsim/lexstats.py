@@ -134,6 +134,19 @@ def load_sentiwordnet(path: str | Path) -> dict[str, float]:
     return {w: s[0] / s[2] - s[1] / s[2] for w, s in sums.items()}
 
 
+def load_sentiment_lexicon(path: str | Path) -> dict[str, float]:
+    """Load a lexicon in either format: SentiWordNet, unless a ``.tsv`` or ``.txt`` file's first
+    line that is not blank or a ``#`` comment has the TSV format's 3 tab-separated columns."""
+    path = Path(path)
+    if path.suffix.lower() in (".tsv", ".txt"):
+        # A file with no such line has no entries in either format, which both loaders reject.
+        first = next((line for _, line in read_lines(path, "lexicon")
+                      if line.strip() and not line.startswith("#")), "")
+        if len(first.rstrip("\r\n").split("\t")) == 3:
+            return load_sentiment_lexicon_tsv(path)
+    return load_sentiwordnet(path)
+
+
 def _harmonic_mean(values: list[float]) -> float:
     # Defined as 0 for an empty set; inputs are strictly positive.
     if not values:

@@ -156,6 +156,9 @@ def test_numpy_loads_only_when_a_command_uses_it(tmp_path, command, loads_numpy,
     assert "domainsim.cli" in ran
     assert ("numpy._core" in ran) == loads_numpy
     assert "dataclasses" not in ran
+    # json loads only to parse a JSONL corpus or --config, so not for chart or evaluate.
+    if "chart" in command or "evaluate" in command:
+        assert "json" not in ran
     assert ran & unloaded == set()
     if "evaluate" in command:
         assert (out / "eval_report.csv").is_file()
@@ -450,8 +453,10 @@ def test_read_metric_csv_fills_values_in_the_given_domain_order(tmp_path):
     (["LM2", "C", "B", "9.0", LOWER_IS_MORE_SIMILAR, "extra", "more"],
      "more fields than the header"),
     (["LM2", "C", "B", '"9.0', LOWER_IS_MORE_SIMILAR], "malformed CSV (unexpected end of data)"),
+    # A record over two lines is named by the line it starts on.
+    (["LM2", "C", "B", '"9\n0"', LOWER_IS_MORE_SIMILAR], "bad metric row"),
 ], ids=["duplicate", "other-metric", "other-direction", "self-pair", "short-row", "non-numeric",
-        "extra-fields", "unterminated-quote"])
+        "extra-fields", "unterminated-quote", "multi-line-row"])
 def test_read_metric_csv_rejects_bad_rows(tmp_path, row, message):
     path = _write_metric_rows(tmp_path / "metric_LM2.csv", LM2_ROWS + [row])
     with pytest.raises(InputError) as info:
@@ -471,6 +476,16 @@ def test_read_metric_csv_rejects_a_header_column_outside_the_five_or_repeated(
         cli.read_metric_csv(path, "LM2", DOMAINS3)
     assert str(info.value) == (f"{path}, line 1: header {header} must name only"
                                " metric_id,source,target,value,direction, each at most once")
+
+
+@pytest.mark.parametrize("text", ["", "metric_id,source,target,value,direction\n"],
+                         ids=["empty", "header-only"])
+def test_read_metric_csv_rejects_a_file_with_no_rows(tmp_path, text):
+    path = tmp_path / "metric_LM2.csv"
+    path.write_text(text)
+    with pytest.raises(InputError) as info:
+        cli.read_metric_csv(path, "LM2", DOMAINS3)
+    assert str(info.value) == f"{path}: no metric rows"
 
 
 def test_read_metric_csv_rejects_missing_pair(tmp_path):
@@ -753,7 +768,7 @@ def test_metrics_parse_each_vector_file_score_each_review_and_load_the_lexicon_o
     count("files", emb, "load_word_vectors", lambda path, *_: str(path))
     count("files", emb, "load_sentence_vectors", lambda path, *_: str(path))
     count("reviews", lexstats, "review_score", lambda tokens, _: id(tokens))
-    count("lexicon", cli, "load_sentiment_lexicon_tsv", lambda path: str(path))
+    count("lexicon", lexstats, "load_sentiment_lexicon_tsv", lambda path: str(path))
     vectors = {"ULM1": first["words"], "ULM2": first["sentences"],
                "ULM3": first["words"], "ULM7": first["sentences"]}
     assert main(_metrics_argv(corpora, first, vectors, tmp_path / "out")) == 0

@@ -169,6 +169,13 @@ def test_load_csv_rejects_a_row_with_more_fields_than_the_header(tmp_path):
         load_corpus(path, format="csv")
 
 
+def test_load_csv_names_a_record_over_several_lines_by_the_line_it_starts_on(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('domain,label,text\nd,positive,"good\nfilm"\nd,maybe,"bad\nfilm"\n')
+    with pytest.raises(InputError, match=r"d\.csv, line 4: unknown label 'maybe'"):
+        load_corpus(path, format="csv")
+
+
 def test_load_unknown_format(tmp_path):
     path = tmp_path / "d.xml"
     path.write_text("<x/>")

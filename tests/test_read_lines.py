@@ -22,7 +22,11 @@ from domainsim import cli
 from domainsim.corpus import load_corpus, load_stopwords
 from domainsim.embedding_metrics import load_adjectives, load_sentence_vectors, load_word_vectors
 from domainsim.errors import InputError, read_lines
-from domainsim.lexstats import load_sentiment_lexicon_tsv, load_sentiwordnet
+from domainsim.lexstats import (
+    load_sentiment_lexicon,
+    load_sentiment_lexicon_tsv,
+    load_sentiwordnet,
+)
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 
@@ -67,7 +71,7 @@ LINE_INPUTS = {
     "sentence-vectors": (lambda path: _by_key(load_sentence_vectors(path)),
                          "d:0 1.0 0.5\nd:1 -0.5 1.0\n"),
     "tsv-lexicon": (load_sentiment_lexicon_tsv, "# word\tpos\tneg\ngood\t0.75\t0.0\nbad\t0\t0.5\n"),
-    "tsv-lexicon-sniff": (cli._looks_like_tsv, "# word\tpos\tneg\ngood\t0.75\t0.0\n"),
+    "tsv-lexicon-sniff": (load_sentiment_lexicon, "# word\tpos\tneg\ngood\t0.75\t0.0\n"),
     "sentiwordnet": (load_sentiwordnet, "# POS\tID\tPosScore\tNegScore\tSynsetTerms\tGloss\n"
                                         "a\t1\t0.5\t0.0\tgood#1 fine#2\n"
                                         "a\t2\t0.0\t0.5\tbad#1\tnot good\n"),

@@ -6,9 +6,11 @@ __future__`` imports; and an import marked ``# noqa: F401``, a name kept on
 purpose for another module to look up.
 
 Also: the package writes its CSV files through one ``csv.writer``, in ``cli``,
-reads its input files through one ``open``, in ``errors.read_lines``, and
-reads every CSV file strictly. No module imports ``dataclasses``, which loads
-``inspect``, ``ast``, ``dis`` and ``tokenize`` into every command's start-up.
+reads its input files through one ``open``, in ``errors.read_lines``, parses
+every CSV file through one strict ``csv.reader``, in ``errors.read_csv``, and
+parses all JSON through one ``json.loads``, in ``errors.parse_json``. No
+module imports ``dataclasses``, which loads ``inspect``, ``ast``, ``dis`` and
+``tokenize`` into every command's start-up.
 """
 
 from __future__ import annotations
@@ -109,8 +111,28 @@ def csv_readers(path: Path) -> list[str]:
 
 def test_every_csv_reader_is_strict():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in csv_readers(path)]
-    assert found == ["cdsa_baseline.py: reader, strict", "cli.py: DictReader, strict",
-                     "corpus.py: DictReader, strict"]
+    assert found == ["errors.py: reader, strict"]
+
+
+def json_loads_calls(path: Path) -> list[str]:
+    """``<file>, line <n>`` for each ``json.loads`` call in ``path``."""
+    return [f"{path.name}, line {node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "loads" and getattr(node.func.value, "id", None) == "json"]
+
+
+def test_json_loads_is_called_only_in_errors():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in json_loads_calls(path)]
+    assert [entry.split(",")[0] for entry in found] == ["errors.py"]
+
+
+def test_a_json_loads_call_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import json\n"
+                    "def f(text):\n    return json.loads(text, object_pairs_hook=dict)\n"
+                    "g = json.dumps([json.loads('1')])\n")
+    assert json_loads_calls(path) == ["module.py, line 3", "module.py, line 4"]
 
 
 def test_a_lax_csv_reader_is_found(tmp_path):
