@@ -310,9 +310,11 @@ def train_eval_baseline(
     Memory: the weight matrix holds (splits + 1) * N rows of (distinct
     hashed ids + 1) float64, at most (splits + 1) * N * (FEATURE_DIM + 1)
     * 8 B: with 5 splits, 63 MB for N = 20 and 315 MB for N = 100; the
-    feature matrix 4 B per review per column of the widest review; the
-    training order 4 B per model per example of the largest training set,
-    one epoch at a time.
+    feature matrix 4 B per review per column of the widest review, and
+    scoring 16 B per review of one target corpus per such column (the
+    gathered weights and numpy's intp copy of their index); the training
+    order 4 B per model per example of the largest training set, one epoch
+    at a time.
     """
     if len(corpora) < 2:
         raise InputError("baseline needs at least 2 corpora")
@@ -347,14 +349,13 @@ def train_eval_baseline(
     # Deterministic split of every corpus into `splits` test folds: fold f
     # is the f-th array_split chunk of a seeded permutation of its reviews.
     shuffled = []
-    fold_ids = []
+    fold_of = np.empty(len(labels), dtype=np.int64)
     for t in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1, t]))
         perm = rng.permutation(len(corpora[t]))
         shuffled.append(starts[t] + perm)
-        fold_ids.append(np.repeat(np.arange(splits), [len(f) for f in np.array_split(perm, splits)]))
-    fold_of = np.empty(len(labels), dtype=np.int64)
-    fold_of[np.concatenate(shuffled)] = np.concatenate(fold_ids)
+        fold_of[shuffled[t]] = np.repeat(np.arange(splits),
+                                         [len(f) for f in np.array_split(perm, splits)])
 
     # Model s * (splits + 1) + h holds out fold h of corpus s for h < splits;
     # model s * (splits + 1) + splits trains on all of corpus s.
@@ -362,29 +363,25 @@ def train_eval_baseline(
     rngs = []
     for s in range(n):
         for held_out in range(splits):
-            train_sets.append(shuffled[s][fold_ids[s] != held_out])
+            train_sets.append(shuffled[s][fold_of[shuffled[s]] != held_out])
             rngs.append(np.random.default_rng(np.random.SeedSequence([seed, 2, s, held_out])))
         train_sets.append(np.arange(starts[s], starts[s + 1]))
         rngs.append(np.random.default_rng(np.random.SeedSequence([seed, 3, s])))
     weights, bias = _train_lockstep(features, widths, labels, pad, train_sets, rngs)
 
-    def correct(model: int, rows) -> np.ndarray:
-        sums = _row_sums(weights[model][features[rows]], widths[rows])
-        return (sums + bias[model] > 0.0) == positive[rows]
-
+    # Cell (s, t) is the mean over t's folds of the share of the fold that s
+    # classifies correctly: corpus s's own reviews by the model that held out
+    # their fold, every other corpus's by s's full model. One target's reviews
+    # are gathered at a time, so scoring memory does not grow with N.
+    corpus_of = np.repeat(np.arange(n), np.diff(starts))
     acc = np.empty((n, n), dtype=np.float64)
     for s in range(n):
-        fold_accs = []
-        for held_out in range(splits):
-            rows = shuffled[s][fold_ids[s] == held_out]
-            fold_accs.append(np.count_nonzero(correct(s * (splits + 1) + held_out, rows)) / len(rows))
-        acc[s, s] = 100.0 * float(np.mean(fold_accs))
-
         for t in range(n):
-            if t == s:
-                continue
             rows = slice(starts[t], starts[t + 1])
             folds = fold_of[rows]
-            hits = np.bincount(folds[correct(s * (splits + 1) + splits, rows)], minlength=splits)
-            acc[s, t] = 100.0 * float(np.mean(hits / np.bincount(folds, minlength=splits)))
+            models = s * (splits + 1) + np.where(corpus_of[rows] == s, folds, splits)
+            sums = _row_sums(weights[models[:, None], features[rows]], widths[rows])
+            correct = (sums + bias[models] > 0.0) == positive[rows]
+            hits = np.bincount(folds[correct], minlength=splits)
+            acc[s, t] = 100.0 * np.mean(hits / np.bincount(folds, minlength=splits))
     return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc)

@@ -240,8 +240,8 @@ class Workspace:
     def _sentence_values(self, directory: Path) -> dict[tuple[Path, str], list[list[float]]]:
         """The rows of every sentence mode a selected metric reads from ``directory``, in one pass.
 
-        Each file is parsed once and dropped as soon as its reviews are
-        selected, so one parsed sentence file is alive at a time.
+        Each file is loaded, and its ids checked, once; every mode copies the
+        rows it selects, so one loaded sentence file is alive at a time.
         """
         from . import embedding_metrics as emb
 
@@ -251,7 +251,7 @@ class Workspace:
                         and Path(config.vectors[m]) == directory})
         sets: dict[str, list] = {mode: [] for mode in modes}
         for corpus, qualifying in zip(self.corpora, self.qualifying_reviews):
-            vectors = emb.load_sentence_vectors(_vector_file(directory, corpus.domain_id))
+            vectors = emb.load_sentence_vectors(_vector_file(directory, corpus.domain_id), corpus)
             for mode in modes:
                 sets[mode].append(emb.select_test_vectors(corpus, qualifying, vectors, mode=mode))
             del vectors  # before the next file is parsed

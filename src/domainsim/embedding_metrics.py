@@ -5,15 +5,16 @@ angular similarity of word vectors over common adjectives plus a Jaccard
 term (ULM1/ULM3/ULM4/ULM6, depending only on which embedding trainer
 produced the vector file), and angular similarity of averaged sentence
 vectors over sentiment-filtered reviews (ULM2/ULM5/ULM7). Vector files are
-plain text: an optional ``<count> <dims>`` header line, whose count must be
-the number of entries, then one entry per line as a key followed by
-whitespace-separated floats. The loaders return a dict of vectors by key.
+plain text: an optional ``<count> <dims>`` header, whose count must match the
+entries, then per line a key and its floats. Each loads as one float64 matrix,
+word vectors as its rows by word, sentence vectors as its rows by review.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from pathlib import Path
 from typing import Sequence
 
@@ -46,12 +47,15 @@ def load_adjectives(path: str | Path) -> AdjectiveLexicon:
     return AdjectiveLexicon(frozenset(words))
 
 
-def _parse_vector_file(path: Path) -> tuple[dict[str, np.ndarray], list[int]]:
-    """The file's vectors by key, in file order, and the line of each entry."""
+def _parse_vector_file(path: Path) -> tuple[list[str], np.ndarray, list[int]]:
+    """The file's keys, their float64 matrix (a row per key) and each key's line, in file order."""
+    # Each line's key-level checks run as it is read, and each component is
+    # converted once, into the buffer the matrix views; the matrix is checked
+    # as finite once, after the last line.
     count: int | None = None
     dims: int | None = None
-    entries: dict[str, np.ndarray] = {}
-    linenos: list[int] = []
+    line_of: dict[str, int] = {}
+    components = array("d")
     for lineno, line in read_lines(path, "vector"):
         parts = line.split()
         if not parts:
@@ -67,45 +71,61 @@ def _parse_vector_file(path: Path) -> tuple[dict[str, np.ndarray], list[int]]:
         if len(parts) < 2:
             raise InputError(f"{path}, line {lineno}: entry has no vector components")
         try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            components.extend(map(float, parts[1:]))
         except ValueError as exc:
             raise InputError(f"{path}, line {lineno}: non-numeric vector component") from exc
         if dims is None:
-            dims = vec.shape[0]
-        elif vec.shape[0] != dims:
+            dims = len(parts) - 1
+        elif len(parts) - 1 != dims:
             raise InputError(
-                f"{path}, line {lineno}: expected {dims} components, got {vec.shape[0]}"
+                f"{path}, line {lineno}: expected {dims} components, got {len(parts) - 1}"
             )
-        if key in entries:
+        if key in line_of:
             raise InputError(f"{path}, line {lineno}: duplicate entry {key!r}")
-        entries[key] = vec
-        linenos.append(lineno)
-    if not entries:
+        line_of[key] = lineno
+    if not line_of:
         raise InputError(f"{path}: no vector entries")
-    if count is not None and count != len(entries):
+    if count is not None and count != len(line_of):
         raise InputError(f"{path}, line 1: header gives {count} entries,"
-                         f" the file has {len(entries)}")
-    # Checked once per file: np.isfinite on every line would add ~8% to parsing.
-    finite = np.isfinite(np.array(list(entries.values()))).all(axis=1)
+                         f" the file has {len(line_of)}")
+    linenos = list(line_of.values())
+    matrix = np.frombuffer(components).reshape(len(line_of), dims)
+    finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        lineno = linenos[int(np.argmin(finite))]
-        raise InputError(f"{path}, line {lineno}: non-finite vector component")
-    return entries, linenos
+        raise InputError(f"{path}, line {linenos[np.argmin(finite)]}: non-finite vector component")
+    return list(line_of), matrix, linenos
 
 
 def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Load a domain's word vectors by word, in file order; none may be zero."""
     path = Path(path)
-    entries, linenos = _parse_vector_file(path)
-    for (key, vec), lineno in zip(entries.items(), linenos):
-        if not np.any(vec):
-            raise InputError(f"{path}, line {lineno}: zero vector for {key!r}")
-    return entries
+    words, matrix, linenos = _parse_vector_file(path)
+    zero = np.flatnonzero(~matrix.any(axis=1))
+    if len(zero):
+        raise InputError(f"{path}, line {linenos[zero[0]]}: zero vector for {words[zero[0]]!r}")
+    return dict(zip(words, matrix))
 
 
-def load_sentence_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Load a domain's sentence vectors by ``<domain>:<index>`` review id, in file order."""
-    return _parse_vector_file(Path(path))[0]
+def load_sentence_vectors(path: str | Path, corpus: Corpus) -> np.ndarray:
+    """Load ``corpus``'s sentence vectors, row ``i`` from the entry keyed ``<domain>:<i>``.
+
+    No other ``<domain>:<digits>`` key may appear; keys of other forms are ignored.
+    """
+    ids, matrix, _ = _parse_vector_file(Path(path))
+    prefix = f"{corpus.domain_id}:"
+    numbered = {rid: row for row, rid in enumerate(ids)
+                if rid.startswith(prefix) and rid[len(prefix):].isdigit()}
+    wanted = [f"{prefix}{i}" for i in range(len(corpus))]
+    missing = [rid for rid in wanted if rid not in numbered]
+    if missing:
+        raise InputError(f"sentence vectors for {corpus.domain_id} miss {len(missing)}"
+                         f" review id(s), e.g. {missing[:3]}")
+    rows = [numbered.pop(rid) for rid in wanted]  # leaves the ids that name no review
+    if numbered:
+        raise InputError(f"sentence vectors for {corpus.domain_id}: {len(numbered)} id(s) name no"
+                         f" kept review, e.g. {list(numbered)[:3]}; ids number kept reviews,"
+                         f" not file lines")
+    return matrix[rows]
 
 
 def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -119,8 +139,6 @@ def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
     keep full relative accuracy. Separates nearly parallel vectors better
     than the raw cosine. Invariant under positive scaling of either argument.
     """
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
     if v1.shape != v2.shape:
         raise InputError(f"vector dimensions differ: {v1.shape} vs {v2.shape}")
     n1 = math.sqrt(float(np.dot(v1, v1)))
@@ -166,10 +184,10 @@ def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
 def select_test_vectors(
     corpus: Corpus,
     qualifying: Sequence[tuple[int, float]],
-    vecs: dict[str, np.ndarray],
+    vectors: np.ndarray,
     count: int = 500,
     mode: str = "heldout",
-) -> list[tuple[str, np.ndarray]]:
+) -> np.ndarray:
     """Pick the sentence vectors of the reviews used for a pair comparison.
 
     ``qualifying`` is ``filter_reviews(corpus, lexicon)``: the
@@ -179,28 +197,13 @@ def select_test_vectors(
     order) and takes ``count``; ``heldout`` mode takes the last ``count`` in
     corpus order. If fewer than ``count`` qualify, all are used and a
     warning is emitted; if none qualifies, the domain is an ``InputError``.
-    The review at position ``i`` has the id ``<domain>:<i>``. ``vecs`` must
-    hold a vector for every review, and no other ``<domain>:<i>`` key, such
-    as one that numbers a dropped line. Returns the ``(id, vector)`` pairs.
+    ``vectors`` is ``load_sentence_vectors(path, corpus)``. Returns a copy
+    of the picked rows, in the order picked.
     """
     if mode not in ("top", "heldout"):
         raise InputError(f"unknown selection mode {mode!r} (expected top or heldout)")
     if count < 1:
         raise InputError(f"count must be positive, got {count}")
-    prefix = f"{corpus.domain_id}:"
-    ids = [f"{prefix}{i}" for i in range(len(corpus))]
-    missing = [rid for rid in ids if rid not in vecs]
-    if missing:
-        raise InputError(
-            f"sentence vectors for {corpus.domain_id} miss {len(missing)} review id(s),"
-            f" e.g. {missing[:3]}"
-        )
-    kept = set(ids)
-    stray = [rid for rid in vecs
-             if rid.startswith(prefix) and rid[len(prefix):].isdigit() and rid not in kept]
-    if stray:
-        raise InputError(f"sentence vectors for {corpus.domain_id}: {len(stray)} id(s) name no"
-                         f" kept review, e.g. {stray[:3]}; ids number kept reviews, not file lines")
     if mode == "top":
         # The sort is stable, so equal magnitudes keep corpus order.
         selected = sorted(qualifying, key=lambda scored: -abs(scored[1]))[:count]
@@ -214,7 +217,7 @@ def select_test_vectors(
             f" qualify; using all of them",
             stacklevel=2,
         )
-    return [(ids[i], vecs[ids[i]]) for i, _ in selected]
+    return vectors[[i for i, _ in selected]]
 
 
 def word_metric_matrix(
@@ -225,11 +228,11 @@ def word_metric_matrix(
     return mirrored(tables, lambda a, b: word_metric(a, b, adjectives))
 
 
-def sentence_metric_matrix(sets: Sequence[Sequence[tuple[str, np.ndarray]]]) -> list[list[float]]:
+def sentence_metric_matrix(sets: Sequence[np.ndarray]) -> list[list[float]]:
     """N rows of N angular similarities of the sets' mean vectors, mirrored.
 
-    Each set is a non-empty ``select_test_vectors`` result, and its mean is
-    taken once. A pair whose mean vector is numerically zero on either side
-    is unrankable and left NaN.
+    Each set is a non-empty ``select_test_vectors`` result, one vector per
+    row, and its mean is taken once. A pair whose mean vector is numerically
+    zero on either side is unrankable and left NaN.
     """
-    return mirrored([np.mean([vec for _, vec in s], axis=0) for s in sets], _mean_similarity)
+    return mirrored([np.mean(s, axis=0) for s in sets], _mean_similarity)

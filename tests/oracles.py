@@ -17,6 +17,12 @@ before each review was scored once per command; it names each review
 ``<domain>:<position>``. ``normalize`` is text normalization as it was
 before its all-letters fast path and token interning: the per-character
 rule applied to every token.
+``lm1`` counts significant words by the closed form of their chi-square in
+integers. ``read_vectors``, ``word_metric`` and ``sentence_metric`` parse a
+vector file into lists and take angles by ``math.acos`` of cosines from
+``math.fsum`` dot products, as the paper defines them; they refuse cosines
+within 1e-3 of ±1, where ``acos`` loses digits, so tests compare them with
+the package within a tolerance.
 """
 
 from __future__ import annotations
@@ -45,6 +51,18 @@ def word_counts(reviews: Reviews) -> dict[str, list[int]]:
         for token in tokens:
             counts.setdefault(token, [0, 0])[slot] += 1
     return counts
+
+
+def significant_set(reviews: Reviews) -> set[str]:
+    # With the expected count (c_p + c_n) / 2 on each side, a word's chi-square
+    # is (c_p - c_n)**2 / (c_p + c_n); at least 1.0 means this integer test.
+    return {word for word, (c_p, c_n) in word_counts(reviews).items()
+            if c_p + c_n >= 10 and (c_p - c_n) ** 2 >= c_p + c_n}
+
+
+def lm1(reviews_s: Reviews, reviews_t: Reviews) -> int:
+    """Significant words (at least 10 occurrences, chi-square at least 1.0) the domains share."""
+    return len(significant_set(reviews_s) & significant_set(reviews_t))
 
 
 def polar_set(reviews: Reviews, threshold: float = 0.5) -> set[str]:
@@ -298,6 +316,46 @@ def select_reviews(corpus, score, count: int = 500, mode: str = "heldout") -> li
     else:
         selected = qualifying[-count:]
     return [f"{corpus.domain_id}:{i}" for i in selected]
+
+
+def read_vectors(path) -> dict[str, list[float]]:
+    """A vector file's entries by key; a first line of two integers is its header."""
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split()
+            if parts and not (lineno == 1 and len(parts) == 2 and all(map(str.isdigit, parts))):
+                entries[parts[0]] = [float(x) for x in parts[1:]]
+    return entries
+
+
+def _angular(x: list[float], y: list[float]) -> float:
+    dot = math.fsum(a * b for a, b in zip(x, y))
+    cosine = dot / math.sqrt(math.fsum(a * a for a in x) * math.fsum(b * b for b in y))
+    if abs(cosine) > 1.0 - 1e-3:
+        raise ValueError(f"cosine {cosine} too close to ±1 for acos")
+    return 1.0 - math.acos(cosine) / math.pi
+
+
+def word_metric(table_s: dict[str, list[float]], table_t: dict[str, list[float]],
+                adjectives: frozenset[str]) -> float | None:
+    """Mean angular similarity over the common adjectives plus their Jaccard coefficient."""
+    adj_s = {word for word in table_s if word in adjectives}
+    adj_t = {word for word in table_t if word in adjectives}
+    common = adj_s & adj_t
+    if not common:
+        return None
+    similarity = math.fsum(_angular(table_s[w], table_t[w]) for w in common) / len(common)
+    return similarity + len(common) / len(adj_s | adj_t)
+
+
+def sentence_metric(vectors_s: list[list[float]], vectors_t: list[list[float]]) -> float | None:
+    """Angular similarity of the two sets' mean vectors; None if either mean is about zero."""
+    means = [[math.fsum(column) / len(vectors) for column in zip(*vectors)]
+             for vectors in (vectors_s, vectors_t)]
+    if min(math.sqrt(math.fsum(x * x for x in mean)) for mean in means) < 1e-12:
+        return None
+    return _angular(*means)
 
 
 FEATURE_DIM = 1 << 16

@@ -1,7 +1,9 @@
 """Seeded synthetic review domains with a sliding vocabulary overlap gradient.
 
-Twenty domains, each with its own window into shared neutral and sentiment
-word pools; neighbouring domains overlap heavily, distant ones not at all.
+Twenty domains by default, each with its own window into shared neutral and
+sentiment word pools; neighbouring domains overlap heavily, distant ones not
+at all. The pools grow with the number of domains, so every domain's window
+is full; they only grow past 26 domains, so fewer domains keep their output.
 Tokens are purely alphabetic so they survive normalization unchanged.
 """
 
@@ -32,15 +34,16 @@ def word_token(prefix: str, i: int) -> str:
     return prefix + _LETTERS[a] + _LETTERS[b] + _LETTERS[c]
 
 
-def _pools() -> tuple[list[str], list[str], list[str]]:
-    neutral = [word_token("qn", i) for i in range(200)]
-    pos = [word_token("qp", i) for i in range(120)]
-    neg = [word_token("qm", i) for i in range(120)]
+def _pools(n_domains: int = 20) -> tuple[list[str], list[str], list[str]]:
+    """The neutral, positive and negative pools; domain d's windows start at 6d and 4d."""
+    neutral = [word_token("qn", i) for i in range(max(200, 6 * n_domains + 44))]
+    pos = [word_token("qp", i) for i in range(max(120, 4 * n_domains + 16))]
+    neg = [word_token("qm", i) for i in range(max(120, 4 * n_domains + 16))]
     return neutral, pos, neg
 
 
-def sentiment_pool_words() -> frozenset[str]:
-    _, pos, neg = _pools()
+def sentiment_pool_words(n_domains: int = 20) -> frozenset[str]:
+    _, pos, neg = _pools(n_domains)
     return frozenset(pos + neg)
 
 
@@ -51,7 +54,7 @@ def synthetic_reviews(
 ) -> dict[str, list[tuple[str, str]]]:
     """Per-domain (label, text) rows; texts are pre-normalized token strings."""
     rng = np.random.default_rng(seed)
-    neutral_pool, pos_pool, neg_pool = _pools()
+    neutral_pool, pos_pool, neg_pool = _pools(n_domains)
     data: dict[str, list[tuple[str, str]]] = {}
     for d in range(n_domains):
         neutral = neutral_pool[6 * d : 6 * d + 50]
@@ -125,10 +128,10 @@ def synthetic_sentence_sets(
     return sets
 
 
-def _lexicon_scores(seed: int) -> dict[str, tuple[float, float]]:
+def _lexicon_scores(seed: int, n_domains: int) -> dict[str, tuple[float, float]]:
     """Pool words' (pos_score, neg_score), towards their side on a 0.05 grid."""
     rng = np.random.default_rng(seed)
-    _, pos, neg = _pools()
+    _, pos, neg = _pools(n_domains)
     entries = {}
     for words, side in ((pos, 0), (neg, 1)):
         for word in words:
@@ -138,9 +141,9 @@ def _lexicon_scores(seed: int) -> dict[str, tuple[float, float]]:
     return entries
 
 
-def synthetic_lexicon(seed: int = 7) -> dict[str, float]:
+def synthetic_lexicon(seed: int = 7, n_domains: int = 20) -> dict[str, float]:
     """Pool words' signed scores, as the lexicon loaders make them; equal review scores are common."""
-    return {word: pos - neg for word, (pos, neg) in _lexicon_scores(seed).items()}
+    return {word: pos - neg for word, (pos, neg) in _lexicon_scores(seed, n_domains).items()}
 
 
 def write_vector_inputs(
@@ -156,14 +159,15 @@ def write_vector_inputs(
     ``sentences``, directories holding one ``<domain>.vec`` file per domain.
     """
     corpora = build_corpora(data)
-    adjectives = AdjectiveLexicon(sentiment_pool_words())
+    adjectives = AdjectiveLexicon(sentiment_pool_words(len(data)))
     paths = {"adjectives": directory / "adjectives.txt", "lexicon": directory / "lexicon.tsv",
              "words": directory / "words", "sentences": directory / "sentences"}
     paths["words"].mkdir(parents=True, exist_ok=True)
     paths["sentences"].mkdir(exist_ok=True)
     paths["adjectives"].write_text("\n".join(sorted(adjectives.words)) + "\n", encoding="utf-8")
     paths["lexicon"].write_text("".join(
-        f"{word}\t{pos!r}\t{neg!r}\n" for word, (pos, neg) in _lexicon_scores(seed).items()
+        f"{word}\t{pos!r}\t{neg!r}\n"
+        for word, (pos, neg) in _lexicon_scores(seed, len(data)).items()
     ), encoding="utf-8")
     files = [(paths["words"] / f"{t.domain_id}.vec", t.entries.items())
              for t in synthetic_word_tables(corpora, adjectives, dims, seed)]

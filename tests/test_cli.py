@@ -743,11 +743,58 @@ def _all_vector_metrics(inputs) -> dict[str, str]:
 
 
 class _Tracked(dict):
-    """A loaded vector dict that, unlike a plain dict, a weak reference can watch."""
+    """A loaded word-vector dict that, unlike a plain dict, a weak reference can watch."""
 
 
 def _outputs(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+# A word-vector file with one bad line of each kind, and the message it gives.
+BAD_WORD_FILES = {
+    "no-components": ("good 1.0 0.0\nbad\n", "line 2: entry has no vector components"),
+    "non-numeric": ("good 1.0 0.0\nbad 0.5 x\n", "line 2: non-numeric vector component"),
+    "component-count": ("good 1.0 0.0\nbad 0.5 0.5 0.5\n", "line 2: expected 2 components, got 3"),
+    "duplicate": ("good 1.0 0.0\ngood 0.5 0.5\n", "line 2: duplicate entry 'good'"),
+    "non-finite": ("good 1.0 0.0\nbad 0.5 inf\n", "line 2: non-finite vector component"),
+    "zero-vector": ("good 1.0 0.0\nbad 0.0 -0.0\n", "line 2: zero vector for 'bad'"),
+    "header-count": ("3 2\ngood 1.0 0.0\nbad 0.5 0.5\n",
+                     "line 1: header gives 3 entries, the file has 2"),
+    # Components are checked as finite only after every line's key checks.
+    "duplicate-after-non-finite": ("good 1.0 0.0\nbad inf 0.5\ngood 0.5 0.5\n",
+                                   "line 3: duplicate entry 'good'"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_WORD_FILES)
+def test_metrics_name_the_bad_line_of_a_word_vector_file(vector_inputs, capsys, kind):
+    tmp_path, corpora, first, _ = vector_inputs
+    text, message = BAD_WORD_FILES[kind]
+    path = Path(first["words"]) / "D2.vec"
+    path.write_text(text)
+    assert main(_metrics_argv(corpora, first, {"ULM1": first["words"]}, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {path}, {message}\n"
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "sentence vectors for D2 miss 1 review id(s), e.g. ['D2:5']"),
+    ("stray", "sentence vectors for D2: 1 id(s) name no kept review, e.g. ['D2:40'];"
+              " ids number kept reviews, not file lines"),
+], ids=["missing", "stray"])
+@pytest.mark.filterwarnings(SHORTFALL)
+def test_metrics_reject_a_sentence_file_whose_ids_are_not_the_reviews(
+        vector_inputs, capsys, kind, message):
+    tmp_path, corpora, first, _ = vector_inputs
+    path = Path(first["sentences"]) / "D2.vec"
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 40 and lines[5].startswith("D2:5 ")
+    if kind == "missing":
+        del lines[5]
+    else:
+        lines.append("D2:40" + lines[0][len("D2:0"):])
+    path.write_text("".join(lines))
+    assert main(_metrics_argv(corpora, first, {"ULM2": first["sentences"]}, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.filterwarnings(SHORTFALL)
@@ -850,16 +897,18 @@ def test_metrics_read_a_sentence_directory_in_one_pass_one_file_at_a_time(
         gc.collect()
         alive.append((call, sum(ref() is not None for ref in parsed)))
 
-    def recording_load(path):
+    def recording_load(path, corpus):
         count_alive("load")
         loads[str(path)] += 1
-        vectors = _Tracked(load(path))
+        vectors = load(path, corpus)
         parsed.append(weakref.ref(vectors))
         return vectors
 
-    def counting_select(corpus, *args, **kwargs):
+    def counting_select(corpus, qualifying, vectors, *args, **kwargs):
+        # The loader matched the file's ids to the reviews: a mode gets one row per review.
+        assert type(vectors) is np.ndarray and vectors.shape[0] == len(corpus)
         selections[corpus.domain_id] += 1
-        return select(corpus, *args, **kwargs)
+        return select(corpus, qualifying, vectors, *args, **kwargs)
 
     def counting_matrix(sets):
         count_alive("matrix")

@@ -45,9 +45,10 @@ def test_load_word_vectors_rejects_a_header_count_other_than_the_entries(tmp_pat
     path.write_text("3 2\ngood 1.0 0.0\nbad 0.0 1.0\n")
     with pytest.raises(InputError, match=r"d\.vec, line 1: header gives 3 entries, the file has 2"):
         load_word_vectors(path)
-    path.write_text("1 2\ngood 1.0 0.0\nbad 0.0 1.0\n")
+    path.write_text("1 2\nd:0 1.0 0.0\nd:1 0.0 1.0\n")
+    corpus = build_corpus("d", [("positive", "good"), ("negative", "bad")])
     with pytest.raises(InputError, match=r"d\.vec, line 1: header gives 1 entries, the file has 2"):
-        load_sentence_vectors(path)
+        load_sentence_vectors(path, corpus)
 
 
 def test_load_word_vectors_dims_mismatch_names_line(tmp_path):
@@ -84,12 +85,13 @@ def test_load_word_vectors_rejects_duplicates_and_junk(tmp_path):
 
 
 def test_load_sentence_vectors_keeps_ids_and_order(tmp_path):
+    corpus = build_corpus("d", [("positive", "good"), ("negative", "bad")])
     path = tmp_path / "d.vec"
     path.write_text("d:0 1.0 2.0\nd:1 3.0 4.0\n")
-    vectors = load_sentence_vectors(path)
-    assert list(vectors) == ["d:0", "d:1"]
-    assert all(len(vec) == 2 for vec in vectors.values())
-    assert vectors["d:1"].tolist() == [3.0, 4.0]
+    assert load_sentence_vectors(path, corpus).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    # Row i is the vector of review i, whatever line holds it; other keys are ignored.
+    path.write_text("d:1 3.0 4.0\nother:0 5.0 6.0\nd:0 1.0 2.0\n")
+    assert load_sentence_vectors(path, corpus).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_review_ids_number_the_kept_reviews_not_file_lines(tmp_path):
@@ -103,8 +105,9 @@ def test_review_ids_number_the_kept_reviews_not_file_lines(tmp_path):
     vec_path = tmp_path / "d.vec"
     vec_path.write_text("d:0 1.0 0.0\nd:1 0.0 1.0\n")
     qualifying = filter_reviews(corpus, {"awful": -0.8})
-    picked = select_test_vectors(corpus, qualifying, load_sentence_vectors(vec_path), count=1)
-    assert [(rid, vec.tolist()) for rid, vec in picked] == [("d:1", [0.0, 1.0])]
+    picked = select_test_vectors(corpus, qualifying, load_sentence_vectors(vec_path, corpus), count=1)
+    # d:1 is the second kept review, "awful", not the dropped second line.
+    assert picked.tolist() == [[0.0, 1.0]]
     assert corpus.reviews[1] == ("negative", ("awful",))
 
 
@@ -119,10 +122,9 @@ def test_sentence_vector_ids_past_the_last_kept_review_are_rejected(tmp_path):
     vec_path = tmp_path / "d.vec"
     # Keyed by file line: d:1 is the dropped line's vector, d:2 the third review's.
     vec_path.write_text("d:0 1.0 0.0\nd:1 0.0 1.0\nd:2 1.0 1.0\nother:7 1.0 0.0\n")
-    qualifying = filter_reviews(corpus, {"awful": -0.8})
     with pytest.raises(InputError, match=r"sentence vectors for d: 1 id\(s\) name no kept review,"
                        r" e\.g\. \['d:2'\]; ids number kept reviews, not file lines"):
-        select_test_vectors(corpus, qualifying, load_sentence_vectors(vec_path), count=1)
+        load_sentence_vectors(vec_path, corpus)
 
 
 def test_angular_similarity_reference_points():
@@ -215,10 +217,10 @@ def test_word_metric_ranking_invariant_under_rotation():
 
 
 def test_sentence_metric_values():
-    s1 = [("a:0", np.array([1.0, 0.0])), ("a:1", np.array([0.0, 1.0]))]
-    s2 = [("b:0", np.array([1.0, 1.0]))]
-    s3 = [("c:0", np.array([1.0, 0.0]))]
-    s4 = [("d:0", np.array([0.0, 1.0]))]
+    s1 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    s2 = np.array([[1.0, 1.0]])
+    s3 = np.array([[1.0, 0.0]])
+    s4 = np.array([[0.0, 1.0]])
     values = sentence_metric_matrix([s1, s1, s2, s3, s4])
     assert abs(values[0][1] - 1.0) < 1e-12
     # Mean of s1 is (0.5, 0.5), parallel to (1, 1).
@@ -227,9 +229,9 @@ def test_sentence_metric_values():
 
 
 def test_sentence_metric_zero_mean_unrankable():
-    s1 = [("a:0", np.array([1.0, 0.0])), ("a:1", np.array([-1.0, 0.0]))]
-    s2 = [("b:0", np.array([1.0, 1.0]))]
-    s3 = [("c:0", np.array([0.0, 1.0]))]
+    s1 = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    s2 = np.array([[1.0, 1.0]])
+    s3 = np.array([[0.0, 1.0]])
     values = sentence_metric_matrix([s1, s2, s3])
     assert np.isnan(values[0][1]) and np.isnan(values[1][0])
     assert np.isnan(values[0][2]) and np.isnan(values[2][0])
@@ -252,8 +254,9 @@ def _qualifying(corpus):
 
 
 def _vectors_for(corpus):
+    """One row per review, whose first component is the review's position."""
     rng = np.random.default_rng(1)
-    return {f"d:{i}": rng.normal(size=3) for i in range(len(corpus))}
+    return np.column_stack([np.arange(len(corpus)), rng.normal(size=(len(corpus), 2))])
 
 
 def test_select_test_vectors_takes_requested_count(tmp_path):
@@ -275,26 +278,29 @@ def test_select_test_vectors_top_mode_ranks_by_magnitude():
     corpus = _scored_corpus(2, strong_positions={1})
     vecs = _vectors_for(corpus)
     picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=1, mode="top")
-    assert [rid for rid, _ in picked] == ["d:1"]
+    assert picked.tolist() == vecs[[1]].tolist()
 
 
 def test_select_test_vectors_heldout_takes_tail():
     corpus = _scored_corpus(5)
     vecs = _vectors_for(corpus)
     picked = select_test_vectors(corpus, _qualifying(corpus), vecs, count=2, mode="heldout")
-    assert [rid for rid, _ in picked] == ["d:3", "d:4"]
+    assert picked.tolist() == vecs[[3, 4]].tolist()
+    assert not np.shares_memory(picked, vecs)
 
 
-def test_select_test_vectors_requires_coverage():
+def test_load_sentence_vectors_requires_coverage(tmp_path):
     corpus = _scored_corpus(3)
-    vecs = {"d:0": np.ones(3)}
-    with pytest.raises(InputError, match="miss 2"):
-        select_test_vectors(corpus, _qualifying(corpus), vecs, count=2)
+    path = tmp_path / "d.vec"
+    path.write_text("d:0 1.0 1.0 1.0\n")
+    with pytest.raises(InputError, match=r"sentence vectors for d miss 2 review id\(s\),"
+                                         r" e\.g\. \['d:1', 'd:2'\]"):
+        load_sentence_vectors(path, corpus)
 
 
 def test_select_test_vectors_rejects_a_domain_with_no_qualifying_review():
     corpus = build_corpus("e", [("positive", "plain"), ("negative", "plain text")])
-    vecs = {"e:0": np.ones(3), "e:1": np.ones(3)}
+    vecs = np.ones((2, 3))
     qualifying = filter_reviews(corpus, SCORING)
     assert qualifying == []
     for mode in ("top", "heldout"):

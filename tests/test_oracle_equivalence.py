@@ -1,5 +1,5 @@
-"""Normalization, word counts, n-gram ids, LM2, LM3, LM4, NGRAM, the review selection and
-the CDSA baseline checked against the oracles.
+"""Normalization, word counts, n-gram ids, LM1-LM4, NGRAM, the vector metrics, the review
+selection and the CDSA baseline checked against the oracles.
 
 Every ordered pair of a seeded 20-domain synthetic set is compared, so both
 orientations of each pair and both rankable and unrankable pairs are
@@ -7,7 +7,12 @@ covered. LM2-LM4 allow 1e-9 relative error: the oracles sum -p*log(p)
 terms where the package sums c*log(c), and LM4's |e_after - e_before|
 cancels digits (up to ~1e-11 relative on these corpora). LM4 must also
 equal, bit for bit, the oracle that repeats the package's arithmetic term
-by term. NGRAM is a ratio of integer counts and must match exactly. The
+by term. NGRAM is a ratio of integer counts and must match exactly, and so
+must LM1, a count of shared significant words, on corpora that hold a word
+at each of its thresholds. The word and sentence metrics, loaded from
+``tests/synth.py`` vector files, must be within 1e-12 of the oracles' acos
+of ``math.fsum`` cosines: the values lie in [0, 2], and on the cosines the
+oracle accepts, |cos| <= 0.999, acos magnifies rounding at most 23-fold. The
 baseline's accuracy matrix must equal, bit for bit, the one from training
 and scoring one model and one example at a time. The sentence metrics must
 pick the same reviews as when each review was scored once per pick, and
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,15 +59,27 @@ from domainsim.corpus import (
 )
 from domainsim.embedding_metrics import (
     angular_similarity,
+    load_adjectives,
+    load_sentence_vectors,
+    load_word_vectors,
     select_test_vectors,
     sentence_metric_matrix,
+    word_metric_matrix,
 )
 from domainsim.errors import UnrankablePairError
-from domainsim.labelled_metrics import lm2_skld, lm3_chameleon, lm4_matrix
-from domainsim.lexstats import filter_reviews, polar_words, polarity_table, review_score
-from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
+from domainsim.labelled_metrics import lm1_overlap, lm2_skld, lm3_chameleon, lm4_matrix
+from domainsim.lexstats import (
+    filter_reviews,
+    load_sentiment_lexicon_tsv,
+    polar_words,
+    polarity_table,
+    review_score,
+    significant_words,
+)
+from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix, mirrored
 
 RELATIVE_TOLERANCE = 1e-9
+VECTOR_TOLERANCE = 1e-12
 SEEDS = (1, 2)
 
 
@@ -132,6 +150,46 @@ def test_lm2_lm3_match_oracles(domains, metric, oracle):
     assert 0 < unrankable < len(corpora) * (len(corpora) - 1)
 
 
+def lm1_matrix(corpora):
+    """LM1 as ``metrics`` computes it."""
+    return mirrored([significant_words(c) for c in corpora], lm1_overlap)
+
+
+def test_lm1_matches_oracle_exactly(domains):
+    corpora, reviews = domains
+    matrix = lm1_matrix(corpora)
+    for i, j in ordered_pairs(len(corpora)):
+        assert matrix[i][j] == oracles.lm1(reviews[i], reviews[j]), (i, j)
+
+
+# (positive, negative) counts on each side of LM1's inclusive thresholds of
+# 10 occurrences and a chi-square of 1.0 (10, 6 and 15, 10 give exactly 1.0).
+LM1_EDGES = {"tenfold": (10, 0), "ninefold": (9, 0), "chione": (10, 6), "chibelow": (9, 6),
+             "chiequal": (15, 10), "balanced": (8, 8)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lm1_matches_oracle_exactly_at_its_thresholds(seed):
+    rng = np.random.default_rng(seed)
+    reviews = []
+    for _ in range(5):
+        counts = {word: c for word, c in LM1_EDGES.items() if rng.random() < 0.7}
+        counts.update({f"r{k}": rng.integers(0, 15, size=2) for k in rng.choice(40, 25, False)})
+        rows = []
+        for slot, label in enumerate((POSITIVE, NEGATIVE)):
+            words = [word for word, c in counts.items() for _ in range(int(c[slot]))]
+            words = [words[k] for k in rng.permutation(len(words))]
+            rows += [(label, words[k:k + 3]) for k in range(0, len(words), 3)]
+        reviews.append(rows)
+    corpora = [Corpus(f"D{d}", [(label, tuple(tokens)) for label, tokens in rows])
+               for d, rows in enumerate(reviews)]
+    matrix = lm1_matrix(corpora)
+    for i, j in ordered_pairs(len(corpora)):
+        assert matrix[i][j] == oracles.lm1(reviews[i], reviews[j]), (i, j)
+    significant = set().union(*map(oracles.significant_set, reviews))
+    assert significant & set(LM1_EDGES) == {"tenfold", "chione", "chiequal"}
+
+
 def test_lm4_matches_oracles(domains):
     corpora, reviews = domains
     matrix = lm4_matrix(NgramIndex(corpora), [polar_words(polarity_table(c)) for c in corpora])
@@ -194,9 +252,10 @@ def test_ngram_matches_oracle_exactly(domains):
 
 
 def selected_ids(corpus, lexicon, count, mode):
-    vectors = {f"{corpus.domain_id}:{i}": np.ones(2) for i in range(len(corpus))}
+    # Row i of the vectors is (i, 1): a picked row names its review.
+    vectors = np.column_stack([np.arange(len(corpus)), np.ones(len(corpus))])
     picked = select_test_vectors(corpus, filter_reviews(corpus, lexicon), vectors, count, mode)
-    return [review_id for review_id, _ in picked]
+    return [f"{corpus.domain_id}:{int(position)}" for position in picked[:, 0]]
 
 
 def oracle_ids(corpus, lexicon, count, mode):
@@ -244,10 +303,11 @@ def test_review_selection_matches_oracle_on_ties_long_reviews_and_a_shortfall():
 
 def test_sentence_metric_matrix_equals_the_pair_loop(domains):
     corpora, _ = domains
-    zero_mean = [("Z:0", np.ones(8)), ("Z:1", -np.ones(8))]
-    sets = [s.vectors for s in synth.synthetic_sentence_sets(corpora)] + [zero_mean]
+    zero_mean = np.array([np.ones(8), -np.ones(8)])
+    sets = [np.array([vec for _, vec in s.vectors]) for s in synth.synthetic_sentence_sets(corpora)]
+    sets.append(zero_mean)
     matrix = sentence_metric_matrix(sets)
-    means = [np.mean([vec for _, vec in s], axis=0) for s in sets]
+    means = [np.mean(s, axis=0) for s in sets]
     for i, j in ordered_pairs(len(sets)):
         # A mean vector of norm below 1e-12 on either side leaves the pair unrankable.
         if min(np.linalg.norm(means[i]), np.linalg.norm(means[j])) < 1e-12:
@@ -255,6 +315,52 @@ def test_sentence_metric_matrix_equals_the_pair_loop(domains):
             assert math.isnan(matrix[i][j]), (i, j)
         else:
             assert matrix[i][j] == angular_similarity(means[i], means[j]), (i, j)
+
+
+@pytest.fixture(scope="module")
+def vector_files(tmp_path_factory):
+    data = synth.synthetic_reviews(n_domains=8, reviews_per_domain=60, seed=4)
+    return synth.build_corpora(data), synth.write_vector_inputs(data, tmp_path_factory.mktemp("v"))
+
+
+def assert_near(value, expected, pair):
+    if expected is None:
+        assert math.isnan(value), pair
+    else:
+        assert abs(value - expected) <= VECTOR_TOLERANCE, (pair, value, expected)
+
+
+def test_word_metric_matches_oracle(vector_files):
+    corpora, paths = vector_files
+    files = [Path(paths["words"]) / f"{c.domain_id}.vec" for c in corpora]
+    adjectives = load_adjectives(paths["adjectives"])
+    matrix = word_metric_matrix([load_word_vectors(path) for path in files], adjectives)
+    tables = [oracles.read_vectors(path) for path in files]
+    unrankable = 0
+    for i, j in ordered_pairs(len(files)):
+        expected = oracles.word_metric(tables[i], tables[j], adjectives.words)
+        unrankable += expected is None
+        assert_near(matrix[i][j], expected, (i, j))
+    assert 0 < unrankable < len(files) * (len(files) - 1)
+
+
+@pytest.mark.parametrize("mode", ["top", "heldout"])
+def test_sentence_metric_matches_oracle(vector_files, mode):
+    corpora, paths = vector_files
+    lexicon = load_sentiment_lexicon_tsv(paths["lexicon"])
+    sets, oracle_sets = [], []
+    for corpus in corpora:
+        path = Path(paths["sentences"]) / f"{corpus.domain_id}.vec"
+        vectors = load_sentence_vectors(path, corpus)
+        qualifying = filter_reviews(corpus, lexicon)
+        # Fewer than qualify, so the mode decides which reviews are averaged.
+        assert len(qualifying) > 20
+        sets.append(select_test_vectors(corpus, qualifying, vectors, 20, mode))
+        table = oracles.read_vectors(path)
+        oracle_sets.append([table[rid] for rid in oracle_ids(corpus, lexicon, 20, mode)])
+    matrix = sentence_metric_matrix(sets)
+    for i, j in ordered_pairs(len(corpora)):
+        assert_near(matrix[i][j], oracles.sentence_metric(oracle_sets[i], oracle_sets[j]), (i, j))
 
 
 def baseline_acc(corpora, splits=5, seed=0):

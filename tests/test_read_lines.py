@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import build_corpus
 from domainsim import cli
 from domainsim.corpus import load_corpus, load_stopwords
 from domainsim.embedding_metrics import load_adjectives, load_sentence_vectors, load_word_vectors
@@ -68,7 +69,8 @@ LINE_INPUTS = {
     "adjectives": (lambda path: load_adjectives(path).words, "# adjectives\nGood\nbad\n"),
     "word-vectors": (lambda path: _by_key(load_word_vectors(path)),
                      "2 2\ngood 1.0 0.5\nbad -0.5 1.0\n"),
-    "sentence-vectors": (lambda path: _by_key(load_sentence_vectors(path)),
+    "sentence-vectors": (lambda path: load_sentence_vectors(path, build_corpus(
+                             "d", [("positive", "good"), ("negative", "bad")])).tolist(),
                          "d:0 1.0 0.5\nd:1 -0.5 1.0\n"),
     "tsv-lexicon": (load_sentiment_lexicon_tsv, "# word\tpos\tneg\ngood\t0.75\t0.0\nbad\t0\t0.5\n"),
     "tsv-lexicon-sniff": (load_sentiment_lexicon, "# word\tpos\tneg\ngood\t0.75\t0.0\n"),
