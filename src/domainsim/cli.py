@@ -57,25 +57,61 @@ EXIT_INPUT_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
 
 
+def _names(chunk: str) -> list[str]:
+    """A flag value's comma-separated entries, blanks dropped."""
+    return [v.strip() for v in chunk.split(",") if v.strip()]
+
+
+def _ints(chunk: str) -> list[int]:
+    try:
+        return [int(v) for v in _names(chunk)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects integers, got {chunk!r}") from None
+
+
+def _mapping(chunk: str) -> list[tuple[str, str]]:
+    """A flag value's ``NAME=PATH`` entries as (name, path) pairs."""
+    pairs = []
+    for item in _names(chunk):
+        if "=" not in item:
+            raise argparse.ArgumentTypeError(f"entries must look like NAME=PATH, got {item!r}")
+        name, path = item.split("=", 1)
+        pairs.append((name.strip(), path.strip()))
+    return pairs
+
+
+# Each config key -> (its default, the keywords of its flag on every
+# subcommand). The flag is the key with "-" for "_".
+CONFIG_KEYS = {
+    "domains": ({}, dict(action="extend", type=_mapping,
+                         help="domain corpora as NAME=PATH[,NAME=PATH...]")),
+    "format": ("jsonl", dict(choices=["jsonl", "csv"], help="corpus file format")),
+    "stopwords": (None, dict(help="custom stopword list, one word per line")),
+    "adjectives": (None, dict(help="adjective list for word-vector metrics")),
+    "sentiment_lexicon": (None, dict(
+        help="sentiment lexicon (3-column TSV or standard synset format)")),
+    "vectors": ({}, dict(action="extend", type=_mapping,
+                         help="vector directories as METRIC=DIR[,METRIC=DIR...]")),
+    "accuracy_matrix": (None, dict(
+        help="accuracy matrix CSV (such as baseline's accuracy_matrix.csv)"
+             " or 'reference' for the bundled one")),
+    "metrics": ([], dict(action="extend", type=_names, help="metric ids, comma separated")),
+    "k": ([3, 5, 7, 10], dict(action="extend", type=_ints,
+                              help="top-K cutoffs, comma separated")),
+    "out": ("out", dict(help="output directory (default: out)")),
+    "seed": (0, dict(type=int, help="seed for all randomness")),
+}
+
+
 class RunConfig:
     """Resolved inputs for one batch run; domain order fixes tie-breaks."""
 
-    # The config file's keys, each also a flag and an attribute set in __init__.
-    KEYS = ("domains", "format", "stopwords", "adjectives", "sentiment_lexicon", "vectors",
-            "accuracy_matrix", "metrics", "k", "out", "seed")
+    KEYS = tuple(CONFIG_KEYS)
 
     def __init__(self) -> None:
-        self.domains: dict[str, str] = {}
-        self.format = "jsonl"
-        self.stopwords: str | None = None
-        self.adjectives: str | None = None
-        self.sentiment_lexicon: str | None = None
-        self.vectors: dict[str, str] = {}
-        self.accuracy_matrix: str | None = None
-        self.metrics: list[str] = []
-        self.k: list[int] = [3, 5, 7, 10]
-        self.out = "out"
-        self.seed = 0
+        # Each key is an attribute; a dict or list default is copied, so no two configs share it.
+        for key, (default, _) in CONFIG_KEYS.items():
+            setattr(self, key, default.copy() if isinstance(default, (dict, list)) else default)
 
     @classmethod
     def load(cls, args: argparse.Namespace) -> "RunConfig":
@@ -159,7 +195,7 @@ class Workspace:
 
     Built fresh from the ``RunConfig`` of every command, so nothing is kept
     between commands or between ``main`` calls in one process. The n-gram
-    index is shared by LM4 and NGRAM, the polarity tables by LM2-LM4, the
+    index is shared by LM4 and NGRAM, the polar tables by LM2-LM4, the
     qualifying reviews by ULM2, ULM5 and ULM7, and a vector metric's values
     by every metric that reads the same directory the same way.
     """
@@ -206,8 +242,9 @@ class Workspace:
         return load_sentiment_lexicon(self.config.sentiment_lexicon)
 
     @cached_property
-    def polarity_tables(self):
-        return [polarity_table(c) for c in self.corpora]
+    def polar_tables(self) -> list[dict[str, tuple[float, float]]]:
+        """Per corpus, its ``polarity_table`` cut to its ``polar_words``."""
+        return [{w: t[w] for w in polar_words(t)} for t in map(polarity_table, self.corpora)]
 
     @cached_property
     def qualifying_reviews(self):
@@ -233,8 +270,11 @@ class Workspace:
         from . import embedding_metrics as emb
 
         adjectives = self.adjectives
-        tables = [emb.load_word_vectors(_vector_file(directory, c.domain_id))
-                  for c in self.corpora]
+        tables, first = [], None
+        for corpus in self.corpora:
+            path = _vector_file(directory, corpus.domain_id)
+            tables.append(emb.load_word_vectors(path))
+            first = _same_dims(path, len(next(iter(tables[-1].values()))), first)
         return emb.word_metric_matrix(tables, adjectives)
 
     def _sentence_values(self, directory: Path) -> dict[tuple[Path, str], list[list[float]]]:
@@ -250,8 +290,11 @@ class Workspace:
                         if READINGS.get(m) in ("heldout", "top")
                         and Path(config.vectors[m]) == directory})
         sets: dict[str, list] = {mode: [] for mode in modes}
+        first = None
         for corpus, qualifying in zip(self.corpora, self.qualifying_reviews):
-            vectors = emb.load_sentence_vectors(_vector_file(directory, corpus.domain_id), corpus)
+            path = _vector_file(directory, corpus.domain_id)
+            vectors = emb.load_sentence_vectors(path, corpus)
+            first = _same_dims(path, vectors.shape[1], first)
             for mode in modes:
                 sets[mode].append(emb.select_test_vectors(corpus, qualifying, vectors, mode=mode))
             del vectors  # before the next file is parsed
@@ -272,29 +315,6 @@ def _unique_keys(path: Path, pairs: list[tuple[str, object]]) -> dict:
     if repeated:
         raise InputError(f"{path}: a config object repeats key {', '.join(map(repr, repeated))}")
     return dict(pairs)
-
-
-def _names(chunk: str) -> list[str]:
-    """A flag value's comma-separated entries, blanks dropped."""
-    return [v.strip() for v in chunk.split(",") if v.strip()]
-
-
-def _ints(chunk: str) -> list[int]:
-    try:
-        return [int(v) for v in _names(chunk)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects integers, got {chunk!r}") from None
-
-
-def _mapping(chunk: str) -> list[tuple[str, str]]:
-    """A flag value's ``NAME=PATH`` entries as (name, path) pairs."""
-    pairs = []
-    for item in _names(chunk):
-        if "=" not in item:
-            raise argparse.ArgumentTypeError(f"entries must look like NAME=PATH, got {item!r}")
-        name, path = item.split("=", 1)
-        pairs.append((name.strip(), path.strip()))
-    return pairs
 
 
 def _write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -322,6 +342,13 @@ def _vector_file(directory: Path, domain: str) -> Path:
     return directory / f"{domain}.vec"
 
 
+def _same_dims(path: Path, dims: int, first: tuple[Path, int] | None) -> tuple[Path, int]:
+    """A directory's first vector file and its dims; ``path``'s ``dims`` must be the same."""
+    if first and dims != first[1]:
+        raise InputError(f"{path}: vectors of {dims} components, but {first[0]} has {first[1]}")
+    return first or (path, dims)
+
+
 # Vector metric id -> how it reads its --vectors directory: "words" for word
 # vectors, else the mode that picks sentence vectors. The encoder-based ULM7
 # ranks reviews by sentiment magnitude ("top"); the train/infer style ULM2
@@ -337,8 +364,8 @@ def _labelled_values(ws: Workspace, metric: str) -> list[list[float]]:
     if metric == "LM1":
         return mirrored([significant_words(c) for c in ws.corpora], lm.lm1_overlap)
     if metric == "LM4":
-        return lm.lm4_matrix(ws.ngram_index, [polar_words(t) for t in ws.polarity_tables])
-    return mirrored(ws.polarity_tables, lm.lm2_skld if metric == "LM2" else lm.lm3_chameleon)
+        return lm.lm4_matrix(ws.ngram_index, ws.polar_tables)
+    return mirrored(ws.polar_tables, lm.lm2_skld if metric == "LM2" else lm.lm3_chameleon)
 
 
 def _ngram_values(ws: Workspace, metric: str) -> list[list[float]]:
@@ -601,23 +628,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--domains", action="extend", type=_mapping,
-                        help="domain corpora as NAME=PATH[,NAME=PATH...]")
-    parser.add_argument("--format", choices=["jsonl", "csv"], help="corpus file format")
-    parser.add_argument("--stopwords", help="custom stopword list, one word per line")
-    parser.add_argument("--adjectives", help="adjective list for word-vector metrics")
-    parser.add_argument("--sentiment-lexicon",
-                        help="sentiment lexicon (3-column TSV or standard synset format)")
-    parser.add_argument("--vectors", action="extend", type=_mapping,
-                        help="vector directories as METRIC=DIR[,METRIC=DIR...]")
-    parser.add_argument("--accuracy-matrix",
-                        help="accuracy matrix CSV (such as baseline's accuracy_matrix.csv)"
-                             " or 'reference' for the bundled one")
-    parser.add_argument("--metrics", action="extend", type=_names,
-                        help="metric ids, comma separated")
-    parser.add_argument("--k", action="extend", type=_ints, help="top-K cutoffs, comma separated")
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--seed", type=int, help="seed for all randomness")
+    for key, (_, flag) in CONFIG_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), **flag)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -8,6 +8,9 @@ vectors over sentiment-filtered reviews (ULM2/ULM5/ULM7). Vector files are
 plain text: an optional ``<count> <dims>`` header, whose count must match the
 entries, then per line a key and its floats. Each loads as one float64 matrix,
 word vectors as its rows by word, sentence vectors as its rows by review.
+The pair functions compare what ``word_metric_matrix`` and
+``sentence_metric_matrix`` build once per domain: ``word_metric`` two word
+tables cut to the adjective lexicon, ``_mean_similarity`` two mean vectors.
 """
 
 from __future__ import annotations
@@ -97,10 +100,10 @@ def _parse_vector_file(path: Path) -> tuple[list[str], np.ndarray, list[int]]:
 
 
 def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Load a domain's word vectors by word, in file order; none may be zero."""
+    """Load a domain's word vectors by word, in file order; none may have a zero squared norm."""
     path = Path(path)
     words, matrix, linenos = _parse_vector_file(path)
-    zero = np.flatnonzero(~matrix.any(axis=1))
+    zero = np.flatnonzero(~(matrix * matrix).any(axis=1))
     if len(zero):
         raise InputError(f"{path}, line {linenos[zero[0]]}: zero vector for {words[zero[0]]!r}")
     return dict(zip(words, matrix))
@@ -138,13 +141,10 @@ def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
     inputs give exactly 1, antiparallel inputs exactly 0, and small angles
     keep full relative accuracy. Separates nearly parallel vectors better
     than the raw cosine. Invariant under positive scaling of either argument.
+    Callers pass two vectors of one length, each with a non-zero squared norm.
     """
-    if v1.shape != v2.shape:
-        raise InputError(f"vector dimensions differ: {v1.shape} vs {v2.shape}")
     n1 = math.sqrt(float(np.dot(v1, v1)))
     n2 = math.sqrt(float(np.dot(v2, v2)))
-    if n1 == 0.0 or n2 == 0.0:
-        raise InputError("angular similarity undefined for zero vectors")
     u = v1 / n1
     v = v2 / n2
     diff = u - v
@@ -154,25 +154,18 @@ def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
     return 1.0 - angle / math.pi
 
 
-def word_metric(
-    tab_s: dict[str, np.ndarray],
-    tab_t: dict[str, np.ndarray],
-    adjectives: AdjectiveLexicon,
-) -> float:
+def word_metric(adj_s: dict[str, np.ndarray], adj_t: dict[str, np.ndarray]) -> float:
     """Average angular similarity over common adjectives, plus the Jaccard term.
 
-    The Jaccard coefficient is over the two domains' adjective vocabularies
-    (table words intersected with the adjective lexicon). Symmetric; higher
-    values mean more similar domains.
+    Each argument is a domain's word vectors cut to the adjective lexicon,
+    as ``word_metric_matrix`` cuts them, so the Jaccard coefficient is over
+    the two tables' keys. Symmetric; higher values mean more similar domains.
     """
-    adj_s = set(tab_s) & adjectives.words
-    adj_t = set(tab_t) & adjectives.words
-    common = adj_s & adj_t
+    common = adj_s.keys() & adj_t.keys()
     if not common:
         raise UnrankablePairError("no common adjectives")
-    j = len(common) / len(adj_s | adj_t)
-    avg = sum(angular_similarity(tab_s[w], tab_t[w]) for w in sorted(common)) / len(common)
-    return avg + j
+    avg = sum(angular_similarity(adj_s[w], adj_t[w]) for w in sorted(common)) / len(common)
+    return avg + len(common) / len(adj_s.keys() | adj_t.keys())
 
 
 def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -224,8 +217,8 @@ def word_metric_matrix(
     tables: Sequence[dict[str, np.ndarray]],
     adjectives: AdjectiveLexicon,
 ) -> list[list[float]]:
-    """N rows of N word-vector metric values, mirrored; NaN for unrankable pairs."""
-    return mirrored(tables, lambda a, b: word_metric(a, b, adjectives))
+    """N rows of N ``word_metric`` values of the tables cut to ``adjectives``; NaN if unrankable."""
+    return mirrored([{w: t[w] for w in t.keys() & adjectives.words} for t in tables], word_metric)
 
 
 def sentence_metric_matrix(sets: Sequence[np.ndarray]) -> list[list[float]]:

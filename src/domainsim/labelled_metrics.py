@@ -12,7 +12,7 @@ rescales values and never changes a ranking.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Collection, Sequence
 
 from ._numpy import np
 from .corpus import Corpus, NgramIndex
@@ -38,45 +38,41 @@ def jaccard(common: int, w1: int, w2: int) -> float:
     return common / (w1 + w2 - common)
 
 
-def _common_polar(table_s: dict, table_t: dict) -> tuple[set[str], float]:
-    # jaccard raises UnrankablePairError when no polar word is common.
-    polar_s = polar_words(table_s)
-    polar_t = polar_words(table_t)
-    common = polar_s & polar_t
-    return common, jaccard(len(common), len(polar_s), len(polar_t))
-
-
-def lm2_skld(table_s: dict[str, tuple[float, float]],
-             table_t: dict[str, tuple[float, float]]) -> float:
+def lm2_skld(polar_s: dict[str, tuple[float, float]],
+             polar_t: dict[str, tuple[float, float]]) -> float:
     """Mean symmetric KL divergence over common polar words, plus 1/J.
 
+    Takes two polar tables, each a polarity table cut to its ``polar_words``.
     Probabilities are clamped away from 0 and 1 before the logarithms.
     Lower values mean more similar domains; the minimum is 1.0, reached by
     identical polar distributions with full polar-vocabulary overlap.
     """
-    common, j = _common_polar(table_s, table_t)
+    common = polar_s.keys() & polar_t.keys()
+    j = jaccard(len(common), len(polar_s), len(polar_t))  # no common word: UnrankablePairError
     total = 0.0
     for word in sorted(common):
-        p1, n1 = (clamp_probability(x) for x in table_s[word])
-        p2, n2 = (clamp_probability(x) for x in table_t[word])
+        p1, n1 = (clamp_probability(x) for x in polar_s[word])
+        p2, n2 = (clamp_probability(x) for x in polar_t[word])
         a = n1 * math.log(n1 / n2) + p1 * math.log(p1 / p2)
         b = n2 * math.log(n2 / n1) + p2 * math.log(p2 / p1)
         total += (a + b) / 2.0
     return total / len(common) + 1.0 / j
 
 
-def lm3_chameleon(table_s: dict[str, tuple[float, float]],
-                  table_t: dict[str, tuple[float, float]]) -> float:
+def lm3_chameleon(polar_s: dict[str, tuple[float, float]],
+                  polar_t: dict[str, tuple[float, float]]) -> float:
     """Mean L1 distance between (P, N) vectors of common polar words, plus 1/J.
 
-    Captures words whose polarity orientation drifts between the domains.
-    Lower values mean more similar domains.
+    Takes two polar tables, as ``lm2_skld`` does. Captures words whose
+    polarity orientation drifts between the domains. Lower values mean more
+    similar domains.
     """
-    common, j = _common_polar(table_s, table_t)
+    common = polar_s.keys() & polar_t.keys()
+    j = jaccard(len(common), len(polar_s), len(polar_t))  # no common word: UnrankablePairError
     total = 0.0
     for word in sorted(common):
-        p1, n1 = table_s[word]
-        p2, n2 = table_t[word]
+        p1, n1 = polar_s[word]
+        p2, n2 = polar_t[word]
         total += abs(p1 - p2) + abs(n1 - n2)
     return total / len(common) + 1.0 / j
 
@@ -104,7 +100,7 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
-def _polar_grams(index: NgramIndex, polar: set[str]) -> dict[int, np.ndarray]:
+def _polar_grams(index: NgramIndex, polar: Collection[str]) -> dict[int, np.ndarray]:
     """Per order, a mask over all n-gram ids: does the n-gram contain a polar word?"""
     tok_mask = np.zeros(len(index.words), dtype=bool)
     tok_mask[[index.vocabulary[w] for w in polar if w in index.vocabulary]] = True
@@ -128,12 +124,12 @@ def lm4_entropy_change(source: Corpus, target: Corpus, polar: set[str] | None = 
     return value
 
 
-def lm4_matrix(index: NgramIndex, polar_sets: Sequence[set[str]]) -> np.ndarray:
-    """LM4 for every ordered pair, ``[source, target]``, each source with its own polar set.
+def lm4_matrix(index: NgramIndex, polar_sets: Sequence[Collection[str]]) -> np.ndarray:
+    """LM4 for every ordered pair, ``[source, target]``, each source with its own polar words.
 
-    Sources are the first ``len(polar_sets)`` corpora of ``index``. NaN on
-    the diagonal and for every pair of a source with zero baseline entropy
-    (unrankable).
+    Sources are the first ``len(polar_sets)`` corpora of ``index``, each with
+    a set of polar words or a polar table (its keys). NaN on the diagonal and
+    for every pair of a source with zero baseline entropy (unrankable).
 
     Invariant: every LM4 value is bit-identical to merging the two n-gram
     ``Counter``s (``source + target``) and summing ``c * math.log(c)`` left

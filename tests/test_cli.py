@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import synth
-from domainsim import cli, corpus, evaluation, lexstats
+from domainsim import cli, corpus, evaluation, labelled_metrics, lexstats
 from domainsim import embedding_metrics as emb
 from domainsim.cdsa_baseline import reference_accuracy_matrix
 from domainsim.cli import main, write_accuracy_matrix_csv
@@ -188,6 +188,27 @@ def test_metrics_build_one_ngram_index_for_lm4_and_ngram(workspace, monkeypatch)
     monkeypatch.setattr(corpus.NgramIndex, "__init__", counting_init)
     assert main(["metrics", "--config", str(config), "--metrics", "LM4,NGRAM"]) == 0
     assert built == [["A", "B", "C"]]
+
+
+def test_metrics_cut_each_polar_table_once_for_lm2_lm3_and_lm4(workspace, monkeypatch):
+    tmp_path, config = workspace
+    calls = Counter()
+
+    def count(owner, name):
+        func = getattr(owner, name)
+
+        def counted(*args):
+            calls[owner.__name__, name] += 1
+            return func(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(cli, "polarity_table")
+    count(cli, "polar_words")
+    count(labelled_metrics, "polar_words")
+    assert main(["metrics", "--config", str(config), "--metrics", "LM2,LM3,LM4"]) == 0
+    assert calls == Counter({("domainsim.cli", "polarity_table"): 3,
+                             ("domainsim.cli", "polar_words"): 3})
 
 
 def test_metrics_requires_vectors_before_compute(workspace, capsys):
@@ -758,6 +779,8 @@ BAD_WORD_FILES = {
     "duplicate": ("good 1.0 0.0\ngood 0.5 0.5\n", "line 2: duplicate entry 'good'"),
     "non-finite": ("good 1.0 0.0\nbad 0.5 inf\n", "line 2: non-finite vector component"),
     "zero-vector": ("good 1.0 0.0\nbad 0.0 -0.0\n", "line 2: zero vector for 'bad'"),
+    # Its squared length underflows to 0.0, so no angle to it is defined.
+    "underflowing-vector": ("good 1.0 0.0\nbad 1e-200 0.0\n", "line 2: zero vector for 'bad'"),
     "header-count": ("3 2\ngood 1.0 0.0\nbad 0.5 0.5\n",
                      "line 1: header gives 3 entries, the file has 2"),
     # Components are checked as finite only after every line's key checks.
@@ -774,6 +797,33 @@ def test_metrics_name_the_bad_line_of_a_word_vector_file(vector_inputs, capsys, 
     path.write_text(text)
     assert main(_metrics_argv(corpora, first, {"ULM1": first["words"]}, tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {path}, {message}\n"
+
+
+@pytest.mark.parametrize("reading", ["words", "sentences"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "never-compared"])
+@pytest.mark.filterwarnings(SHORTFALL)
+def test_metrics_reject_a_vector_file_whose_dimension_differs_from_the_directorys(
+        vector_inputs, capsys, reading, shared):
+    # D2's vectors keep 4 of their 8 components. When not shared, D2 holds no
+    # word another file holds, or its sentence vectors are all zero: no pair
+    # with D2 is ever compared, so only the load can notice.
+    tmp_path, corpora, first, _ = vector_inputs
+    directory = Path(first[reading])
+    path = directory / "D2.vec"
+    keys = [line.split()[0] for line in path.read_text().splitlines()]
+    rows = np.ones((len(keys), 4))
+    if not shared and reading == "words":
+        keys = [synth.word_token("qp", 100 + i) for i in range(len(keys))]
+    elif not shared:
+        rows[:] = 0.0
+    path.write_text("".join(f"{key} {' '.join(map(repr, row))}\n"
+                            for key, row in zip(keys, rows.tolist())))
+    metric = "ULM1" if reading == "words" else "ULM2"
+    out = tmp_path / "out"
+    assert main(_metrics_argv(corpora, first, {metric: str(directory)}, out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: vectors of 4 components, but {directory / 'D1.vec'} has 8\n")
+    assert not (out / f"metric_{metric}.csv").exists()
 
 
 @pytest.mark.parametrize("kind, message", [

@@ -17,6 +17,9 @@ baseline's accuracy matrix must equal, bit for bit, the one from training
 and scoring one model and one example at a time. The sentence metrics must
 pick the same reviews as when each review was scored once per pick, and
 their matrix must equal ``angular_similarity`` of each pair's mean vectors.
+The ``metrics`` command, run in process on drawn corpora with punctuation,
+digits, dropped reviews and shared or disjoint vocabularies, must write the
+oracles' LM1, LM4 and NGRAM values exactly and LM2 and LM3 within 1e-9.
 ``normalize`` must give the per-character rule's tokens on any text, and
 a loaded corpus's word counts must equal the oracle's, in the same order.
 ``NgramIndex`` must list each corpus's n-grams and counts as the oracle's
@@ -27,7 +30,10 @@ bit, the one numpy computed while the accuracy matrix was an ndarray.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -38,7 +44,8 @@ from hypothesis import strategies as st
 
 import oracles
 import synth
-from conftest import build_corpus
+from conftest import build_corpus, polar_table
+from domainsim import cli
 from domainsim.cdsa_baseline import (
     _featurize,
     _numpy_sum,
@@ -138,7 +145,7 @@ def test_loaded_word_counts_match_oracle_in_order(tmp_path):
                                             (lm3_chameleon, oracles.l1_metric)])
 def test_lm2_lm3_match_oracles(domains, metric, oracle):
     corpora, reviews = domains
-    tables = [polarity_table(c) for c in corpora]
+    tables = [polar_table(c) for c in corpora]
     unrankable = 0
     for i, j in ordered_pairs(len(corpora)):
         try:
@@ -251,6 +258,79 @@ def test_ngram_matches_oracle_exactly(domains):
         assert matrix[i][j] == oracles.ngram_overlap(reviews[i], reviews[j]), (i, j)
 
 
+# A review of the differential test: words of a small pool, each maybe under
+# its domain's prefix (so two domains share all, some or none of their words),
+# with punctuation or a digit attached, among stopwords and numbers that
+# normalise to nothing.
+POOL = ("good", "bad", "fine", "awful", "day", "night", "plot", "cast")
+TOKEN = st.tuples(st.booleans(), st.sampled_from(POOL), st.sampled_from(("", "!", ",", "'s", "9"))
+                  ) | st.tuples(st.just(False), st.sampled_from(("the", "and", "42", "7!", "--")),
+                                st.just(""))
+REVIEW = st.tuples(st.sampled_from((POSITIVE, NEGATIVE)), st.lists(TOKEN, min_size=1, max_size=8))
+DOMAIN = st.tuples(st.sampled_from(("", "x", "y")), st.lists(REVIEW, min_size=1, max_size=20))
+
+
+def review_text(prefix: str, tokens) -> str:
+    return " ".join((prefix if prefixed else "") + word + mark for prefixed, word, mark in tokens)
+
+
+def metric_cells(path: Path) -> dict[tuple[int, int], str]:
+    with path.open(newline="", encoding="utf-8") as fh:
+        return {(int(row["source"][1:]), int(row["target"][1:])): row["value"]
+                for row in csv.DictReader(fh)}
+
+
+# Random labels seldom make a word significant, so LM1 gets a shared one here:
+# "good" occurs 12 and 10 times, all in positive reviews, in D0 and D1, and
+# only as "xgood" in D2; each domain's review of "the 42" is dropped.
+SIGNIFICANT = [(POSITIVE, [(True, "good", "!"), (True, "good", ""), (True, "day", ",")])] * 6 + [
+    (NEGATIVE, [(True, "bad", ""), (True, "bad", "'s"), (True, "night", "")])] * 5 + [
+    (NEGATIVE, [(False, "the", ""), (False, "42", "")])]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(domains=st.lists(DOMAIN, min_size=2, max_size=5).filter(lambda domains: all(
+    any(oracles.normalize(review_text(prefix, tokens), bundled_stopwords())
+        for _, tokens in reviews) for prefix, reviews in domains)))
+@example(domains=[("", SIGNIFICANT), ("", SIGNIFICANT[1:]), ("x", SIGNIFICANT)])
+def test_metrics_command_matches_the_oracles(domains):
+    texts = [[(label, review_text(prefix, tokens)) for label, tokens in reviews]
+             for prefix, reviews in domains]
+    normalized = [[(label, oracles.normalize(text, bundled_stopwords())) for label, text in rows]
+                  for rows in texts]
+    reviews = [[(label, tokens) for label, tokens in rows if tokens] for rows in normalized]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = []
+        for d, rows in enumerate(texts):
+            paths.append(root / f"D{d}.jsonl")
+            paths[-1].write_text("".join(json.dumps({"domain": f"D{d}", "label": label,
+                                                     "text": text}) + "\n"
+                                         for label, text in rows), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["metrics", "--domains", ",".join(f"D{d}={path}" for d, path
+                                                                in enumerate(paths)),
+                             "--metrics", "LM1,LM2,LM3,LM4,NGRAM", "--out", str(root / "out")])
+        assert code == 0
+        dropped = [len(rows) - len(kept) for rows, kept in zip(normalized, reviews)]
+        assert len(caught) == sum(map(bool, dropped))
+        cells = {metric: metric_cells(root / "out" / f"metric_{metric}.csv")
+                 for metric in ("LM1", "LM2", "LM3", "LM4", "NGRAM")}
+    for i, j in ordered_pairs(len(domains)):
+        pair = reviews[i], reviews[j]
+        assert float(cells["LM1"][i, j]) == oracles.lm1(*pair), (i, j)
+        assert float(cells["NGRAM"][i, j]) == oracles.ngram_overlap(*pair), (i, j)
+        for metric, oracle in (("LM2", oracles.skld_metric), ("LM3", oracles.l1_metric)):
+            expected = oracle(*pair)
+            value = float(cells[metric][i, j]) if cells[metric][i, j] else None
+            assert (value is None) == (expected is None), (metric, i, j)
+            if value is not None:
+                assert math.isclose(value, expected, rel_tol=RELATIVE_TOLERANCE), (metric, i, j)
+        lm4 = oracles.loop_entropy_change(*pair)
+        assert cells["LM4"][i, j] == ("" if lm4 is None else repr(lm4)), (i, j)
+
+
 def selected_ids(corpus, lexicon, count, mode):
     # Row i of the vectors is (i, 1): a picked row names its review.
     vectors = np.column_stack([np.arange(len(corpus)), np.ones(len(corpus))])
@@ -330,10 +410,7 @@ def assert_near(value, expected, pair):
         assert abs(value - expected) <= VECTOR_TOLERANCE, (pair, value, expected)
 
 
-def test_word_metric_matches_oracle(vector_files):
-    corpora, paths = vector_files
-    files = [Path(paths["words"]) / f"{c.domain_id}.vec" for c in corpora]
-    adjectives = load_adjectives(paths["adjectives"])
+def assert_word_metric_matches_oracle(files, adjectives):
     matrix = word_metric_matrix([load_word_vectors(path) for path in files], adjectives)
     tables = [oracles.read_vectors(path) for path in files]
     unrankable = 0
@@ -342,6 +419,35 @@ def test_word_metric_matches_oracle(vector_files):
         unrankable += expected is None
         assert_near(matrix[i][j], expected, (i, j))
     assert 0 < unrankable < len(files) * (len(files) - 1)
+    return tables
+
+
+def test_word_metric_matches_oracle(vector_files):
+    corpora, paths = vector_files
+    files = [Path(paths["words"]) / f"{c.domain_id}.vec" for c in corpora]
+    assert_word_metric_matches_oracle(files, load_adjectives(paths["adjectives"]))
+
+
+def test_word_metric_matches_oracle_on_files_that_also_hold_other_words(vector_files, tmp_path):
+    # Each file gains a vector for every non-adjective word of its domain,
+    # before and after its adjectives; neighbouring domains share such words.
+    corpora, paths = vector_files
+    adjectives = load_adjectives(paths["adjectives"])
+    rng = np.random.default_rng(17)
+    files = []
+    for corpus in corpora:
+        others = [word for word in corpus.counts if word not in adjectives.words]
+        lines = [f"{word} {' '.join(map(repr, rng.normal(size=8).tolist()))}\n" for word in others]
+        source = Path(paths["words"]) / f"{corpus.domain_id}.vec"
+        files.append(tmp_path / source.name)
+        half = len(lines) // 2
+        files[-1].write_text("".join(lines[:half]) + source.read_text() + "".join(lines[half:]))
+    tables = assert_word_metric_matches_oracle(files, adjectives)
+    # Had the other words counted as adjectives, some value would differ.
+    everything = frozenset().union(*tables)
+    assert any(oracles.word_metric(tables[i], tables[j], everything)
+               != oracles.word_metric(tables[i], tables[j], adjectives.words)
+               for i, j in ordered_pairs(len(files)))
 
 
 @pytest.mark.parametrize("mode", ["top", "heldout"])
