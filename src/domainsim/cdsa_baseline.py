@@ -293,9 +293,10 @@ def train_eval_baseline(
 
     Diagonal entries use a k-fold in-domain protocol; off-diagonal entries
     train once on the full source corpus and average the accuracy over
-    ``splits`` disjoint target splits. Deterministic for a given seed. When
-    a corpus is too small for the standard 2000-review splits, proportional
-    splits are used and a warning is emitted.
+    ``splits`` disjoint target splits. Deterministic for a given seed. Each
+    corpus's folds are ``splits`` near-equal parts of it (``np.array_split``):
+    2000-review folds only at exactly ``splits`` x 2000 reviews; a smaller
+    corpus gets smaller folds and a warning, a larger one larger folds and none.
 
     All (splits + 1) * N models train in lockstep (``_train_lockstep``) and
     then score their test reviews in batches, and the matrix is

@@ -32,6 +32,8 @@ LABELS = (POSITIVE, NEGATIVE)
 _LABEL_CONSTANTS = {label: label for label in LABELS}
 
 NGRAM_ORDERS = (1, 2, 3, 4)
+# The values of a record's keys that count as missing: an empty text is dropped like a blank one.
+_MISSING = {"domain": (None, ""), "label": (None, ""), "text": (None,)}
 
 
 @functools.cache
@@ -187,6 +189,8 @@ def _records_from_csv(path: Path) -> Iterable[tuple[int, dict]]:
     missing = {"domain", "label", "text"} - set(header)
     if missing:
         raise InputError(f"{path}: CSV header missing columns {sorted(missing)}")
+    if len(set(header)) < len(header):
+        raise InputError(f"{path}, line 1: CSV header {','.join(header)} repeats a column")
     for lineno, fields in records:
         if len(fields) > len(header):
             raise InputError(f"{path}, line {lineno}: more fields than the header")
@@ -201,9 +205,10 @@ def load_corpus(
 ) -> Corpus:
     """Load one domain's labelled reviews from a JSONL or CSV file.
 
-    Every record needs ``domain``, ``label`` (positive/negative) and
-    ``text``, each a string. Records must all carry the same domain. Record
-    order is preserved. Reviews whose text normalizes to zero tokens are
+    Every record needs ``domain``, ``label`` (positive/negative) and ``text``,
+    each a string, the first two non-empty. Records must all carry the same
+    domain, and a CSV header names each column once. Record order is preserved.
+    Reviews whose text normalizes to zero tokens, as an empty text does, are
     dropped with a single aggregated warning. Each kept review is a
     ``(label, tokens)`` tuple holding the ``POSITIVE``/``NEGATIVE`` constant
     and interned tokens (see ``normalize``).
@@ -224,10 +229,10 @@ def load_corpus(
     reviews: list[tuple[str, tuple[str, ...]]] = []
     dropped: list[int] = []
     for lineno, record in records:
-        for key in ("domain", "label", "text"):
-            if record.get(key) in (None, ""):
+        for key, missing in _MISSING.items():
+            if record.get(key) in missing:
                 raise InputError(f"{path}, line {lineno}: record is missing {key!r}")
-        for key in ("domain", "label", "text"):
+        for key in _MISSING:
             if not isinstance(record[key], str):
                 raise InputError(
                     f"{path}, line {lineno}: {key!r} is not a string ({record[key]!r})"

@@ -1,14 +1,14 @@
 """Similarity metrics over externally trained word and sentence vectors.
 
-The seven unlabelled-data metrics reduce to two computations: average
-angular similarity of word vectors over common adjectives plus a Jaccard
-term (ULM1/ULM3/ULM4/ULM6, depending only on which embedding trainer
-produced the vector file), and angular similarity of averaged sentence
-vectors over sentiment-filtered reviews (ULM2/ULM5/ULM7). Vector files are
-plain text: an optional ``<count> <dims>`` header, whose count must match the
-entries, then per line a key and its floats. Each loads as one float64 matrix,
-word vectors as its rows by word, sentence vectors as its rows by review.
-The pair functions compare what ``word_metric_matrix`` and
+The seven unlabelled-data metrics reduce to two computations: mean angular
+similarity of word vectors over common adjectives plus their Jaccard term, as
+``pairs.shared_mean`` gives both (ULM1/ULM3/ULM4/ULM6, depending only on which
+embedding trainer produced the vector file), and angular similarity of averaged
+sentence vectors over sentiment-filtered reviews (ULM2/ULM5/ULM7). Vector files
+are plain text: an optional ``<count> <dims>`` header, whose count must match
+the entries, then per line a key and its floats. Each loads as one float64
+matrix, word vectors as its rows by word, sentence vectors as its rows by
+review. The pair functions compare what ``word_metric_matrix`` and
 ``sentence_metric_matrix`` build once per domain: ``word_metric`` two word
 tables cut to the adjective lexicon, ``_mean_similarity`` two mean vectors.
 """
@@ -26,7 +26,7 @@ from .corpus import Corpus
 from .errors import InputError, UnrankablePairError, read_lines
 # Not called here: the CLI calls filter_reviews, and the benchmark traces both, by these names.
 from .lexstats import filter_reviews, review_score  # noqa: F401
-from .pairs import mirrored
+from .pairs import mirrored, shared_mean
 
 
 class AdjectiveLexicon:
@@ -155,17 +155,14 @@ def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
 
 
 def word_metric(adj_s: dict[str, np.ndarray], adj_t: dict[str, np.ndarray]) -> float:
-    """Average angular similarity over common adjectives, plus the Jaccard term.
+    """Mean angular similarity over common adjectives, plus their Jaccard (``pairs.shared_mean``).
 
     Each argument is a domain's word vectors cut to the adjective lexicon,
     as ``word_metric_matrix`` cuts them, so the Jaccard coefficient is over
     the two tables' keys. Symmetric; higher values mean more similar domains.
     """
-    common = adj_s.keys() & adj_t.keys()
-    if not common:
-        raise UnrankablePairError("no common adjectives")
-    avg = sum(angular_similarity(adj_s[w], adj_t[w]) for w in sorted(common)) / len(common)
-    return avg + len(common) / len(adj_s.keys() | adj_t.keys())
+    mean, j = shared_mean(adj_s, adj_t, angular_similarity, "adjectives")
+    return mean + j
 
 
 def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:

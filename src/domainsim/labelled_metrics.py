@@ -1,12 +1,12 @@
 """Pairwise similarity metrics over labelled corpora.
 
-Four metrics: significant-word overlap, symmetric KL divergence of polar
-word distributions, polarity drift (L1 distance) of polar words, and
-weighted entropy change under corpus mixing. The divergence and drift
-metrics add the reciprocal of a Jaccard confidence term so that pairs
-sharing a large fraction of their polar vocabulary rank ahead of pairs
-merely sharing many words. Natural logarithms throughout; the base only
-rescales values and never changes a ranking.
+Four metrics: significant-word overlap, symmetric KL divergence of polar word
+distributions, polarity drift (L1 distance) of polar words, and weighted
+entropy change under corpus mixing. The divergence and drift are means over
+common polar words (``pairs.shared_mean``) plus the reciprocal of a Jaccard
+confidence term, so that pairs sharing a large fraction of their polar
+vocabulary rank ahead of pairs merely sharing many words. Natural logarithms
+throughout; the base only rescales values and never changes a ranking.
 """
 
 from __future__ import annotations
@@ -16,12 +16,16 @@ from typing import Collection, Sequence
 
 from ._numpy import np
 from .corpus import Corpus, NgramIndex
-from .errors import InputError, UnrankablePairError
+from .errors import UnrankablePairError
 from .lexstats import clamp_probability, polar_words, polarity_table
+from .pairs import shared_mean
 
 # Entropy weights per n-gram order: unigrams unweighted, higher orders
 # weight polar-containing n-grams by 5 and the rest by 1/5.
 ENTROPY_WEIGHTS: dict[int, float] = {1: 1.0, 2: 5.0, 3: 5.0, 4: 5.0}
+
+# A polarity table cut to its polar words, as LM2 and LM3 take it: word -> (P, N).
+PolarTable = dict[str, tuple[float, float]]
 
 
 def lm1_overlap(sig_s: frozenset[str], sig_t: frozenset[str]) -> int:
@@ -29,17 +33,20 @@ def lm1_overlap(sig_s: frozenset[str], sig_t: frozenset[str]) -> int:
     return len(sig_s & sig_t)
 
 
-def jaccard(common: int, w1: int, w2: int) -> float:
-    """Jaccard coefficient from a common-count and two set sizes."""
-    if common < 1:
-        raise UnrankablePairError("no common polar words")
-    if common > min(w1, w2):
-        raise InputError(f"common count {common} exceeds set sizes ({w1}, {w2})")
-    return common / (w1 + w2 - common)
+def _skld(x: tuple[float, float], y: tuple[float, float]) -> float:
+    # Symmetric KL divergence of two (P, N) pairs, each clamped away from 0 and 1.
+    p1, n1 = (clamp_probability(v) for v in x)
+    p2, n2 = (clamp_probability(v) for v in y)
+    a = n1 * math.log(n1 / n2) + p1 * math.log(p1 / p2)
+    b = n2 * math.log(n2 / n1) + p2 * math.log(p2 / p1)
+    return (a + b) / 2.0
 
 
-def lm2_skld(polar_s: dict[str, tuple[float, float]],
-             polar_t: dict[str, tuple[float, float]]) -> float:
+def _l1(x: tuple[float, float], y: tuple[float, float]) -> float:
+    return abs(x[0] - y[0]) + abs(x[1] - y[1])
+
+
+def lm2_skld(polar_s: PolarTable, polar_t: PolarTable) -> float:
     """Mean symmetric KL divergence over common polar words, plus 1/J.
 
     Takes two polar tables, each a polarity table cut to its ``polar_words``.
@@ -47,34 +54,19 @@ def lm2_skld(polar_s: dict[str, tuple[float, float]],
     Lower values mean more similar domains; the minimum is 1.0, reached by
     identical polar distributions with full polar-vocabulary overlap.
     """
-    common = polar_s.keys() & polar_t.keys()
-    j = jaccard(len(common), len(polar_s), len(polar_t))  # no common word: UnrankablePairError
-    total = 0.0
-    for word in sorted(common):
-        p1, n1 = (clamp_probability(x) for x in polar_s[word])
-        p2, n2 = (clamp_probability(x) for x in polar_t[word])
-        a = n1 * math.log(n1 / n2) + p1 * math.log(p1 / p2)
-        b = n2 * math.log(n2 / n1) + p2 * math.log(p2 / p1)
-        total += (a + b) / 2.0
-    return total / len(common) + 1.0 / j
+    mean, j = shared_mean(polar_s, polar_t, _skld, "polar words")
+    return mean + 1.0 / j
 
 
-def lm3_chameleon(polar_s: dict[str, tuple[float, float]],
-                  polar_t: dict[str, tuple[float, float]]) -> float:
+def lm3_chameleon(polar_s: PolarTable, polar_t: PolarTable) -> float:
     """Mean L1 distance between (P, N) vectors of common polar words, plus 1/J.
 
     Takes two polar tables, as ``lm2_skld`` does. Captures words whose
     polarity orientation drifts between the domains. Lower values mean more
     similar domains.
     """
-    common = polar_s.keys() & polar_t.keys()
-    j = jaccard(len(common), len(polar_s), len(polar_t))  # no common word: UnrankablePairError
-    total = 0.0
-    for word in sorted(common):
-        p1, n1 = polar_s[word]
-        p2, n2 = polar_t[word]
-        total += abs(p1 - p2) + abs(n1 - n2)
-    return total / len(common) + 1.0 / j
+    mean, j = shared_mean(polar_s, polar_t, _l1, "polar words")
+    return mean + 1.0 / j
 
 
 def _order_entropy(

@@ -147,33 +147,26 @@ def load_sentiment_lexicon(path: str | Path) -> dict[str, float]:
     return load_sentiwordnet(path)
 
 
-def _harmonic_mean(values: list[float]) -> float:
-    # Defined as 0 for an empty set; inputs are strictly positive.
-    if not values:
-        return 0.0
-    return len(values) / sum(1.0 / v for v in values)
-
-
 def review_score(tokens: tuple[str, ...] | list[str], lexicon: dict[str, float]) -> float:
     """Sentiment score in [-1, 1] for a token list.
 
     Each lexicon-covered word has a signed score (pos - neg); the review
     score is the harmonic mean of the positive word scores minus the
     harmonic mean of the magnitudes of the negative ones. Words scoring 0 or
-    absent from the lexicon contribute nothing; a review with no
-    contributing words scores 0.
+    absent from the lexicon contribute nothing; a side with none has mean 0.
+    The reciprocals add in token order as they are read, not by ``sum``.
     """
-    positives: list[float] = []
-    negatives: list[float] = []
+    n_pos = n_neg = 0
+    inv_pos = inv_neg = 0.0
     for token in tokens:
-        s = lexicon.get(token)
-        if not s:
-            continue
+        s = lexicon.get(token, 0.0)
         if s > 0:
-            positives.append(s)
-        else:
-            negatives.append(-s)
-    return _harmonic_mean(positives) - _harmonic_mean(negatives)
+            n_pos += 1
+            inv_pos += 1.0 / s
+        elif s < 0:
+            n_neg += 1
+            inv_neg += 1.0 / -s
+    return (n_pos / inv_pos if n_pos else 0.0) - (n_neg / inv_neg if n_neg else 0.0)
 
 
 def filter_reviews(corpus: Corpus, lexicon: dict[str, float]) -> list[tuple[int, float]]:

@@ -10,12 +10,15 @@ matrix, holds in-domain accuracy there.
 Ranking rule: for a target, the other domains are ordered best first by
 value in the metric's direction; equal values keep domain order, and
 unrankable sources come last, also in domain order.
+
+``shared_mean`` is the per-word mean, with its Jaccard term, of LM2, LM3 and
+the ULM1/3/4/6 word metric, and raises their "no common ..." reasons.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InputError, UnrankablePairError
 
@@ -39,6 +42,21 @@ def mirrored(items: Sequence, pair_value: Callable) -> list[list[float]]:
             except UnrankablePairError:
                 pass
     return values
+
+
+def shared_mean(s: Mapping, t: Mapping, term: Callable, words: str) -> tuple[float, float]:
+    """The mean of ``term(s[w], t[w])`` over the keys of both tables, and the keys' Jaccard.
+
+    Terms add left to right in sorted key order from 0.0, not by ``sum``, which compensates
+    from Python 3.12 on. No shared key raises UnrankablePairError("no common <words>").
+    """
+    common = s.keys() & t.keys()
+    if not common:
+        raise UnrankablePairError(f"no common {words}")
+    total = 0.0
+    for w in sorted(common):
+        total += term(s[w], t[w])
+    return total / len(common), len(common) / (len(s) + len(t) - len(common))
 
 
 class PairMatrix:

@@ -100,6 +100,8 @@ def test_load_balanced_ten_thousand(tmp_path):
         ({"domain": "d", "label": "positive", "text": 5}, "'text' is not a string"),
         ({"domain": 7, "label": "positive", "text": "x"}, "'domain' is not a string"),
         ({"domain": "d", "label": ["positive"], "text": "x"}, "'label' is not a string"),
+        ({"domain": "", "label": "positive", "text": "x"}, "missing 'domain'"),
+        ({"domain": "d", "label": "", "text": "x"}, "missing 'label'"),
     ],
 )
 def test_load_jsonl_bad_records(tmp_path, record, match):
@@ -108,6 +110,27 @@ def test_load_jsonl_bad_records(tmp_path, record, match):
     with pytest.raises(InputError, match=match) as raised:
         load_corpus(path)
     assert f"{path}, line 1:" in str(raised.value)
+
+
+def test_load_jsonl_drops_an_empty_text_like_a_blank_one(tmp_path):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [
+        {"domain": "d", "label": "positive", "text": "lovely"},
+        {"domain": "d", "label": "negative", "text": ""},
+        {"domain": "d", "label": "negative", "text": " "},
+    ])
+    with pytest.warns(UserWarning, match=r"dropped 2 review\(s\) that normalized to zero tokens"
+                                         r" \(lines 2, 3\)"):
+        corpus = load_corpus(path)
+    assert corpus.reviews == ((POSITIVE, ("lovely",)),)
+
+
+def test_load_csv_drops_an_empty_text_like_a_blank_one(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("domain,label,text\nd,positive,lovely\nd,negative,\n")
+    with pytest.warns(UserWarning, match=r"dropped 1 review\(s\) .* \(lines 3\)"):
+        corpus = load_corpus(path, format="csv")
+    assert corpus.reviews == ((POSITIVE, ("lovely",)),)
 
 
 def test_load_jsonl_malformed_line_names_line_number(tmp_path):
@@ -150,6 +173,15 @@ def test_load_csv_missing_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("domain,text\nd,whatever\n")
     with pytest.raises(InputError, match="label"):
+        load_corpus(path, format="csv")
+
+
+def test_load_csv_rejects_a_header_that_repeats_a_column(tmp_path):
+    # Read as a mapping, the second text column would silently replace the first.
+    path = tmp_path / "d.csv"
+    path.write_text("domain,label,text,text\nA,positive,good film,terrible\n")
+    with pytest.raises(InputError, match=r"d\.csv, line 1: CSV header domain,label,text,text"
+                                         r" repeats a column"):
         load_corpus(path, format="csv")
 
 

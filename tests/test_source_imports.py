@@ -10,12 +10,15 @@ reads its input files through one ``open``, in ``errors.read_lines``, parses
 every CSV file through one strict ``csv.reader``, in ``errors.read_csv``, and
 parses all JSON through one ``json.loads``, in ``errors.parse_json``. No
 module imports ``dataclasses``, which loads ``inspect``, ``ast``, ``dis`` and
-``tokenize`` into every command's start-up.
+``tokenize`` into every command's start-up. The builtin ``sum`` adds only
+integer counts: from Python 3.12 on it compensates float sums, so a float
+``sum`` would make an output depend on the Python version.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "domainsim"
@@ -147,32 +150,39 @@ def test_a_lax_csv_reader_is_found(tmp_path):
                                  "module.py: reader, lax", "module.py: DictReader, strict"]
 
 
+def calls(path: Path) -> Iterator[tuple[str, ast.Call]]:
+    """``(<module>.<function>, call)`` for each call in ``path``, ``<function>`` the innermost
+    enclosing function (``<module>`` at module level)."""
+
+    def visit(node: ast.AST, where: str) -> Iterator[tuple[str, ast.Call]]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{path.name}.{node.name}"
+        if isinstance(node, ast.Call):
+            yield where, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return visit(ast.parse(path.read_text("utf-8")), f"{path.name}.<module>")
+
+
 def file_reads(path: Path) -> list[str]:
     """``<module>.<function>: <call>`` for each call in ``path`` that reads a file or tests one.
 
     The calls are ``open`` in a reading mode, ``read_text``, ``read_bytes``
-    and ``is_file``; ``<function>`` is the innermost enclosing function.
+    and ``is_file``.
     """
     found = []
-
-    def visit(node: ast.AST, where: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            # ``Path.open`` takes the mode first, the builtin ``open`` second.
-            first = 0 if isinstance(func, ast.Attribute) else 1
-            modes = [*node.args[first:first + 1], *(k.value for k in node.keywords
-                                                   if k.arg == "mode")]
-            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
-            reads = name == "open" and not set(mode) & set("wax")
-            if reads or name in ("read_text", "read_bytes", "is_file"):
-                found.append(f"{path.name}.{where}: {name}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text("utf-8")), "<module>")
+    for where, node in calls(path):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        # ``Path.open`` takes the mode first, the builtin ``open`` second.
+        first = 0 if isinstance(func, ast.Attribute) else 1
+        modes = [*node.args[first:first + 1], *(k.value for k in node.keywords
+                                               if k.arg == "mode")]
+        mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+        reads = name == "open" and not set(mode) & set("wax")
+        if reads or name in ("read_text", "read_bytes", "is_file"):
+            found.append(f"{where}: {name}")
     return found
 
 
@@ -208,3 +218,31 @@ def test_an_unused_import_is_found(tmp_path):
                     "from .x import y  # noqa: F401\n"
                     "def f(a: Sequence) -> None:\n    os.path.join(js.dumps(a))\n")
     assert unused_imports(path) == ["module.py, line 2: csv", "module.py, line 5: Mapping"]
+
+
+def builtin_sums(path: Path) -> list[str]:
+    """``<module>.<function>`` for each call of the builtin ``sum`` in ``path``."""
+    return [where for where, node in calls(path)
+            if isinstance(node.func, ast.Name) and node.func.id == "sum"]
+
+
+def test_the_builtin_sum_adds_only_integer_counts():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in builtin_sums(path)]
+    assert found == [
+        # Reviews per label and token occurrences.
+        "corpus.py.label_counts",
+        "corpus.py.token_count",
+        # Exact-position matches, and both scores' matches over the targets.
+        "evaluation.py.ranking_accuracy",
+        "evaluation.py.recommendation_report",
+        "evaluation.py.recommendation_report",
+    ]
+
+
+def test_a_builtin_sum_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import numpy as np\n"
+                    "total = sum([0.1, 0.2])\n"
+                    "def mean(xs):\n    return (np.sum(xs) + xs.sum() + sum(x for x in xs)) / 3\n"
+                    "class A:\n    def f(self, xs):\n        return [sum(xs), self.sum(xs)]\n")
+    assert builtin_sums(path) == ["module.py.<module>", "module.py.mean", "module.py.f"]
