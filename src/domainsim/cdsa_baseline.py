@@ -1,27 +1,19 @@
-"""Cross-domain accuracy matrices and the recommendation chart.
+"""The hashed bag-of-words logistic baseline that trains a cross-domain accuracy matrix.
 
-An accuracy matrix is a ``PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, ...)``
-of accuracies (%), rows sources and columns targets; its diagonal holds
-in-domain accuracy, which the chart reads and ranking never does.
-
-A bundled reference matrix for 20 review domains (D1..D20) ships with the
-package; a lightweight hashed bag-of-words logistic baseline can generate a
-matrix for arbitrary corpora so the full pipeline runs end to end. The
-baseline is deliberately simple and seed-deterministic; it is not meant to
-match the accuracies of a tuned neural classifier.
+``train_eval_baseline`` gives a matrix for arbitrary corpora, so the full
+pipeline runs end to end without the bundled reference; ``evaluation``
+defines such a matrix and reads it. The baseline is deliberately simple and
+seed-deterministic, not meant to match a tuned neural classifier's accuracy.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 import zlib
-from importlib import resources
-from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._numpy import np
-from .errors import InputError, read_csv
+from .errors import InputError
 from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 if TYPE_CHECKING:
@@ -31,135 +23,6 @@ FEATURE_DIM = 1 << 16
 TARGET_SPLIT_SIZE = 2000
 EPOCHS = 4
 LEARNING_RATE = 0.5
-
-
-def load_accuracy_matrix(path: str | Path) -> PairMatrix:
-    """Load an accuracy matrix CSV: header of domain ids, one row per source.
-
-    Rejects, naming file and line, malformed CSV (read strictly, so an
-    unterminated quote is an error), fewer than 2 domains, a repeated domain
-    or row, a row of the wrong length and a cell that is not a finite
-    number in [0, 100]; then rows that name other domains than the header.
-    """
-    path = Path(path)
-    rows = list(read_csv(path, "accuracy matrix"))
-    if len(rows) < 2:
-        raise InputError(f"{path}: matrix CSV needs a header and at least one row")
-    domains = tuple(h.strip() for h in rows[0][1][1:])
-    if len(domains) < 2:
-        raise InputError(f"{path}, line {rows[0][0]}: accuracy matrix needs at least 2 domains")
-    if len(set(domains)) != len(domains):
-        raise InputError(f"{path}, line {rows[0][0]}: duplicate domain ids in header")
-    by_source: dict[str, tuple[int, list[str]]] = {}
-    for line, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(domains) + 1:
-            raise InputError(f"{path}, line {line}: row for {row[0]!r} has {len(row) - 1} cells,"
-                             f" expected {len(domains)}")
-        source = row[0].strip()
-        if source in by_source:
-            raise InputError(f"{path}, line {line}: repeated row for {source!r}"
-                             f" (first on line {by_source[source][0]})")
-        by_source[source] = (line, row[1:])
-    if set(by_source) != set(domains):
-        missing = sorted(set(domains) - set(by_source))
-        extra = sorted(set(by_source) - set(domains))
-        raise InputError(
-            f"{path}: row/column domain sets differ (missing rows {missing}, extra rows {extra})"
-        )
-    acc = []
-    for source in domains:
-        line, cells = by_source[source]
-        row = []
-        for cell in cells:
-            try:
-                value = float(cell)
-            except ValueError:
-                raise InputError(
-                    f"{path}, line {line}: non-numeric cell {cell!r} in row {source}"
-                ) from None
-            if not math.isfinite(value):
-                raise InputError(f"{path}, line {line}: non-finite cell {cell!r} in row {source}")
-            if not 0.0 <= value <= 100.0:
-                raise InputError(f"{path}, line {line}: cell {cell!r} in row {source}"
-                                 " out of range [0, 100]")
-            row.append(value)
-        acc.append(row)
-    return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc)
-
-
-def reference_accuracy_matrix() -> PairMatrix:
-    """The bundled 20-domain reference accuracy matrix."""
-    with resources.as_file(
-        resources.files("domainsim.data").joinpath("reference_cdsa_accuracy.csv")
-    ) as path:
-        return load_accuracy_matrix(path)
-
-
-class ChartRow(NamedTuple):
-    """Per-domain recommendation chart entry."""
-
-    domain_id: str
-    in_domain_acc: float
-    avg_degradation: float
-    best_source: str
-    best_target: str
-
-
-def chart(matrix: PairMatrix) -> list[ChartRow]:
-    """Recommendation chart: in-domain accuracy, average degradation, best pairs.
-
-    The average degradation of a domain is its in-domain accuracy minus the
-    mean of its cross-domain accuracies as a source. Best source for a
-    target is the maximum of its column, best target for a source the
-    maximum of its row, diagonal excluded, ties broken by the lower domain
-    index. An accuracy matrix holds no NaN.
-    """
-    acc = matrix.values
-    rows = []
-    for d, domain in enumerate(matrix.domains):
-        others = [j for j in range(len(acc)) if j != d]
-        cross = [acc[d][j] for j in others]
-        rows.append(
-            ChartRow(
-                domain_id=domain,
-                in_domain_acc=acc[d][d],
-                avg_degradation=acc[d][d] - _numpy_sum(cross) / len(cross),
-                # max returns the first of equal maxima.
-                best_source=matrix.domains[max(others, key=lambda s: acc[s][d])],
-                best_target=matrix.domains[max(others, key=acc[d].__getitem__)],
-            )
-        )
-    return rows
-
-
-def _numpy_sum(values: Sequence[float]) -> float:
-    """The sum of ``values`` as numpy's ``np.add.reduce`` adds them, bit for bit.
-
-    numpy adds a run of fewer than 8 values left to right. A run of 8 to 128
-    it adds in 8 interleaved accumulators, one block of 8 at a time,
-    combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then adds
-    the last n mod 8 values in order. A longer run it splits at n/2 rounded
-    down to a multiple of 8 and sums each part so. The result starts from
-    0.0, so an all -0.0 run sums to 0.0, as in numpy. A left-to-right sum
-    differs from this in the last bit, and so, now and then, in a rounded
-    chart cell.
-    """
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
-    blocks = n - n % 8
-    total = 0.0
-    if blocks:
-        r = list(values[:8])
-        for i in range(8, blocks, 8):
-            r = [a + b for a, b in zip(r, values[i : i + 8])]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for value in values[blocks:]:
-        total += value
-    return total
 
 
 def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -321,9 +184,6 @@ def train_eval_baseline(
         raise InputError("baseline needs at least 2 corpora")
     if splits < 1:
         raise InputError(f"baseline needs at least 1 split, got {splits}")
-    domains = tuple(c.domain_id for c in corpora)
-    if len(set(domains)) != len(domains):
-        raise InputError("duplicate domain ids in corpora")
     small = [c.domain_id for c in corpora if len(c) < splits * TARGET_SPLIT_SIZE]
     if small:
         warnings.warn(
@@ -385,4 +245,4 @@ def train_eval_baseline(
             correct = (sums + bias[models] > 0.0) == positive[rows]
             hits = np.bincount(folds[correct], minlength=splits)
             acc[s, t] = 100.0 * np.mean(hits / np.bincount(folds, minlength=splits))
-    return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc)
+    return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, tuple(c.domain_id for c in corpora), acc)

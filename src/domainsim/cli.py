@@ -7,22 +7,24 @@ than the empty string replaces its key's value. A list or mapping flag may
 repeat and splits each value at commas, so ``--metrics ""`` gives an empty
 list, while ``--out ""`` keeps the config's value. All randomness flows
 from the single configured seed, and repeated runs with the same config
-produce byte-identical CSV outputs. ``evaluate`` ranks through
-``evaluation.rank_sources``. This module writes every output file, each
-CSV through ``_write_csv`` (UTF-8, minimal quoting, lines ending in ``\n``).
-``chart`` and ``evaluate`` read the accuracy matrix from a CSV file, such
-as the one ``baseline`` writes, or take the bundled reference; they never
-load corpora. numpy loads on first use (``_numpy``): ``ingest``, ``chart``,
-``evaluate`` and ``metrics`` whose metrics are all among LM1–LM3 never load
-it; ``metrics`` with LM4, NGRAM or a ULM metric, and ``baseline``, pay for
-its import inside the command. The metric modules are imported in the code
-that uses them: ``chart`` and ``evaluate`` load none of ``corpus``,
-``labelled_metrics`` and ``embedding_metrics``; ``ingest`` and ``baseline``
-load only ``corpus``; ``metrics`` adds ``labelled_metrics`` for LM1–LM4 and
-``embedding_metrics`` for a ULM metric; ``json`` loads only to parse a JSONL
-corpus or ``--config``, so ``chart`` and ``evaluate`` load it only with
-``--config``. Bad input, such as an input file that is missing, unreadable,
-not UTF-8 or malformed, exits 1 (``InputError``); any other failure exits 2.
+produce byte-identical CSV outputs. This module writes every output file,
+each CSV through ``_write_csv`` (UTF-8, minimal quoting, lines ending in
+``\n``). ``baseline`` trains through ``cdsa_baseline``; ``chart`` and
+``evaluate`` read the accuracy matrix through ``evaluation``, from a CSV
+file such as the one ``baseline`` writes or the bundled reference, and
+never read a corpus; nor does ``metrics`` of word-vector metrics only,
+which takes the domain ids from the config. numpy loads on first use
+(``_numpy``): ``ingest``, ``chart``, ``evaluate`` and ``metrics`` whose
+metrics are all among LM1–LM3 never load it; ``metrics`` with LM4, NGRAM or
+a ULM metric, and ``baseline``, pay for its import inside the command. The
+metric modules are imported in the code that uses them: ``chart`` and
+``evaluate`` load none of ``corpus``, ``labelled_metrics`` and
+``embedding_metrics``; ``ingest`` and ``baseline`` load only ``corpus``;
+``metrics`` adds ``labelled_metrics`` for LM1–LM4 and ``embedding_metrics``
+for a ULM metric; ``json`` loads only to parse a JSONL corpus or
+``--config``, so ``chart`` and ``evaluate`` load it only with ``--config``.
+Bad input, such as an input file that is missing, unreadable, not UTF-8 or
+malformed, exits 1 (``InputError``); any other failure exits 2.
 """
 
 from __future__ import annotations
@@ -35,15 +37,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .cdsa_baseline import (
-    ChartRow,
-    chart,
-    load_accuracy_matrix,
-    reference_accuracy_matrix,
-    train_eval_baseline,
-)
+from .cdsa_baseline import train_eval_baseline
 from .errors import InputError, parse_json, read_csv, read_lines
-from .evaluation import EvalReport, recommendation_report
+from .evaluation import (ChartRow, EvalReport, chart, load_accuracy_matrix,
+                         recommendation_report, reference_accuracy_matrix)
 from .lexstats import load_sentiment_lexicon, polar_words, polarity_table, significant_words
 from .pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix, mirrored
 
@@ -204,16 +201,22 @@ class Workspace:
         self.config = config
         self._vector_values: dict[tuple[Path, str], list[list[float]]] = {}
 
+    @property
+    def domains(self) -> tuple[str, ...]:
+        """The configured domain ids, in the corpora's order, known without reading a corpus."""
+        if not self.config.domains:
+            raise InputError("no domains configured (use --domains or the config file)")
+        return tuple(self.config.domains)
+
     @cached_property
     def corpora(self) -> list[Corpus]:
         from . import corpus as corpus_mod
 
         config = self.config
-        if not config.domains:
-            raise InputError("no domains configured (use --domains or the config file)")
+        names = self.domains
         stopwords = corpus_mod.load_stopwords(config.stopwords) if config.stopwords else None
         corpora = []
-        for name, path in config.domains.items():
+        for name, path in zip(names, config.domains.values()):
             try:
                 corpus = corpus_mod.load_corpus(path, config.format, stopwords)
             except InputError as exc:
@@ -271,8 +274,8 @@ class Workspace:
 
         adjectives = self.adjectives
         tables, first = [], None
-        for corpus in self.corpora:
-            path = _vector_file(directory, corpus.domain_id)
+        for domain in self.domains:
+            path = _vector_file(directory, domain)
             tables.append(emb.load_word_vectors(path))
             first = _same_dims(path, len(next(iter(tables[-1].values()))), first)
         return emb.word_metric_matrix(tables, adjectives)
@@ -564,7 +567,7 @@ def cmd_metrics(workspace: Workspace) -> None:
     if not config.metrics:
         raise InputError("no metrics selected (use --metrics)")
     _preflight(config, config.metrics)
-    domains = tuple(c.domain_id for c in workspace.corpora)
+    domains = workspace.domains
     out_dir = config.out_dir()
     for metric in config.metrics:
         direction, compute = METRICS[metric]

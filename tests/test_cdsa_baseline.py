@@ -1,17 +1,16 @@
+"""The CDSA accuracy matrix: the trainer in ``cdsa_baseline`` that produces one, and the
+loader, the bundled reference and the chart in ``evaluation`` that read one."""
+
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from conftest import build_corpus
-from domainsim.cdsa_baseline import (
-    chart,
-    load_accuracy_matrix,
-    reference_accuracy_matrix,
-    train_eval_baseline,
-)
+from domainsim.cdsa_baseline import train_eval_baseline
 from domainsim.cli import write_accuracy_matrix_csv
 from domainsim.errors import InputError
+from domainsim.evaluation import chart, load_accuracy_matrix, reference_accuracy_matrix
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
 

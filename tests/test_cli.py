@@ -16,9 +16,9 @@ import pytest
 import synth
 from domainsim import cli, corpus, evaluation, labelled_metrics, lexstats
 from domainsim import embedding_metrics as emb
-from domainsim.cdsa_baseline import reference_accuracy_matrix
 from domainsim.cli import main, write_accuracy_matrix_csv
 from domainsim.errors import InputError
+from domainsim.evaluation import reference_accuracy_matrix
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix
 
 
@@ -352,6 +352,17 @@ def test_an_accuracy_matrix_is_a_file_or_the_reference(tmp_path, capsys, command
     assert code == 1
     assert capsys.readouterr().err == "error: accuracy matrix file not found: generate\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("header", ["domain,A,", "domain,A, "], ids=["empty", "blank"])
+def test_an_accuracy_matrix_header_with_an_empty_domain_id_is_rejected(tmp_path, capsys, header):
+    # The row ",60,80" names the empty id too, so the row and column sets agree.
+    path = tmp_path / "m.csv"
+    path.write_text(f"{header}\nA,90,70\n,60,80\n")
+    out = tmp_path / "out"
+    assert main(["chart", "--accuracy-matrix", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}, line 1: empty domain id in header\n"
+    assert not out.exists()
 
 
 def test_chart_ranks_no_target(tmp_path, monkeypatch):
@@ -769,6 +780,16 @@ class _Tracked(dict):
 
 def _outputs(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_a_word_vector_metric_reads_no_corpus(vector_inputs):
+    # The domain ids come from --domains; no corpus file is opened, so absent ones do not matter.
+    tmp_path, corpora, first, _ = vector_inputs
+    absent = {domain: str(tmp_path / "absent" / f"{domain}.jsonl") for domain in corpora}
+    for paths, out in ((corpora, "real"), (absent, "absent")):
+        assert main(_metrics_argv(paths, first, {"ULM1": first["words"]}, tmp_path / out)) == 0
+    assert _outputs(tmp_path / "absent") == _outputs(tmp_path / "real")
+    assert list(_outputs(tmp_path / "real")) == ["metric_ULM1.csv"]
 
 
 # A word-vector file with one bad line of each kind, and the message it gives.

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from domainsim.cdsa_baseline import chart, reference_accuracy_matrix
 from domainsim.cli import build_markdown_report, write_eval_csv
 from domainsim.errors import InputError
 from domainsim.evaluation import (
+    chart,
     precision_at_k,
     rank_sources,
     ranking_accuracy,
     recommendation_report,
+    reference_accuracy_matrix,
 )
 from domainsim.pairs import HIGHER_IS_MORE_SIMILAR, LOWER_IS_MORE_SIMILAR, PairMatrix
 

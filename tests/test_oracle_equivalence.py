@@ -26,6 +26,9 @@ a loaded corpus's word counts must equal the oracle's, in the same order.
 table does, with ids in the ``sorted()`` order of the n-grams' tuples.
 The recommendation chart, computed in plain Python, must equal, bit for
 bit, the one numpy computed while the accuracy matrix was an ndarray.
+The ``evaluate`` command, run in process on drawn accuracy matrices with
+tied cells and metric files with tied and unrankable values, must write
+every chart and evaluation cell as the oracles' values formatted alike.
 """
 
 from __future__ import annotations
@@ -39,21 +42,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import synth
 from conftest import build_corpus, polar_table
 from domainsim import cli
-from domainsim.cdsa_baseline import (
-    _featurize,
-    _numpy_sum,
-    _row_sums,
-    _train_lockstep,
-    chart,
-    train_eval_baseline,
-)
+from domainsim.cdsa_baseline import _featurize, _row_sums, _train_lockstep, train_eval_baseline
 from domainsim.corpus import (
     NEGATIVE,
     POSITIVE,
@@ -74,6 +70,7 @@ from domainsim.embedding_metrics import (
     word_metric_matrix,
 )
 from domainsim.errors import UnrankablePairError
+from domainsim.evaluation import _numpy_sum, chart
 from domainsim.labelled_metrics import lm1_overlap, lm2_skld, lm3_chameleon, lm4_matrix
 from domainsim.lexstats import (
     filter_reviews,
@@ -598,3 +595,64 @@ def test_numpy_sum_adds_in_numpy_order():
         assert _numpy_sum(values.tolist()) == np.add.reduce(values), n
         zeros = np.full(n, -0.0)
         assert repr(_numpy_sum(zeros.tolist())) == repr(float(np.add.reduce(zeros))), n
+
+
+@st.composite
+def evaluate_inputs(draw):
+    """Domains in a drawn order, an accuracy matrix, metric values and Ks for ``evaluate``.
+
+    The cells are two-decimal or whole numbers from a drawn range, so a narrow range ties
+    many of them; a metric value is a small integer (tied), any finite float or None
+    (unrankable).
+    """
+    n = draw(st.integers(2, 8))
+    domains = draw(st.permutations([f"D{i}" for i in range(n)]))
+    scale = draw(st.sampled_from([100, 1]))
+    low = draw(st.integers(0, 100 * scale - 1))
+    high = draw(st.integers(low + 1, 100 * scale))
+    cells = st.lists(st.integers(low, high), min_size=n, max_size=n)
+    acc = [[c / scale for c in row] for row in draw(st.lists(cells, min_size=n, max_size=n))]
+    value = st.one_of(st.none(), st.integers(-3, 3).map(float),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    metrics = draw(st.lists(st.sampled_from(["LM2", "ULM1"]), min_size=1, unique=True))
+    values = {metric: draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)) for metric in metrics}
+    ks = draw(st.lists(st.integers(1, n - 1), min_size=1, unique=True))
+    return domains, acc, values, ks
+
+
+def csv_rows(path: Path) -> list[list[str]]:
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(inputs=evaluate_inputs())
+def test_evaluate_command_matches_the_chart_and_score_oracles(inputs):
+    domains, acc, values, ks = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        out = root / "out"
+        out.mkdir()
+        cli.write_accuracy_matrix_csv(PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc),
+                                      root / "matrix.csv")
+        for metric, rows in values.items():
+            floats = [[math.nan if v is None else v for v in row] for row in rows]
+            cli.write_metric_csv(PairMatrix(metric, cli.METRICS[metric][0], domains, floats),
+                                 out / f"metric_{metric}.csv")
+        assert cli.main(["evaluate", "--accuracy-matrix", str(root / "matrix.csv"),
+                         "--metrics", ",".join(values), "--k", ",".join(map(str, ks)),
+                         "--out", str(out)]) == 0
+        chart_rows = csv_rows(out / "recommendation_chart.csv")
+        eval_rows = csv_rows(out / "eval_report.csv")
+    assert chart_rows == [[domain, f"{in_domain:.2f}", f"{degradation:.2f}", source, target]
+                          for domain, in_domain, degradation, source, target
+                          in oracles.numpy_chart(np.array(acc), domains)]
+    expected = []
+    for metric, rows in values.items():
+        for k in ks:
+            precision, nra = oracles.evaluation_scores(acc, rows, domains,
+                                                       cli.METRICS[metric][0], k)
+            expected.append([metric, str(k), f"{precision:.2f}", f"{nra:.3f}"])
+    assert eval_rows == expected

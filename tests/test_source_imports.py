@@ -12,7 +12,9 @@ parses all JSON through one ``json.loads``, in ``errors.parse_json``. No
 module imports ``dataclasses``, which loads ``inspect``, ``ast``, ``dis`` and
 ``tokenize`` into every command's start-up. The builtin ``sum`` adds only
 integer counts: from Python 3.12 on it compensates float sums, so a float
-``sum`` would make an output depend on the Python version.
+``sum`` would make an output depend on the Python version. Only ``cli``
+imports the baseline trainer, and ``evaluation``, which reads the accuracy
+matrix, imports only ``errors`` and ``pairs`` from the package, and no numpy.
 """
 
 from __future__ import annotations
@@ -85,6 +87,48 @@ def test_an_imported_module_is_found(tmp_path):
     assert imported_modules(path) == [
         "module.py, line 1: os.path", "module.py, line 1: json", "module.py, line 2: dataclasses",
         "module.py, line 3: .corpus", "module.py, line 5: .pairs", "module.py, line 6: dataclasses"]
+
+
+def boundary_imports(directory: Path) -> list[str]:
+    """Imports that cross the accuracy matrix's module boundary, from the modules in ``directory``.
+
+    Only ``cli`` may import ``cdsa_baseline``, the trainer; ``evaluation``, which reads and
+    interprets the matrix, may import nothing from the package but ``errors`` and ``pairs``,
+    and never numpy.
+    """
+    crossing = []
+    for path in sorted(directory.glob("*.py")):
+        for entry in imported_modules(path):
+            module = entry.rsplit(": ", 1)[1]
+            # ``.x`` and ``domainsim.x`` name the package's module x; "" is a module outside it.
+            package, dot, name = module.rpartition(".")
+            own = name if dot and package in ("", "domainsim") else ""
+            if path.name == "evaluation.py":
+                crosses = own not in ("", "errors", "pairs") or module.split(".")[0] == "numpy"
+            else:
+                crosses = own == "cdsa_baseline" and path.name != "cli.py"
+            if crosses:
+                crossing.append(entry)
+    return crossing
+
+
+def test_only_cli_trains_and_evaluation_reads_the_matrix_without_numpy():
+    assert [entry for entry in imported_modules(SRC / "cli.py")
+            if entry.endswith(": .cdsa_baseline")] != []
+    assert boundary_imports(SRC) == []
+
+
+def test_an_import_across_the_boundary_is_found(tmp_path):
+    (tmp_path / "cli.py").write_text("from .cdsa_baseline import train_eval_baseline\n")
+    (tmp_path / "corpus.py").write_text("import domainsim.cdsa_baseline\n")
+    (tmp_path / "evaluation.py").write_text(
+        "import math\nimport numpy as np\nfrom . import _numpy\nfrom .errors import InputError\n"
+        "from .pairs import PairMatrix\nfrom .cdsa_baseline import FEATURE_DIM\n"
+        "def f():\n    from .corpus import Corpus\n")
+    assert boundary_imports(tmp_path) == [
+        "corpus.py, line 1: domainsim.cdsa_baseline", "evaluation.py, line 2: numpy",
+        "evaluation.py, line 3: ._numpy", "evaluation.py, line 6: .cdsa_baseline",
+        "evaluation.py, line 8: .corpus"]
 
 
 def test_csv_writer_occurs_once_in_the_package_in_cli():
