@@ -1,4 +1,4 @@
-"""numpy, imported on first use.
+"""numpy, imported on first use, and the one rule for its float sums.
 
 Modules take ``np`` from here instead of running ``import numpy as np``, so
 a command that never touches numpy (``ingest``, ``chart``, ``evaluate``,
@@ -7,6 +7,12 @@ a command that never touches numpy (``ingest``, ``chart``, ``evaluate``,
 first attribute lookup it is empty; that lookup runs numpy's import in place
 (``importlib.util.LazyLoader``), after which ``np`` is the ordinary, fully
 loaded module and each lookup costs what it always did.
+
+Every float sum behind an output adds left to right: over an array through
+``sequential_sum``, over a list in a ``+=`` loop from 0.0. numpy's ``sum``
+and ``mean`` add pairwise in an order numpy picks, and ``dot`` and
+``linalg`` add in the order of the BLAS kernel the CPU selects, so with
+them the bytes of an output could change with the numpy build or the CPU.
 """
 
 import importlib.util
@@ -27,3 +33,15 @@ def _lazy(name: str):
 
 
 np = _lazy("numpy")
+
+
+def sequential_sum(values):
+    """The sums of ``values`` along its last axis, as an array of shape ``values.shape[:-1]``.
+
+    Each sum adds left to right, as a Python ``+=`` loop adds:
+    ``np.add.accumulate`` adds in order by definition, so the bits are the
+    same on every CPU and numpy build. An empty axis sums to 0.0.
+    """
+    if not values.shape[-1]:
+        return np.zeros(values.shape[:-1])
+    return np.add.accumulate(values, axis=-1)[..., -1]

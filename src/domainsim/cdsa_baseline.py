@@ -4,6 +4,8 @@
 pipeline runs end to end without the bundled reference; ``evaluation``
 defines such a matrix and reads it. The baseline is deliberately simple and
 seed-deterministic, not meant to match a tuned neural classifier's accuracy.
+Its dot products add left to right, never through BLAS, so its weights do
+not depend on the CPU's BLAS kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import warnings
 import zlib
 from typing import TYPE_CHECKING, Sequence
 
-from ._numpy import np
+from ._numpy import np, sequential_sum
 from .errors import InputError
 from .pairs import HIGHER_IS_MORE_SIMILAR, PairMatrix
 
@@ -28,25 +30,15 @@ LEARNING_RATE = 0.5
 def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Hashed bag-of-words features of every review of every corpus, once.
 
-    Returns ``(features, widths, labels, pad)``. Reviews are numbered
+    Returns ``(features, lengths, labels, pad)``. Reviews are numbered
     corpus by corpus in corpus order. Row r of the int32 ``features``
-    matrix holds review r's distinct hashed ids, ascending, as dense column
-    numbers (``np.unique`` keeps their order), laid out for ``_row_sums``
-    over its first ``widths[r]`` columns; every other cell is the pad
-    column ``pad``, whose weight is kept at zero. ``labels[r]`` is 1.0 for
-    a positive review, else 0.0.
-
-    numpy sums a row of fewer than 128 values in 8 interleaved
-    accumulators, one block of 8 columns at a time, combines them, and then
-    adds the last n mod 8 values in order; a longer row is split in halves
-    recursively. So a review with L < 128 features keeps its whole blocks
-    of 8 in place, moves its last L mod 8 features to the start of the
-    final 7 of a common width 8K + 7 (K the most whole blocks of any such
-    review), and has zeros in the blocks between: zero blocks leave every
-    accumulator unchanged and zeros after the tail add nothing, so each sum
-    is bit-identical to ``weights[idx].sum()`` over the L weights alone.
-    Zeros anywhere else change the association and the last bits of the
-    sum. A review with 128 features or more is summed at its exact length.
+    matrix starts with review r's ``lengths[r]`` distinct hashed ids,
+    ascending, as dense column numbers (``np.unique`` keeps their order);
+    every later cell is the pad column ``pad``, whose weight is kept at
+    zero, so a left-to-right sum of the gathered weights over any prefix at
+    least ``lengths[r]`` long adds only trailing zeros to the review's dot
+    product and keeps its bits. ``labels[r]`` is 1.0 for a positive review,
+    else 0.0.
     """
     # Imported here, so the commands that only read an accuracy matrix never load corpus.
     from .corpus import POSITIVE
@@ -65,39 +57,16 @@ def _featurize(corpora: Sequence[Corpus]) -> tuple[np.ndarray, np.ndarray, np.nd
             lengths.append(len(ids))
             labels.append(1.0 if label == POSITIVE else 0.0)
     distinct, columns = np.unique(np.array(hashed, dtype=np.int64), return_inverse=True)
-    pad = len(distinct)
-    counts = np.array(lengths, dtype=np.int64)
-    short = counts < 128
-    in_place = np.where(short, counts // 8 * 8, counts)
-    short_width = int(in_place[short].max(initial=0)) + 7
-    widths = np.where(short, short_width, counts)
-    position = np.arange(len(columns)) - np.repeat(np.cumsum(counts) - counts, counts)
-    tail = position >= np.repeat(in_place, counts)
-    position[tail] += np.repeat(short_width - 7 - in_place, counts)[tail]
-    features = np.full((len(counts), int(widths.max())), pad, dtype=np.int32)
-    features[np.repeat(np.arange(len(counts)), counts), position] = columns
-    return features, widths, np.array(labels), pad
-
-
-def _row_sums(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Each row's sum over its first ``widths[r]`` columns, one call per width.
-
-    With rows laid out by ``_featurize`` this is every review's dot product
-    with the gathered weights, bit for bit; all reviews shorter than 128
-    features share one width.
-    """
-    if widths.min() == values.shape[1]:
-        return values.sum(axis=1)
-    sums = np.empty(len(values))
-    for width in np.unique(widths):
-        rows = np.flatnonzero(widths == width)
-        sums[rows] = values[rows, :width].sum(axis=1)
-    return sums
+    counts = np.array(lengths)
+    features = np.full((len(counts), int(counts.max())), len(distinct), dtype=np.int32)
+    # A boolean mask assigns in row-major order: each row's ids, left-aligned.
+    features[np.arange(features.shape[1]) < counts[:, None]] = columns
+    return features, counts, np.array(labels), len(distinct)
 
 
 def _train_lockstep(
     features: np.ndarray,
-    widths: np.ndarray,
+    lengths: np.ndarray,
     labels: np.ndarray,
     pad: int,
     train_sets: Sequence[np.ndarray],
@@ -110,10 +79,10 @@ def _train_lockstep(
     updates the weights of the example's features and its bias by
     ``LEARNING_RATE * (sigmoid(z) - y)``, z clipped to [-35, 35]. Step t
     makes the t-th update of every model that has one, as numpy operations
-    over a (models x width) gather from the weight matrix. The models share
-    no weights and each model's updates keep their order, so every model
-    does exactly the arithmetic of training it alone, one example at a
-    time. Slots are sorted by training-set size, so the models still
+    over a (models x widest review) gather from the weight matrix. The
+    models share no weights and each model's updates keep their order, so
+    every model does exactly the arithmetic of training it alone, one
+    example at a time. Slots are sorted by training-set size, so the models still
     training at step t are a prefix of the slots. Returns the weights, one
     row per model plus the zero pad column, and the biases.
     """
@@ -134,10 +103,9 @@ def _train_lockstep(
             while slot_sizes[active - 1] <= t:
                 active -= 1
             reviews = schedule[t, :active]
-            row_widths = widths[reviews]
-            idx = features[reviews, : row_widths.max()] + offsets[:active]
+            idx = features[reviews, : lengths[reviews].max()] + offsets[:active]
             values = flat[idx]
-            z = np.minimum(np.maximum(_row_sums(values, row_widths) + bias[:active], -35.0), 35.0)
+            z = np.minimum(np.maximum(sequential_sum(values) + bias[:active], -35.0), 35.0)
             step = LEARNING_RATE * (1.0 / (1.0 + np.exp(-z)) - labels[reviews])
             flat[idx] = values - step[:, None]
             bias[:active] -= step
@@ -165,20 +133,19 @@ def train_eval_baseline(
     then score their test reviews in batches, and the matrix is
     bit-identical to training and scoring one model and one example at a
     time (``sequential_baseline`` in ``tests/oracles.py``). Two rules keep
-    it so. Every dot product is a numpy ``sum`` of the gathered weights,
-    padded only as ``_row_sums`` allows; ``np.add.reduceat`` adds in
-    another order and differs from ``sum`` on most rows. The sigmoid uses
-    ``np.exp``, whose array and scalar results agree; ``math.exp`` differs
-    from it in the last bit on a few percent of inputs.
+    it so. Dot products, and each cell's mean over the folds, add left to
+    right (``_numpy.sequential_sum``). The sigmoid uses ``np.exp``, whose
+    array and scalar results agree; ``math.exp`` differs from it in the
+    last bit on a few percent of inputs.
 
     Memory: the weight matrix holds (splits + 1) * N rows of (distinct
     hashed ids + 1) float64, at most (splits + 1) * N * (FEATURE_DIM + 1)
     * 8 B: with 5 splits, 63 MB for N = 20 and 315 MB for N = 100; the
     feature matrix 4 B per review per column of the widest review, and
-    scoring 16 B per review of one target corpus per such column (the
-    gathered weights and numpy's intp copy of their index); the training
-    order 4 B per model per example of the largest training set, one epoch
-    at a time.
+    scoring 24 B per review of one target corpus per column of its widest
+    review (the gathered weights, numpy's intp copy of their index and
+    their running sums); the training order 4 B per model per example of
+    the largest training set, one epoch at a time.
     """
     if len(corpora) < 2:
         raise InputError("baseline needs at least 2 corpora")
@@ -202,7 +169,7 @@ def train_eval_baseline(
         if len(c) < splits:
             raise InputError(f"corpus {c.domain_id} has fewer reviews than {splits} splits")
 
-    features, widths, labels, pad = _featurize(corpora)
+    features, lengths, labels, pad = _featurize(corpora)
     positive = labels == 1.0
     n = len(corpora)
     starts = np.cumsum([0] + [len(c) for c in corpora])
@@ -228,7 +195,7 @@ def train_eval_baseline(
             rngs.append(np.random.default_rng(np.random.SeedSequence([seed, 2, s, held_out])))
         train_sets.append(np.arange(starts[s], starts[s + 1]))
         rngs.append(np.random.default_rng(np.random.SeedSequence([seed, 3, s])))
-    weights, bias = _train_lockstep(features, widths, labels, pad, train_sets, rngs)
+    weights, bias = _train_lockstep(features, lengths, labels, pad, train_sets, rngs)
 
     # Cell (s, t) is the mean over t's folds of the share of the fold that s
     # classifies correctly: corpus s's own reviews by the model that held out
@@ -241,8 +208,9 @@ def train_eval_baseline(
             rows = slice(starts[t], starts[t + 1])
             folds = fold_of[rows]
             models = s * (splits + 1) + np.where(corpus_of[rows] == s, folds, splits)
-            sums = _row_sums(weights[models[:, None], features[rows]], widths[rows])
-            correct = (sums + bias[models] > 0.0) == positive[rows]
+            gathered = weights[models[:, None], features[rows, : lengths[rows].max()]]
+            correct = (sequential_sum(gathered) + bias[models] > 0.0) == positive[rows]
             hits = np.bincount(folds[correct], minlength=splits)
-            acc[s, t] = 100.0 * np.mean(hits / np.bincount(folds, minlength=splits))
+            shares = hits / np.bincount(folds, minlength=splits)
+            acc[s, t] = 100.0 * (sequential_sum(shares) / splits)
     return PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, tuple(c.domain_id for c in corpora), acc)

@@ -11,17 +11,21 @@ matrix, word vectors as its rows by word, sentence vectors as its rows by
 review. The pair functions compare what ``word_metric_matrix`` and
 ``sentence_metric_matrix`` build once per domain: ``word_metric`` two word
 tables cut to the adjective lexicon, ``_mean_similarity`` two mean vectors.
+Every squared norm, mean and angle adds left to right
+(``_numpy.sequential_sum``), never through BLAS, so a ULM value has the same
+bits on every CPU.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from array import array
 from pathlib import Path
 from typing import Sequence
 
-from ._numpy import np
+from ._numpy import np, sequential_sum
 from .corpus import Corpus
 from .errors import InputError, UnrankablePairError, read_lines
 # Not called here: the CLI calls filter_reviews, and the benchmark traces both, by these names.
@@ -50,11 +54,15 @@ def load_adjectives(path: str | Path) -> AdjectiveLexicon:
     return AdjectiveLexicon(frozenset(words))
 
 
-def _parse_vector_file(path: Path) -> tuple[list[str], np.ndarray, list[int]]:
-    """The file's keys, their float64 matrix (a row per key) and each key's line, in file order."""
+def _parse_vector_file(path: Path) -> tuple[list[str], np.ndarray, list[int], np.ndarray]:
+    """The file's keys, their float64 matrix (a row per key), lines and squared norms, in order.
+
+    Every squared norm is finite.
+    """
     # Each line's key-level checks run as it is read, and each component is
-    # converted once, into the buffer the matrix views; the matrix is checked
-    # as finite once, after the last line.
+    # converted once, into the buffer the matrix views; the squared norms,
+    # finite only if every component is and none overflows, are checked once,
+    # after the last line.
     count: int | None = None
     dims: int | None = None
     line_of: dict[str, int] = {}
@@ -93,19 +101,30 @@ def _parse_vector_file(path: Path) -> tuple[list[str], np.ndarray, list[int]]:
                          f" the file has {len(line_of)}")
     linenos = list(line_of.values())
     matrix = np.frombuffer(components).reshape(len(line_of), dims)
-    finite = np.isfinite(matrix).all(axis=1)
+    with np.errstate(over="ignore"):
+        squared = sequential_sum(matrix * matrix)
+    finite = np.isfinite(squared)
     if not finite.all():
-        raise InputError(f"{path}, line {linenos[np.argmin(finite)]}: non-finite vector component")
-    return list(line_of), matrix, linenos
+        row = np.argmin(finite)
+        problem = ("squared norm overflows" if np.isfinite(matrix[row]).all()
+                   else "non-finite vector component")
+        raise InputError(f"{path}, line {linenos[row]}: {problem}")
+    return list(line_of), matrix, linenos, squared
 
 
 def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Load a domain's word vectors by word, in file order; none may have a zero squared norm."""
+    """Load a domain's word vectors by word, in file order.
+
+    Each squared norm must be a normal float: zero, subnormal or overflowing,
+    it would make the unit vector, and so every angle to it, wrong.
+    """
     path = Path(path)
-    words, matrix, linenos = _parse_vector_file(path)
-    zero = np.flatnonzero(~(matrix * matrix).any(axis=1))
-    if len(zero):
-        raise InputError(f"{path}, line {linenos[zero[0]]}: zero vector for {words[zero[0]]!r}")
+    words, matrix, linenos, squared = _parse_vector_file(path)
+    small = np.flatnonzero(squared < sys.float_info.min)
+    if len(small):
+        row = small[0]
+        problem = "zero vector" if squared[row] == 0.0 else "subnormal squared norm"
+        raise InputError(f"{path}, line {linenos[row]}: {problem} for {words[row]!r}")
     return dict(zip(words, matrix))
 
 
@@ -113,8 +132,9 @@ def load_sentence_vectors(path: str | Path, corpus: Corpus) -> np.ndarray:
     """Load ``corpus``'s sentence vectors, row ``i`` from the entry keyed ``<domain>:<i>``.
 
     No other ``<domain>:<digits>`` key may appear; keys of other forms are ignored.
+    No squared norm may overflow; a mean's is then at most its largest vector's.
     """
-    ids, matrix, _ = _parse_vector_file(Path(path))
+    ids, matrix, _, _ = _parse_vector_file(Path(path))
     prefix = f"{corpus.domain_id}:"
     numbered = {rid: row for row, rid in enumerate(ids)
                 if rid.startswith(prefix) and rid[len(prefix):].isdigit()}
@@ -131,6 +151,10 @@ def load_sentence_vectors(path: str | Path, corpus: Corpus) -> np.ndarray:
     return matrix[rows]
 
 
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(float(sequential_sum(x * x)))
+
+
 def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
     """1 - angle/pi, in [0, 1], with angle = 2*atan2(|u - v|, |u + v|).
 
@@ -141,17 +165,12 @@ def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
     inputs give exactly 1, antiparallel inputs exactly 0, and small angles
     keep full relative accuracy. Separates nearly parallel vectors better
     than the raw cosine. Invariant under positive scaling of either argument.
-    Callers pass two vectors of one length, each with a non-zero squared norm.
+    Callers pass two vectors of one length, each with a squared norm that is
+    a normal float, as the loaders check.
     """
-    n1 = math.sqrt(float(np.dot(v1, v1)))
-    n2 = math.sqrt(float(np.dot(v2, v2)))
-    u = v1 / n1
-    v = v2 / n2
-    diff = u - v
-    total = u + v
-    angle = 2.0 * math.atan2(math.sqrt(float(np.dot(diff, diff))),
-                             math.sqrt(float(np.dot(total, total))))
-    return 1.0 - angle / math.pi
+    u = v1 / _norm(v1)
+    v = v2 / _norm(v2)
+    return 1.0 - 2.0 * math.atan2(_norm(u - v), _norm(u + v)) / math.pi
 
 
 def word_metric(adj_s: dict[str, np.ndarray], adj_t: dict[str, np.ndarray]) -> float:
@@ -166,7 +185,7 @@ def word_metric(adj_s: dict[str, np.ndarray], adj_t: dict[str, np.ndarray]) -> f
 
 
 def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
-    if float(np.linalg.norm(v1)) < 1e-12 or float(np.linalg.norm(v2)) < 1e-12:
+    if _norm(v1) < 1e-12 or _norm(v2) < 1e-12:
         raise UnrankablePairError("mean sentence vector numerically zero")
     return angular_similarity(v1, v2)
 
@@ -222,7 +241,7 @@ def sentence_metric_matrix(sets: Sequence[np.ndarray]) -> list[list[float]]:
     """N rows of N angular similarities of the sets' mean vectors, mirrored.
 
     Each set is a non-empty ``select_test_vectors`` result, one vector per
-    row, and its mean is taken once. A pair whose mean vector is numerically
-    zero on either side is unrankable and left NaN.
+    row, and its mean is taken once, adding the rows in order. A pair whose
+    mean vector is numerically zero on either side is unrankable and left NaN.
     """
-    return mirrored([np.mean(s, axis=0) for s in sets], _mean_similarity)
+    return mirrored([sequential_sum(s.T) / len(s) for s in sets], _mean_similarity)

@@ -9,8 +9,10 @@ through ``PairMatrix.ranking``, for each metric and the truth alike: a
 target's ranking is a tuple of source ids, best first. Rankings are scored
 with precision at K (top-K intersection size) and ranking accuracy
 (exact-position matches within the top K); ``recommendation_report`` checks
-each K once and sums both scores over every target. This module writes
-nothing: ``cli`` writes the CSV and Markdown reports.
+each K once and sums both scores over every target. The chart's means add
+left to right in plain Python, the package's one summation rule, so this
+module needs no numpy. It writes nothing: ``cli`` writes the CSV and
+Markdown reports.
 """
 
 from __future__ import annotations
@@ -114,55 +116,29 @@ def chart(matrix: PairMatrix) -> list[ChartRow]:
     """Recommendation chart: in-domain accuracy, average degradation, best pairs.
 
     The average degradation of a domain is its in-domain accuracy minus the
-    mean of its cross-domain accuracies as a source. Best source for a
-    target is the maximum of its column, best target for a source the
-    maximum of its row, diagonal excluded, ties broken by the lower domain
-    index. An accuracy matrix holds no NaN.
+    mean of its cross-domain accuracies as a source, added left to right in
+    domain order. Best source for a target is the maximum of its column,
+    best target for a source the maximum of its row, diagonal excluded, ties
+    broken by the lower domain index. An accuracy matrix holds no NaN.
     """
     acc = matrix.values
     rows = []
     for d, domain in enumerate(matrix.domains):
         others = [j for j in range(len(acc)) if j != d]
-        cross = [acc[d][j] for j in others]
+        cross = 0.0
+        for j in others:
+            cross += acc[d][j]
         rows.append(
             ChartRow(
                 domain_id=domain,
                 in_domain_acc=acc[d][d],
-                avg_degradation=acc[d][d] - _numpy_sum(cross) / len(cross),
+                avg_degradation=acc[d][d] - cross / len(others),
                 # max returns the first of equal maxima.
                 best_source=matrix.domains[max(others, key=lambda s: acc[s][d])],
                 best_target=matrix.domains[max(others, key=acc[d].__getitem__)],
             )
         )
     return rows
-
-
-def _numpy_sum(values: Sequence[float]) -> float:
-    """The sum of ``values`` as numpy's ``np.add.reduce`` adds them, bit for bit.
-
-    numpy adds a run of fewer than 8 values left to right. A run of 8 to 128
-    it adds in 8 interleaved accumulators, one block of 8 at a time,
-    combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then adds
-    the last n mod 8 values in order. A longer run it splits at n/2 rounded
-    down to a multiple of 8 and sums each part so. The result starts from
-    0.0, so an all -0.0 run sums to 0.0, as in numpy. A left-to-right sum
-    differs from this in the last bit, and so, now and then, in a rounded
-    chart cell.
-    """
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
-    blocks = n - n % 8
-    total = 0.0
-    if blocks:
-        r = list(values[:8])
-        for i in range(8, blocks, 8):
-            r = [a + b for a, b in zip(r, values[i : i + 8])]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for value in values[blocks:]:
-        total += value
-    return total
 
 
 def rank_sources(pairs: PairMatrix) -> dict[str, tuple[str, ...]]:

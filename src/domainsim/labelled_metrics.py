@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Collection, Sequence
 
-from ._numpy import np
+from ._numpy import np, sequential_sum
 from .corpus import Corpus, NgramIndex
 from .errors import UnrankablePairError
 from .lexstats import clamp_probability, polar_words, polarity_table
@@ -80,16 +80,11 @@ def _order_entropy(
     log_total = math.log(total)
     clogc = counts * log_table[counts]
     count_x = int(counts[polar].sum())
-    h_x = (log_total * count_x - _sequential_sum(clogc[polar])) / total
+    h_x = (log_total * count_x - float(sequential_sum(clogc[polar]))) / total
     if polar_only:
         return w * h_x
-    h_y = (log_total * (total - count_x) - _sequential_sum(clogc[~polar])) / total
+    h_y = (log_total * (total - count_x) - float(sequential_sum(clogc[~polar]))) / total
     return w * h_x + h_y / w
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    # Left to right, like a Python += loop; np.sum adds pairwise.
-    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 def _polar_grams(index: NgramIndex, polar: Collection[str]) -> dict[int, np.ndarray]:
@@ -131,8 +126,8 @@ def lm4_matrix(index: NgramIndex, polar_sets: Sequence[Collection[str]]) -> np.n
     insertion order; a mixed corpus lists the source's n-grams (target
     counts added), then the target-only n-grams in target order, as
     ``Counter.__add__`` does; logarithms come from a table filled by
-    ``math.log`` (``np.log`` may differ in the last bit); and the sums use
-    the sequential ``np.add.accumulate``, not the pairwise ``np.sum``.
+    ``math.log`` (``np.log`` may differ in the last bit); and the sums add
+    left to right (``_numpy.sequential_sum``).
     """
     # log_table[c] = math.log(c) up to the largest count a mix of two corpora reaches.
     top = max(int(c.max(initial=0)) for per_corpus in index.grams.values() for _, c in per_corpus)

@@ -2,14 +2,17 @@
 
 These recompute everything directly from raw (label, token list) reviews
 with plain dicts and -p*log(p) sums, sharing no code with the package, so
-they can arbitrate the optimized implementations. ``sequential_baseline``
-is the CDSA baseline as it was before it trained its models in lockstep:
-one model and one example at a time, in plain Python loops.
-``sorted_ranking`` is the per-target source ranking as it was before
-``PairMatrix.ranking``: a Python sort on (value, domain index) keys.
-``argsort_ranking`` and ``numpy_chart`` are the ranking and the
+they can arbitrate the optimized implementations. Where an oracle must
+match the package bit for bit, its float sums add left to right in a
+Python ``+=`` loop from 0.0, the package's one summation rule.
+``sequential_baseline`` is the CDSA baseline as it was before it trained
+its models in lockstep: one model and one example at a time, in plain
+Python loops. ``sorted_ranking`` is the per-target source ranking as it
+was before ``PairMatrix.ranking``: a Python sort on (value, domain index)
+keys. ``argsort_ranking`` and ``numpy_chart`` are the ranking and the
 recommendation chart as they were while ``PairMatrix.values`` was an
-ndarray: a stable ``np.argsort``, and ``argmax`` and ``mean`` over masks.
+ndarray: a stable ``np.argsort``, and ``argmax`` over masks, with each
+row's off-diagonal mean added left to right.
 ``evaluation_scores`` is precision at K and NRA counted from those
 rankings in plain loops.
 ``select_reviews`` is the sentence metrics' review selection as it was
@@ -22,7 +25,9 @@ integers. ``read_vectors``, ``word_metric`` and ``sentence_metric`` parse a
 vector file into lists and take angles by ``math.acos`` of cosines from
 ``math.fsum`` dot products, as the paper defines them; they refuse cosines
 within 1e-3 of ±1, where ``acos`` loses digits, so tests compare them with
-the package within a tolerance.
+the package within a tolerance. ``sequential_angular`` is the package's
+angle formula in plain Python, its sums added left to right, to be matched
+bit for bit.
 """
 
 from __future__ import annotations
@@ -248,12 +253,20 @@ def argsort_ranking(values: np.ndarray, domains: list[str], direction: str,
     return tuple(domains[i] for i in np.argsort(keys, kind="stable") if i != t)
 
 
+def left_to_right(values) -> float:
+    """The sum of ``values``, added in order from 0.0."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def numpy_chart(acc: np.ndarray, domains: list[str]) -> list[tuple[str, float, float, str, str]]:
     """(domain, in-domain accuracy, average degradation, best source, best target) per domain.
 
-    The degradation subtracts the mean of the row's off-diagonal cells; best
-    source and target are the first maximum of the column and the row, the
-    diagonal masked out.
+    The degradation subtracts the mean of the row's off-diagonal cells, added
+    left to right; best source and target are the first maximum of the
+    column and the row, the diagonal masked out.
     """
     n = len(domains)
     off_diag = ~np.eye(n, dtype=bool)
@@ -261,7 +274,8 @@ def numpy_chart(acc: np.ndarray, domains: list[str]) -> list[tuple[str, float, f
     best_target_idx = np.argmax(masked, axis=1)
     best_source_idx = np.argmax(masked, axis=0)
     return [
-        (domains[d], float(acc[d, d]), float(acc[d, d]) - float(acc[d, off_diag[d]].mean()),
+        (domains[d], float(acc[d, d]),
+         float(acc[d, d]) - left_to_right(acc[d, off_diag[d]].tolist()) / (n - 1),
          domains[int(best_source_idx[d])], domains[int(best_target_idx[d])])
         for d in range(n)
     ]
@@ -349,6 +363,17 @@ def word_metric(table_s: dict[str, list[float]], table_t: dict[str, list[float]]
     return similarity + len(common) / len(adj_s | adj_t)
 
 
+def sequential_angular(x: list[float], y: list[float]) -> float:
+    """1 - 2*atan2(|u - v|, |u + v|)/pi of the unit vectors u and v, norms summed left to right."""
+    norm_x = math.sqrt(left_to_right(a * a for a in x))
+    norm_y = math.sqrt(left_to_right(b * b for b in y))
+    u = [a / norm_x for a in x]
+    v = [b / norm_y for b in y]
+    diff = math.sqrt(left_to_right((a - b) * (a - b) for a, b in zip(u, v)))
+    total = math.sqrt(left_to_right((a + b) * (a + b) for a, b in zip(u, v)))
+    return 1.0 - 2.0 * math.atan2(diff, total) / math.pi
+
+
 def sentence_metric(vectors_s: list[list[float]], vectors_t: list[list[float]]) -> float | None:
     """Angular similarity of the two sets' mean vectors; None if either mean is about zero."""
     means = [[math.fsum(column) / len(vectors) for column in zip(*vectors)]
@@ -385,7 +410,7 @@ def _train_logistic(
     for _ in range(epochs):
         for i in rng.permutation(len(examples)):
             idx, y = examples[i]
-            z = float(weights[idx].sum()) + bias
+            z = left_to_right(weights[idx].tolist()) + bias
             z = min(35.0, max(-35.0, z))
             grad = 1.0 / (1.0 + np.exp(-z)) - y
             weights[idx] -= lr * grad
@@ -395,7 +420,7 @@ def _train_logistic(
 
 def _accuracy(weights: np.ndarray, bias: float, examples) -> float:
     correct = sum(
-        1 for idx, y in examples if ((float(weights[idx].sum()) + bias) > 0.0) == bool(y)
+        1 for idx, y in examples if ((left_to_right(weights[idx].tolist()) + bias) > 0.0) == bool(y)
     )
     return correct / len(examples)
 
@@ -425,7 +450,7 @@ def sequential_baseline(corpora, splits: int = 5, seed: int = 0) -> np.ndarray:
             weights, bias = _train_logistic(train_set, rng)
             test_set = [examples[i] for i in fold_indices[s][held_out]]
             fold_accs.append(_accuracy(weights, bias, test_set))
-        acc[s, s] = 100.0 * float(np.mean(fold_accs))
+        acc[s, s] = 100.0 * (left_to_right(fold_accs) / splits)
 
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3, s]))
         weights, bias = _train_logistic(examples, rng)
@@ -436,5 +461,5 @@ def sequential_baseline(corpora, splits: int = 5, seed: int = 0) -> np.ndarray:
                 _accuracy(weights, bias, [features[t][i] for i in fold])
                 for fold in fold_indices[t]
             ]
-            acc[s, t] = 100.0 * float(np.mean(split_accs))
+            acc[s, t] = 100.0 * (left_to_right(split_accs) / splits)
     return acc

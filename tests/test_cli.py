@@ -802,6 +802,11 @@ BAD_WORD_FILES = {
     "zero-vector": ("good 1.0 0.0\nbad 0.0 -0.0\n", "line 2: zero vector for 'bad'"),
     # Its squared length underflows to 0.0, so no angle to it is defined.
     "underflowing-vector": ("good 1.0 0.0\nbad 1e-200 0.0\n", "line 2: zero vector for 'bad'"),
+    # A squared length that overflows or is subnormal makes the unit vector, and so every
+    # angle to it, wrong: 1e200 would compare with its parallel 1.0 as orthogonal.
+    "overflowing-norm": ("good 1.0 0.0\nbad 1e200 0.0\n", "line 2: squared norm overflows"),
+    "subnormal-norm": ("good 1.0 0.0\nbad 1e-160 0.0\n",
+                       "line 2: subnormal squared norm for 'bad'"),
     "header-count": ("3 2\ngood 1.0 0.0\nbad 0.5 0.5\n",
                      "line 1: header gives 3 entries, the file has 2"),
     # Components are checked as finite only after every line's key checks.
@@ -866,6 +871,19 @@ def test_metrics_reject_a_sentence_file_whose_ids_are_not_the_reviews(
     path.write_text("".join(lines))
     assert main(_metrics_argv(corpora, first, {"ULM2": first["sentences"]}, tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings(SHORTFALL)
+def test_metrics_name_the_line_of_a_sentence_vector_whose_squared_norm_overflows(
+        vector_inputs, capsys):
+    tmp_path, corpora, first, _ = vector_inputs
+    path = Path(first["sentences"]) / "D2.vec"
+    lines = path.read_text().splitlines(keepends=True)
+    key, *components = lines[5].split()
+    lines[5] = " ".join([key, "1e200", *components[1:]]) + "\n"
+    path.write_text("".join(lines))
+    assert main(_metrics_argv(corpora, first, {"ULM2": first["sentences"]}, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {path}, line 6: squared norm overflows\n"
 
 
 @pytest.mark.filterwarnings(SHORTFALL)

@@ -8,7 +8,10 @@ with digests pinned from an earlier build of the package (x86-64, CPython
 numpy partway through the command, and ``ingest``, ``chart`` and
 ``evaluate`` (here with a CSV accuracy matrix) never load it. The two fresh
 runs use the hash seeds 0 and 1: sets iterate in hash order, so an output
-that followed a set's order would change between them. A refactor
+that followed a set's order would change between them. Every float sum
+behind the outputs adds left to right, never through BLAS, so the digests
+also hold with ``metrics`` and ``baseline`` run under three OpenBLAS
+kernels that add a dot product in different orders. A refactor
 that keeps these bytes keeps the outputs that the repeated-run tests only
 compare run against run. A change that means to alter an output must update
 its digest here and say why.
@@ -24,6 +27,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
 import synth
 from domainsim.cli import main
 
@@ -86,8 +90,8 @@ def in_process(argv: list[str]) -> None:
         assert main(argv) == 0, argv
 
 
-def in_a_fresh_interpreter(argv: list[str], hash_seed: str) -> None:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+def in_a_fresh_interpreter(argv: list[str], hash_seed: str, **env_vars: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed, **env_vars)
     done = subprocess.run([sys.executable, "-m", "domainsim", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, (argv, done.stderr)
@@ -101,3 +105,23 @@ def test_python_m_domainsim_writes_the_pinned_bytes(tmp_path):
     for hash_seed in ("0", "1"):
         run = functools.partial(in_a_fresh_interpreter, hash_seed=hash_seed)
         assert run_pipeline(tmp_path / hash_seed, run) == GOLDEN, hash_seed
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell", "SkylakeX"])
+def test_metrics_and_baseline_write_the_pinned_bytes_under_every_openblas_kernel(
+        tmp_path, coretype):
+    """``OPENBLAS_CORETYPE`` makes an OpenBLAS built ``DYNAMIC_ARCH``, as numpy's wheels
+    are, use that CPU's kernels, and they add a dot product in their own orders.
+
+    The variable is set in the child's environment only. Where numpy's BLAS
+    is not such an OpenBLAS, or the CPU cannot run the kernel, the variable
+    is ignored and this test proves nothing.
+    """
+
+    def run(argv: list[str]) -> None:
+        if argv[0] in ("metrics", "baseline"):
+            in_a_fresh_interpreter(argv, "0", OPENBLAS_CORETYPE=coretype)
+        else:
+            in_process(argv)
+
+    assert run_pipeline(tmp_path, run) == GOLDEN

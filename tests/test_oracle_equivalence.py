@@ -17,6 +17,9 @@ baseline's accuracy matrix must equal, bit for bit, the one from training
 and scoring one model and one example at a time. The sentence metrics must
 pick the same reviews as when each review was scored once per pick, and
 their matrix must equal ``angular_similarity`` of each pair's mean vectors.
+``angular_similarity``, ``_mean_similarity`` and ``word_metric`` must equal,
+bit for bit, the angle computed in plain Python with left-to-right sums, on
+drawn near-parallel, near-antiparallel and unrelated vectors.
 The ``metrics`` command, run in process on drawn corpora with punctuation,
 digits, dropped reviews and shared or disjoint vocabularies, must write the
 oracles' LM1, LM4 and NGRAM values exactly and LM2 and LM3 within 1e-9.
@@ -25,7 +28,8 @@ a loaded corpus's word counts must equal the oracle's, in the same order.
 ``NgramIndex`` must list each corpus's n-grams and counts as the oracle's
 table does, with ids in the ``sorted()`` order of the n-grams' tuples.
 The recommendation chart, computed in plain Python, must equal, bit for
-bit, the one numpy computed while the accuracy matrix was an ndarray.
+bit, the one numpy computed while the accuracy matrix was an ndarray, with
+each mean added left to right.
 The ``evaluate`` command, run in process on drawn accuracy matrices with
 tied cells and metric files with tied and unrankable values, must write
 every chart and evaluation cell as the oracles' values formatted alike.
@@ -49,7 +53,8 @@ import oracles
 import synth
 from conftest import build_corpus, polar_table
 from domainsim import cli
-from domainsim.cdsa_baseline import _featurize, _row_sums, _train_lockstep, train_eval_baseline
+from domainsim._numpy import sequential_sum
+from domainsim.cdsa_baseline import _featurize, _train_lockstep, train_eval_baseline
 from domainsim.corpus import (
     NEGATIVE,
     POSITIVE,
@@ -61,16 +66,18 @@ from domainsim.corpus import (
     normalize,
 )
 from domainsim.embedding_metrics import (
+    _mean_similarity,
     angular_similarity,
     load_adjectives,
     load_sentence_vectors,
     load_word_vectors,
     select_test_vectors,
     sentence_metric_matrix,
+    word_metric,
     word_metric_matrix,
 )
 from domainsim.errors import UnrankablePairError
-from domainsim.evaluation import _numpy_sum, chart
+from domainsim.evaluation import chart
 from domainsim.labelled_metrics import lm1_overlap, lm2_skld, lm3_chameleon, lm4_matrix
 from domainsim.lexstats import (
     filter_reviews,
@@ -466,6 +473,35 @@ def test_sentence_metric_matches_oracle(vector_files, mode):
         assert_near(matrix[i][j], oracles.sentence_metric(oracle_sets[i], oracle_sets[j]), (i, j))
 
 
+def drawn_vector_pairs(dims):
+    """60 pairs of ``dims``-component vectors: unrelated, near-parallel and near-antiparallel.
+
+    Components spread over 8 decades, so a sum in any other order differs in its last bits.
+    """
+    rng = np.random.default_rng(dims)
+    pairs = []
+    for _ in range(20):
+        x = rng.normal(size=dims) * 10.0 ** rng.integers(-4, 5, size=dims)
+        unrelated = rng.normal(size=dims) * 10.0 ** rng.integers(-4, 5, size=dims)
+        pairs += [(x, unrelated), (x, 3.0 * x * (1.0 + 1e-9 * rng.normal(size=dims))),
+                  (x, -0.5 * x * (1.0 + 1e-9 * rng.normal(size=dims)))]
+    return pairs
+
+
+@pytest.mark.parametrize("dims", [1, 8, 64, 300])
+def test_angles_equal_the_left_to_right_oracle_bit_for_bit(dims):
+    pairs = drawn_vector_pairs(dims)
+    expected = [oracles.sequential_angular(x.tolist(), y.tolist()) for x, y in pairs]
+    assert [angular_similarity(x, y) for x, y in pairs] == expected
+    assert [_mean_similarity(x, y) for x, y in pairs] == expected
+    # The word metric: the pairs as one table each, every 7th word missing from the second.
+    adj_s = {f"w{i}": x for i, (x, _) in enumerate(pairs)}
+    adj_t = {f"w{i}": y for i, (_, y) in enumerate(pairs) if i % 7}
+    common = sorted(adj_t)
+    mean = oracles.left_to_right(expected[int(w[1:])] for w in common) / len(common)
+    assert word_metric(adj_s, adj_t) == mean + len(common) / len(adj_s)
+
+
 def baseline_acc(corpora, splits=5, seed=0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -504,8 +540,8 @@ def distinct_feature_tokens(count):
 def wide_corpora():
     """Reviews of 1, 7, 8, 127, 128 and 200 features among ones of 5 to 13.
 
-    Widths below 8, at a block edge and on both sides of numpy's 128-value
-    pairwise block; a review has at least one token, so the narrowest is 1.
+    Widths from the narrowest a review can have (it has at least one token)
+    to far past the typical one, so most rows of a step end in pad columns.
     The wide reviews drive |z| past the +-35 clip during training.
     """
     tokens = distinct_feature_tokens(400)
@@ -532,19 +568,18 @@ def test_row_sums_equal_the_sum_of_the_gathered_weights():
     rng = np.random.default_rng(10)
     corpus = build_corpus(
         "A", [("positive", " ".join(rng.choice(tokens, size=n, replace=False))) for n in range(1, 301)])
-    features, widths, _, _ = _featurize([corpus])
+    features, lengths, _, _ = _featurize([corpus])
     ids = [oracles._hash_features(tokens) for _, tokens in corpus.reviews]
     # Magnitudes spread over 12 decades, so any change of summation order shows.
     by_id = rng.normal(size=oracles.FEATURE_DIM) * 10.0 ** rng.integers(-6, 7, size=oracles.FEATURE_DIM)
     weights = np.append(by_id[np.unique(np.concatenate(ids))], 0.0)
     values = weights[features]
-    sums = _row_sums(values, widths)
+    sums = sequential_sum(values)
     for row, idx in enumerate(ids):
-        assert len(idx) == row + 1
-        assert sums[row] == by_id[idx].sum(), row + 1
-    # Reviews shorter than 128 features share one width, summed in one call.
-    assert np.all(widths[:127] == widths[0])
-    assert np.array_equal(_row_sums(values[:127, : widths[0]], widths[:127]), sums[:127])
+        assert len(idx) == lengths[row] == row + 1
+        assert sums[row] == oracles.left_to_right(by_id[idx].tolist()), row + 1
+    # Cut to a step's widest review, the trailing pad columns still add nothing.
+    assert np.array_equal(sequential_sum(values[:127, :127]), sums[:127])
 
 
 @pytest.mark.parametrize("make_corpora", [
@@ -553,14 +588,14 @@ def test_row_sums_equal_the_sum_of_the_gathered_weights():
 ], ids=["synthetic", "wide"])
 def test_lockstep_weights_equal_one_model_at_a_time(make_corpora):
     corpora = make_corpora()
-    features, widths, labels, pad = _featurize(corpora)
+    features, lengths, labels, pad = _featurize(corpora)
     examples = [example for corpus in corpora for example in oracles._featurize(corpus)]
     distinct = np.unique(np.concatenate([idx for idx, _ in examples]))
     # Training sets of different sizes, overlapping, in arbitrary order.
     n = len(examples)
     train_sets = [np.arange(n // 3), np.arange(n)[::-7], np.array([5, n - 60, 17]), np.arange(n // 2, n - 30)]
     weights, bias = _train_lockstep(
-        features, widths, labels, pad, train_sets,
+        features, lengths, labels, pad, train_sets,
         [np.random.default_rng(40 + m) for m in range(len(train_sets))])
     for m, ids in enumerate(train_sets):
         expected, expected_bias = oracles._train_logistic(
@@ -585,16 +620,6 @@ def test_chart_equals_the_numpy_chart(n, decimals):
         rows = chart(PairMatrix("CDSA", HIGHER_IS_MORE_SIMILAR, domains, acc))
         assert [(r.domain_id, r.in_domain_acc, r.avg_degradation, r.best_source, r.best_target)
                 for r in rows] == oracles.numpy_chart(acc, domains)
-
-
-def test_numpy_sum_adds_in_numpy_order():
-    rng = np.random.default_rng(12)
-    for n in range(1, 301):
-        # Magnitudes spread over 16 decades, so any other order of additions shows.
-        values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
-        assert _numpy_sum(values.tolist()) == np.add.reduce(values), n
-        zeros = np.full(n, -0.0)
-        assert repr(_numpy_sum(zeros.tolist())) == repr(float(np.add.reduce(zeros))), n
 
 
 @st.composite

@@ -12,7 +12,12 @@ parses all JSON through one ``json.loads``, in ``errors.parse_json``. No
 module imports ``dataclasses``, which loads ``inspect``, ``ast``, ``dis`` and
 ``tokenize`` into every command's start-up. The builtin ``sum`` adds only
 integer counts: from Python 3.12 on it compensates float sums, so a float
-``sum`` would make an output depend on the Python version. Only ``cli``
+``sum`` would make an output depend on the Python version. Nor does any float sum
+follow an order that numpy or the BLAS kernel of the CPU picks: no
+``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul``, ``@``, ``np.einsum``,
+``np.linalg``, ``np.sum``, ``np.mean``, ``.mean()`` or ``np.average``; arrays
+add through ``_numpy.sequential_sum``. The ``.sum()`` calls left add integer
+arrays: LM4's n-gram counts and ``NgramIndex``'s review lengths. Only ``cli``
 imports the baseline trainer, and ``evaluation``, which reads the accuracy
 matrix, imports only ``errors`` and ``pairs`` from the package, and no numpy.
 """
@@ -194,19 +199,23 @@ def test_a_lax_csv_reader_is_found(tmp_path):
                                  "module.py: reader, lax", "module.py: DictReader, strict"]
 
 
-def calls(path: Path) -> Iterator[tuple[str, ast.Call]]:
-    """``(<module>.<function>, call)`` for each call in ``path``, ``<function>`` the innermost
-    enclosing function (``<module>`` at module level)."""
+def nodes(path: Path) -> Iterator[tuple[str, ast.AST]]:
+    """``(<module>.<function>, node)`` for each syntax node in ``path``, ``<function>`` the
+    innermost enclosing function (``<module>`` at module level)."""
 
-    def visit(node: ast.AST, where: str) -> Iterator[tuple[str, ast.Call]]:
+    def visit(node: ast.AST, where: str) -> Iterator[tuple[str, ast.AST]]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{path.name}.{node.name}"
-        if isinstance(node, ast.Call):
-            yield where, node
+        yield where, node
         for child in ast.iter_child_nodes(node):
             yield from visit(child, where)
 
     return visit(ast.parse(path.read_text("utf-8")), f"{path.name}.<module>")
+
+
+def calls(path: Path) -> Iterator[tuple[str, ast.Call]]:
+    """``(<module>.<function>, call)`` for each call in ``path``, located as ``nodes`` does."""
+    return ((where, node) for where, node in nodes(path) if isinstance(node, ast.Call))
 
 
 def file_reads(path: Path) -> list[str]:
@@ -290,3 +299,63 @@ def test_a_builtin_sum_is_found(tmp_path):
                     "def mean(xs):\n    return (np.sum(xs) + xs.sum() + sum(x for x in xs)) / 3\n"
                     "class A:\n    def f(self, xs):\n        return [sum(xs), self.sum(xs)]\n")
     assert builtin_sums(path) == ["module.py.<module>", "module.py.mean", "module.py.f"]
+
+
+# numpy functions and modules whose float sums add in an order numpy or the BLAS kernel picks.
+UNORDERED = ("dot", "vdot", "inner", "matmul", "einsum", "linalg", "sum", "mean", "average")
+
+
+def _on_numpy(node: ast.Attribute) -> bool:
+    return getattr(node.value, "id", None) in ("np", "numpy")
+
+
+def unordered_sums(path: Path) -> list[str]:
+    """``<module>.<function>: <what>`` for each sum in ``path`` whose order numpy or BLAS picks.
+
+    These are ``np.<name>`` for each name in ``UNORDERED``, a ``@`` and a ``.mean()`` call.
+    """
+    found = []
+    for where, node in nodes(path):
+        if isinstance(node, ast.Attribute) and node.attr in UNORDERED and _on_numpy(node):
+            found.append(f"{where}: {node.value.id}.{node.attr}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{where}: @")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "mean" and not _on_numpy(node.func)):
+            found.append(f"{where}: .mean()")
+    return found
+
+
+def sum_methods(path: Path) -> list[str]:
+    """``<module>.<function>`` for each ``.sum()`` call in ``path`` on something other than numpy."""
+    return [where for where, node in calls(path) if isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sum" and not _on_numpy(node.func)]
+
+
+def test_every_float_sum_adds_left_to_right():
+    modules = sorted(SRC.glob("*.py"))
+    assert [entry for path in modules for entry in unordered_sums(path)] == []
+    assert [entry for path in modules for entry in sum_methods(path)] == [
+        # Token ids in the stream: the review lengths' total.
+        "corpus.py.__init__",
+        # The n-gram counts of one order, and of its polar n-grams.
+        "labelled_metrics.py._order_entropy",
+        "labelled_metrics.py._order_entropy",
+    ]
+
+
+def test_an_unordered_sum_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import numpy as np\n"
+                    "a = np.dot(x, y) + np.vdot(x, y) + np.inner(x, y) + np.matmul(x, y)\n"
+                    "def f(x, y):\n    y @= x\n    return x @ y, np.einsum('i,i', x, y)\n"
+                    "def g(x):\n    n = np.linalg.norm(x)\n"
+                    "    return np.sum(x) + np.mean(x) + x.mean(axis=0) + np.average(x) + x.sum()\n"
+                    "b = np.add.accumulate(a)[-1] + statistics.mean(a) + numpy.dot(a, a)\n")
+    assert unordered_sums(path) == [
+        "module.py.<module>: np.dot", "module.py.<module>: np.vdot", "module.py.<module>: np.inner",
+        "module.py.<module>: np.matmul", "module.py.f: @", "module.py.f: @",
+        "module.py.f: np.einsum", "module.py.g: np.linalg", "module.py.g: np.sum",
+        "module.py.g: np.mean", "module.py.g: .mean()", "module.py.g: np.average",
+        "module.py.<module>: .mean()", "module.py.<module>: numpy.dot"]
+    assert sum_methods(path) == ["module.py.g"]
