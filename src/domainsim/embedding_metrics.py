@@ -6,14 +6,17 @@ similarity of word vectors over common adjectives plus their Jaccard term, as
 embedding trainer produced the vector file), and angular similarity of averaged
 sentence vectors over sentiment-filtered reviews (ULM2/ULM5/ULM7). Vector files
 are plain text: an optional ``<count> <dims>`` header, whose count must match
-the entries, then per line a key and its floats. Each loads as one float64
-matrix, word vectors as its rows by word, sentence vectors as its rows by
-review. The pair functions compare what ``word_metric_matrix`` and
-``sentence_metric_matrix`` build once per domain: ``word_metric`` two word
-tables cut to the adjective lexicon, ``_mean_similarity`` two mean vectors.
-Every squared norm, mean and angle adds left to right
-(``_numpy.sequential_sum``), never through BLAS, so a ULM value has the same
-bits on every CPU.
+the entries, then per line a key and its numbers. A number is what ``float``
+reads, less ``_`` between digits and non-ASCII digits; a file's numbers all
+convert in one ``np.loadtxt`` call, by the routine ``float`` uses, so each has
+the bits ``float`` gives it. Each file loads as one float64 matrix, word
+vectors as its rows by word, sentence vectors as its rows by review. The pair
+functions compare what ``word_metric_matrix`` and ``sentence_metric_matrix``
+build once per domain: ``_word_value`` two matrices of unit vectors of words
+cut to the adjective lexicon, every common adjective's angle in one array
+pass, ``_mean_similarity`` two mean vectors. Every squared norm, mean and
+angle adds left to right (``_numpy.sequential_sum``), never through BLAS, so a
+ULM value has the same bits on every CPU.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from array import array
 from pathlib import Path
 from typing import Sequence
 
@@ -54,53 +56,77 @@ def load_adjectives(path: str | Path) -> AdjectiveLexicon:
     return AdjectiveLexicon(frozenset(words))
 
 
+def _read_rows(texts: list[str]) -> np.ndarray:
+    """One float64 row per text, its whitespace-separated numbers read by one ``np.loadtxt`` call.
+
+    A number is what ``PyOS_string_to_double`` reads, the routine behind
+    ``float``, so each row has the bits ``float`` gives its numbers; unlike
+    ``float``, it takes no ``_`` between digits and no non-ASCII digit.
+    """
+    return np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _check_rows(path: Path, linenos: list[int], rests: list[str], dims: int | None) -> None:
+    """Raise the error of the first of ``rests``, read one at a time, with a number that does not
+    read or a count other than ``dims``, the header's, else the first entry's."""
+    for lineno, rest in zip(linenos, rests):
+        try:
+            got = _read_rows([rest]).shape[1]
+        except ValueError as exc:
+            raise InputError(f"{path}, line {lineno}: non-numeric vector component") from exc
+        if dims is None:
+            dims = got
+        elif got != dims:
+            raise InputError(f"{path}, line {lineno}: expected {dims} components, got {got}")
+
+
 def _parse_vector_file(path: Path) -> tuple[list[str], np.ndarray, list[int], np.ndarray]:
     """The file's keys, their float64 matrix (a row per key), lines and squared norms, in order.
 
-    Every squared norm is finite.
+    Every squared norm is finite. The key-level checks run line by line; the
+    components of every line convert in one ``_read_rows`` call after the
+    last line. A fault names the first faulty line in file order, each line
+    checked for components, numbers, their count and its key, in that order;
+    the header's count, the finite components and the squared norms are
+    checked once every line has passed.
     """
-    # Each line's key-level checks run as it is read, and each component is
-    # converted once, into the buffer the matrix views; the squared norms,
-    # finite only if every component is and none overflows, are checked once,
-    # after the last line.
     count: int | None = None
     dims: int | None = None
     line_of: dict[str, int] = {}
-    components = array("d")
+    rests: list[str] = []  # each entry's text after its key
     for lineno, line in read_lines(path, "vector"):
-        parts = line.split()
+        parts = line.split(None, 1)
         if not parts:
             continue
-        if lineno == 1 and len(parts) == 2:
+        if lineno == 1 and len(header := line.split()) == 2:
             try:
-                count, dims = int(parts[0]), int(parts[1])
+                count, dims = int(header[0]), int(header[1])
             except ValueError:
                 pass
             else:
                 continue
         key = parts[0]
         if len(parts) < 2:
+            _check_rows(path, list(line_of.values()), rests, dims)
             raise InputError(f"{path}, line {lineno}: entry has no vector components")
-        try:
-            components.extend(map(float, parts[1:]))
-        except ValueError as exc:
-            raise InputError(f"{path}, line {lineno}: non-numeric vector component") from exc
-        if dims is None:
-            dims = len(parts) - 1
-        elif len(parts) - 1 != dims:
-            raise InputError(
-                f"{path}, line {lineno}: expected {dims} components, got {len(parts) - 1}"
-            )
+        rests.append(parts[1])
         if key in line_of:
+            _check_rows(path, [*line_of.values(), lineno], rests, dims)
             raise InputError(f"{path}, line {lineno}: duplicate entry {key!r}")
         line_of[key] = lineno
     if not line_of:
         raise InputError(f"{path}: no vector entries")
+    linenos = list(line_of.values())
+    try:
+        matrix = _read_rows(rests)
+    except ValueError:
+        matrix = None
+    if matrix is None or dims not in (None, matrix.shape[1]):
+        _check_rows(path, linenos, rests, dims)
+    del rests  # before the squared norms' temporaries
     if count is not None and count != len(line_of):
         raise InputError(f"{path}, line 1: header gives {count} entries,"
                          f" the file has {len(line_of)}")
-    linenos = list(line_of.values())
-    matrix = np.frombuffer(components).reshape(len(line_of), dims)
     with np.errstate(over="ignore"):
         squared = sequential_sum(matrix * matrix)
     finite = np.isfinite(squared)
@@ -170,7 +196,40 @@ def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
     """
     u = v1 / _norm(v1)
     v = v2 / _norm(v2)
-    return 1.0 - 2.0 * math.atan2(_norm(u - v), _norm(u + v)) / math.pi
+    return _angular(_norm(u - v), _norm(u + v))
+
+
+def _angular(diff: float, total: float) -> float:
+    # 1 - angle/pi of unit vectors u and v with |u - v| = diff and |u + v| = total; math.atan2,
+    # as np.arctan2's SIMD loops round some angles otherwise.
+    return 1.0 - 2.0 * math.atan2(diff, total) / math.pi
+
+
+def _unit_rows(table: dict[str, np.ndarray]) -> tuple[dict[str, int], np.ndarray]:
+    """``table``'s words mapped to rows of one matrix of their unit vectors, in table order."""
+    if not table:
+        return {}, np.zeros((0, 0))
+    m = np.array(list(table.values()))
+    return {w: i for i, w in enumerate(table)}, m / np.sqrt(sequential_sum(m * m))[:, None]
+
+
+def _word_value(
+    a: tuple[dict[str, int], np.ndarray], b: tuple[dict[str, int], np.ndarray]
+) -> float:
+    """``word_metric`` of two ``_unit_rows`` results, every common word's angle in one array pass.
+
+    Each angle has the bits of ``angular_similarity`` on the word's two vectors.
+    """
+    (rows_a, units_a), (rows_b, units_b) = a, b
+
+    def angles(in_a: list[int], in_b: list[int]):
+        u, v = units_a[in_a], units_b[in_b]
+        diff, total = u - v, u + v
+        return map(_angular, np.sqrt(sequential_sum(diff * diff)).tolist(),
+                   np.sqrt(sequential_sum(total * total)).tolist())
+
+    mean, j = shared_mean(rows_a, rows_b, angles, "adjectives")
+    return mean + j
 
 
 def word_metric(adj_s: dict[str, np.ndarray], adj_t: dict[str, np.ndarray]) -> float:
@@ -180,8 +239,7 @@ def word_metric(adj_s: dict[str, np.ndarray], adj_t: dict[str, np.ndarray]) -> f
     as ``word_metric_matrix`` cuts them, so the Jaccard coefficient is over
     the two tables' keys. Symmetric; higher values mean more similar domains.
     """
-    mean, j = shared_mean(adj_s, adj_t, angular_similarity, "adjectives")
-    return mean + j
+    return _word_value(_unit_rows(adj_s), _unit_rows(adj_t))
 
 
 def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -233,8 +291,12 @@ def word_metric_matrix(
     tables: Sequence[dict[str, np.ndarray]],
     adjectives: AdjectiveLexicon,
 ) -> list[list[float]]:
-    """N rows of N ``word_metric`` values of the tables cut to ``adjectives``; NaN if unrankable."""
-    return mirrored([{w: t[w] for w in t.keys() & adjectives.words} for t in tables], word_metric)
+    """N rows of N ``word_metric`` values of the tables cut to ``adjectives``; NaN if unrankable.
+
+    Each table's unit vectors are computed once, not once per pair.
+    """
+    return mirrored([_unit_rows({w: t[w] for w in t.keys() & adjectives.words}) for t in tables],
+                    _word_value)
 
 
 def sentence_metric_matrix(sets: Sequence[np.ndarray]) -> list[list[float]]:

@@ -27,11 +27,12 @@ class UnrankablePairError(Exception):
 
 def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each line of a UTF-8 file, from 1, ends kept (``newline=""``,
-    as ``csv`` needs). A missing, unreadable or non-UTF-8 file is an ``InputError`` naming it;
-    a decode error names no line, as text-mode buffering decodes ahead of the line read.
+    as ``csv`` needs). A leading byte-order mark is not part of line 1. A missing, unreadable or
+    non-UTF-8 file is an ``InputError`` naming it; a decode error names no line, as text-mode
+    buffering decodes ahead of the line read.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield from enumerate(fh, 1)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise InputError(f"{what} file not found: {path}") from None

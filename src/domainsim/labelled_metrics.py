@@ -12,6 +12,7 @@ throughout; the base only rescales values and never changes a ranking.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Collection, Sequence
 
 from ._numpy import np, sequential_sum
@@ -54,7 +55,7 @@ def lm2_skld(polar_s: PolarTable, polar_t: PolarTable) -> float:
     Lower values mean more similar domains; the minimum is 1.0, reached by
     identical polar distributions with full polar-vocabulary overlap.
     """
-    mean, j = shared_mean(polar_s, polar_t, _skld, "polar words")
+    mean, j = shared_mean(polar_s, polar_t, partial(map, _skld), "polar words")
     return mean + 1.0 / j
 
 
@@ -65,7 +66,7 @@ def lm3_chameleon(polar_s: PolarTable, polar_t: PolarTable) -> float:
     polarity orientation drifts between the domains. Lower values mean more
     similar domains.
     """
-    mean, j = shared_mean(polar_s, polar_t, _l1, "polar words")
+    mean, j = shared_mean(polar_s, polar_t, partial(map, _l1), "polar words")
     return mean + 1.0 / j
 
 

@@ -44,18 +44,21 @@ def mirrored(items: Sequence, pair_value: Callable) -> list[list[float]]:
     return values
 
 
-def shared_mean(s: Mapping, t: Mapping, term: Callable, words: str) -> tuple[float, float]:
-    """The mean of ``term(s[w], t[w])`` over the keys of both tables, and the keys' Jaccard.
+def shared_mean(s: Mapping, t: Mapping, terms: Callable, words: str) -> tuple[float, float]:
+    """The mean of the terms of the keys both tables hold, and the keys' Jaccard.
 
-    Terms add left to right in sorted key order from 0.0, not by ``sum``, which compensates
-    from Python 3.12 on. No shared key raises UnrankablePairError("no common <words>").
+    ``terms(values_s, values_t)`` gets the two tables' values of the shared
+    keys as two lists in sorted key order, and returns their terms in that
+    order, one call for all keys. The terms add left to right from 0.0, not
+    by ``sum``, which compensates from Python 3.12 on. No shared key raises
+    UnrankablePairError("no common <words>").
     """
-    common = s.keys() & t.keys()
+    common = sorted(s.keys() & t.keys())
     if not common:
         raise UnrankablePairError(f"no common {words}")
     total = 0.0
-    for w in sorted(common):
-        total += term(s[w], t[w])
+    for term in terms([s[w] for w in common], [t[w] for w in common]):
+        total += term
     return total / len(common), len(common) / (len(s) + len(t) - len(common))
 
 

@@ -812,7 +812,24 @@ BAD_WORD_FILES = {
     # Components are checked as finite only after every line's key checks.
     "duplicate-after-non-finite": ("good 1.0 0.0\nbad inf 0.5\ngood 0.5 0.5\n",
                                    "line 3: duplicate entry 'good'"),
+    # Of several faulty lines, the first in file order is named, though every line's
+    # numbers convert after the last line is read.
+    "non-numeric-before-duplicate": ("good 1.0 0.0\nbad 0.5 x\ngood 0.5 0.5\n",
+                                     "line 2: non-numeric vector component"),
+    "component-count-before-non-numeric": ("good 1.0 0.0\nbad 0.5 0.5 0.5\nfair 0.5 x\n",
+                                           "line 2: expected 2 components, got 3"),
+    "non-numeric-before-no-components": ("good 1.0 0.0\nbad 0.5 x\nfair\n",
+                                         "line 2: non-numeric vector component"),
+    "non-numeric-before-header-width": ("2 2\ngood x 0.0\nbad 0.5 0.5 0.5\n",
+                                        "line 2: non-numeric vector component"),
+    "header-width": ("2 3\ngood 1.0 0.0\nbad 0.5 0.5\n", "line 2: expected 3 components, got 2"),
+    # float() takes these; the reader that converts vector components does not.
+    "underscore-in-a-number": ("good 1.0 0.0\nbad 1_0 0.5\n",
+                               "line 2: non-numeric vector component"),
+    "non-ascii-digit": ("good 1.0 0.0\nbad \u0661 0.5\n", "line 2: non-numeric vector component"),
 }
+# Faults that only a word-vector file has: a sentence vector may be zero.
+WORD_ONLY = ("zero-vector", "underflowing-vector", "subnormal-norm")
 
 
 @pytest.mark.parametrize("kind", BAD_WORD_FILES)
@@ -820,8 +837,19 @@ def test_metrics_name_the_bad_line_of_a_word_vector_file(vector_inputs, capsys, 
     tmp_path, corpora, first, _ = vector_inputs
     text, message = BAD_WORD_FILES[kind]
     path = Path(first["words"]) / "D2.vec"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(_metrics_argv(corpora, first, {"ULM1": first["words"]}, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {path}, {message}\n"
+
+
+@pytest.mark.parametrize("kind", [kind for kind in BAD_WORD_FILES if kind not in WORD_ONLY])
+@pytest.mark.filterwarnings(SHORTFALL)
+def test_metrics_name_the_bad_line_of_a_sentence_vector_file(vector_inputs, capsys, kind):
+    tmp_path, corpora, first, _ = vector_inputs
+    text, message = BAD_WORD_FILES[kind]
+    path = Path(first["sentences"]) / "D2.vec"
+    path.write_text(text, encoding="utf-8")
+    assert main(_metrics_argv(corpora, first, {"ULM2": first["sentences"]}, tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {path}, {message}\n"
 
 

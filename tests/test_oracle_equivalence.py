@@ -17,9 +17,13 @@ baseline's accuracy matrix must equal, bit for bit, the one from training
 and scoring one model and one example at a time. The sentence metrics must
 pick the same reviews as when each review was scored once per pick, and
 their matrix must equal ``angular_similarity`` of each pair's mean vectors.
-``angular_similarity``, ``_mean_similarity`` and ``word_metric`` must equal,
-bit for bit, the angle computed in plain Python with left-to-right sums, on
-drawn near-parallel, near-antiparallel and unrelated vectors.
+``angular_similarity``, ``_mean_similarity``, ``word_metric`` and every cell
+of ``word_metric_matrix`` must equal, bit for bit, the angle computed in
+plain Python with left-to-right sums, on drawn near-parallel,
+near-antiparallel and unrelated vectors. A drawn vector file, its numbers
+repr floats, short decimals and exponents amid tabs, blank lines and CRLF
+ends, must load with the bits ``float`` gives each number
+(``oracles.read_vectors``), or name the line of its first non-finite one.
 The ``metrics`` command, run in process on drawn corpora with punctuation,
 digits, dropped reviews and shared or disjoint vocabularies, must write the
 oracles' LM1, LM4 and NGRAM values exactly and LM2 and LM3 within 1e-9.
@@ -66,7 +70,9 @@ from domainsim.corpus import (
     normalize,
 )
 from domainsim.embedding_metrics import (
+    AdjectiveLexicon,
     _mean_similarity,
+    _parse_vector_file,
     angular_similarity,
     load_adjectives,
     load_sentence_vectors,
@@ -76,7 +82,7 @@ from domainsim.embedding_metrics import (
     word_metric,
     word_metric_matrix,
 )
-from domainsim.errors import UnrankablePairError
+from domainsim.errors import InputError, UnrankablePairError
 from domainsim.evaluation import chart
 from domainsim.labelled_metrics import lm1_overlap, lm2_skld, lm3_chameleon, lm4_matrix
 from domainsim.lexstats import (
@@ -500,6 +506,82 @@ def test_angles_equal_the_left_to_right_oracle_bit_for_bit(dims):
     common = sorted(adj_t)
     mean = oracles.left_to_right(expected[int(w[1:])] for w in common) / len(common)
     assert word_metric(adj_s, adj_t) == mean + len(common) / len(adj_s)
+    # The matrix, each table's unit vectors taken once: a third table pairs every other word
+    # with another pair's vector, a fourth shares no word with the others, and one word
+    # is not an adjective.
+    tables = [adj_s, adj_t, {f"w{i}": pairs[i - 1][1] for i in range(0, len(pairs), 2)},
+              {f"u{i}": x for i, (x, _) in enumerate(pairs[:5])}]
+    adjectives = frozenset().union(*tables) - {"w2"}
+    cut = [{w: t[w].tolist() for w in t if w in adjectives} for t in tables]
+    matrix = word_metric_matrix(tables, AdjectiveLexicon(adjectives))
+    for i, j in ordered_pairs(len(tables)):
+        common = sorted(cut[i].keys() & cut[j].keys())
+        if not common:
+            assert math.isnan(matrix[i][j]), (i, j)
+            continue
+        mean = oracles.left_to_right(oracles.sequential_angular(cut[i][w], cut[j][w])
+                                     for w in common) / len(common)
+        assert matrix[i][j] == mean + len(common) / len(cut[i].keys() | cut[j].keys()), (i, j)
+    assert [math.isnan(v) for v in matrix[3]] == [True] * 4
+
+
+# The texts of vector components: repr floats over many decades, short decimals and exponents,
+# each with or without a sign. Squares stay finite, so no squared norm overflows.
+NUMBER_TEXTS = st.one_of(
+    st.floats(min_value=-1e150, max_value=1e150).map(repr),
+    st.builds("{}{}.{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 999),
+              st.sampled_from(["", "5", "25", "0625"])),
+    st.builds("{}{}{}{}".format, st.sampled_from(["", "+", "-", "."]), st.integers(0, 99999),
+              st.sampled_from(["e", "E", "e+", "E-"]), st.integers(0, 140)),
+    st.builds("{}{}e-{}".format, st.sampled_from(["", "-"]), st.integers(1, 9),
+              st.integers(300, 330)),
+)
+NON_FINITE = st.sampled_from(["inf", "-inf", "+Infinity", "INF", "nan", "-NaN", "+nan"])
+SPACE = st.sampled_from([" ", "\t", "   ", " \t "])
+
+
+@st.composite
+def drawn_vector_files(draw):
+    """A vector file's text, its entries' lines, and the line of its first non-finite number."""
+    rows = draw(st.integers(1, 6))
+    dims = draw(st.integers(1, 5))
+    numbers = [[draw(NUMBER_TEXTS) for _ in range(dims)] for _ in range(rows)]
+    planted = draw(st.none() | st.tuples(st.integers(0, rows - 1), st.integers(0, dims - 1)))
+    if planted:
+        numbers[planted[0]][planted[1]] = draw(NON_FINITE)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{rows}{draw(SPACE)}{dims}{end}"] if draw(st.booleans()) else []
+    linenos = []
+    for i, row in enumerate(numbers):
+        lines += [draw(st.sampled_from(["", " ", "\t"])) + end] * draw(st.integers(0, 1))
+        fields = [f"w{i}", *row]
+        line = draw(st.sampled_from(["", " ", "\t"])) + fields[0]
+        for field in fields[1:]:
+            line += draw(SPACE) + field
+        lines.append(line + draw(st.sampled_from(["", " ", "\t "])) + end)
+        linenos.append(len(lines))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines), linenos, planted and linenos[planted[0]]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(drawn_vector_files())
+def test_vector_components_have_the_bits_that_float_gives(drawn):
+    text, linenos, non_finite_line = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.vec"
+        path.write_bytes(text.encode())
+        table = oracles.read_vectors(path)
+        if non_finite_line:
+            with pytest.raises(InputError) as raised:
+                _parse_vector_file(path)
+            assert str(raised.value) == (f"{path}, line {non_finite_line}:"
+                                         f" non-finite vector component")
+            return
+        keys, matrix, lines, _ = _parse_vector_file(path)
+    assert keys == list(table) and lines == linenos
+    assert matrix.tobytes() == np.array(list(table.values()), dtype=np.float64).tobytes()
 
 
 def baseline_acc(corpora, splits=5, seed=0):

@@ -65,6 +65,8 @@ LINE_INPUTS = {
     "jsonl-corpus": (lambda path: load_corpus(path).reviews, "".join(
         json.dumps({"domain": "d", "label": label, "text": text}) + "\n"
         for label, text in (("positive", "Good film!"), ("negative", "bad, dull film")))),
+    "csv-corpus": (lambda path: load_corpus(path, "csv").reviews,
+                   'domain,label,text\nd,positive,Good film!\nd,negative,"bad, dull film"\n'),
     "stopwords": (load_stopwords, "the\nDon't\n\n"),
     "adjectives": (lambda path: load_adjectives(path).words, "# adjectives\nGood\nbad\n"),
     "word-vectors": (lambda path: _by_key(load_word_vectors(path)),
@@ -88,6 +90,16 @@ def test_a_crlf_input_loads_as_its_lf_copy(tmp_path, kind):
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
     assert b"\r\n" in crlf.read_bytes()
     assert load(crlf) == load(lf)
+
+
+@pytest.mark.parametrize("kind", LINE_INPUTS)
+def test_a_byte_order_mark_is_not_part_of_an_inputs_first_line(tmp_path, kind):
+    # Editors on Windows and Excel's "CSV UTF-8" start a file with one.
+    load, text = LINE_INPUTS[kind]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load(marked) == load(plain)
 
 
 def _inputs(tmp_path):
