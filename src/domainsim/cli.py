@@ -153,6 +153,10 @@ class RunConfig:
             value = getattr(self, key)
             if not (isinstance(value, str) or (value is None and key in optional)):
                 raise InputError(f"config {key!r} must be a string")
+        formats = CONFIG_KEYS["format"][1]["choices"]
+        if self.format not in formats:
+            raise InputError(f"config 'format' must be one of {', '.join(formats)},"
+                             f" got {self.format!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise InputError(f"config 'seed' must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.metrics, list):

@@ -10,13 +10,12 @@ the entries, then per line a key and its numbers. A number is what ``float``
 reads, less ``_`` between digits and non-ASCII digits; a file's numbers all
 convert in one ``np.loadtxt`` call, by the routine ``float`` uses, so each has
 the bits ``float`` gives it. Each file loads as one float64 matrix, word
-vectors as its rows by word, sentence vectors as its rows by review. The pair
-functions compare what ``word_metric_matrix`` and ``sentence_metric_matrix``
-build once per domain: ``_word_value`` two matrices of unit vectors of words
-cut to the adjective lexicon, every common adjective's angle in one array
-pass, ``_mean_similarity`` two mean vectors. Every squared norm, mean and
-angle adds left to right (``_numpy.sequential_sum``), never through BLAS, so a
-ULM value has the same bits on every CPU.
+vectors as its rows by word, sentence vectors as its rows by review. One core
+serves both families: ``_units`` scales a matrix's rows to unit length, once
+per domain (its adjectives' word vectors, or the N mean sentence vectors), and
+``_angles`` takes the angle of each row pair of two such matrices. Every
+squared norm, mean and angle adds left to right (``_numpy.sequential_sum``),
+never through BLAS, so a ULM value has the same bits on every CPU.
 """
 
 from __future__ import annotations
@@ -177,58 +176,41 @@ def load_sentence_vectors(path: str | Path, corpus: Corpus) -> np.ndarray:
     return matrix[rows]
 
 
-def _norm(x: np.ndarray) -> float:
-    return math.sqrt(float(sequential_sum(x * x)))
+def _units(m: np.ndarray) -> np.ndarray:
+    """``m``'s rows over their norms, added left to right; every squared norm is a normal float."""
+    return m / np.sqrt(sequential_sum(m * m))[:, None]
 
 
-def angular_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
-    """1 - angle/pi, in [0, 1], with angle = 2*atan2(|u - v|, |u + v|).
+def _angles(u: np.ndarray, v: np.ndarray) -> list[float]:
+    """1 - angle/pi, in [0, 1], of each row pair of the unit-row matrices ``u`` and ``v``.
 
-    ``u`` and ``v`` are the unit vectors of ``v1`` and ``v2``. This form
-    (Kahan, "How Futile are Mindless Assessments of Roundoff in
-    Floating-Point Computation?", 2006) is well-conditioned at both ends,
-    where ``arccos`` of the rounded cosine loses half the digits: parallel
-    inputs give exactly 1, antiparallel inputs exactly 0, and small angles
-    keep full relative accuracy. Separates nearly parallel vectors better
-    than the raw cosine. Invariant under positive scaling of either argument.
-    Callers pass two vectors of one length, each with a squared norm that is
-    a normal float, as the loaders check.
+    angle = 2*atan2(|u - v|, |u + v|), each norm added left to right. This form
+    (Kahan, "How Futile are Mindless Assessments of Roundoff in Floating-Point
+    Computation?", 2006) is well-conditioned at both ends, where ``arccos`` of
+    the rounded cosine loses half the digits: parallel rows give exactly 1,
+    antiparallel rows exactly 0, and small angles keep full relative accuracy.
+    ``math.atan2``, as ``np.arctan2``'s SIMD loops round some angles otherwise.
     """
-    u = v1 / _norm(v1)
-    v = v2 / _norm(v2)
-    return _angular(_norm(u - v), _norm(u + v))
-
-
-def _angular(diff: float, total: float) -> float:
-    # 1 - angle/pi of unit vectors u and v with |u - v| = diff and |u + v| = total; math.atan2,
-    # as np.arctan2's SIMD loops round some angles otherwise.
-    return 1.0 - 2.0 * math.atan2(diff, total) / math.pi
+    diff, total = u - v, u + v
+    return [1.0 - 2.0 * math.atan2(d, t) / math.pi
+            for d, t in zip(np.sqrt(sequential_sum(diff * diff)).tolist(),
+                            np.sqrt(sequential_sum(total * total)).tolist())]
 
 
 def _unit_rows(table: dict[str, np.ndarray]) -> tuple[dict[str, int], np.ndarray]:
     """``table``'s words mapped to rows of one matrix of their unit vectors, in table order."""
     if not table:
         return {}, np.zeros((0, 0))
-    m = np.array(list(table.values()))
-    return {w: i for i, w in enumerate(table)}, m / np.sqrt(sequential_sum(m * m))[:, None]
+    return {w: i for i, w in enumerate(table)}, _units(np.array(list(table.values())))
 
 
 def _word_value(
     a: tuple[dict[str, int], np.ndarray], b: tuple[dict[str, int], np.ndarray]
 ) -> float:
-    """``word_metric`` of two ``_unit_rows`` results, every common word's angle in one array pass.
-
-    Each angle has the bits of ``angular_similarity`` on the word's two vectors.
-    """
+    """``word_metric`` of two ``_unit_rows`` results, all common words' angles in one array pass."""
     (rows_a, units_a), (rows_b, units_b) = a, b
-
-    def angles(in_a: list[int], in_b: list[int]):
-        u, v = units_a[in_a], units_b[in_b]
-        diff, total = u - v, u + v
-        return map(_angular, np.sqrt(sequential_sum(diff * diff)).tolist(),
-                   np.sqrt(sequential_sum(total * total)).tolist())
-
-    mean, j = shared_mean(rows_a, rows_b, angles, "adjectives")
+    mean, j = shared_mean(rows_a, rows_b, lambda i, k: _angles(units_a[i], units_b[k]),
+                          "adjectives")
     return mean + j
 
 
@@ -240,12 +222,6 @@ def word_metric(adj_s: dict[str, np.ndarray], adj_t: dict[str, np.ndarray]) -> f
     the two tables' keys. Symmetric; higher values mean more similar domains.
     """
     return _word_value(_unit_rows(adj_s), _unit_rows(adj_t))
-
-
-def _mean_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
-    if _norm(v1) < 1e-12 or _norm(v2) < 1e-12:
-        raise UnrankablePairError("mean sentence vector numerically zero")
-    return angular_similarity(v1, v2)
 
 
 def select_test_vectors(
@@ -303,7 +279,17 @@ def sentence_metric_matrix(sets: Sequence[np.ndarray]) -> list[list[float]]:
     """N rows of N angular similarities of the sets' mean vectors, mirrored.
 
     Each set is a non-empty ``select_test_vectors`` result, one vector per
-    row, and its mean is taken once, adding the rows in order. A pair whose
-    mean vector is numerically zero on either side is unrankable and left NaN.
+    row, and its mean is taken once, adding the rows in order. A mean of norm
+    below 1e-12 is numerically zero: never scaled, it leaves its row and column NaN.
     """
-    return mirrored([sequential_sum(s.T) / len(s) for s in sets], _mean_similarity)
+    means = np.array([sequential_sum(s.T) / len(s) for s in sets])
+    rankable = np.sqrt(sequential_sum(means * means)) >= 1e-12
+    units = np.zeros_like(means)
+    units[rankable] = _units(means[rankable])
+
+    def value(i: int, k: int) -> float:
+        if not (rankable[i] and rankable[k]):
+            raise UnrankablePairError("mean sentence vector numerically zero")
+        return _angles(units[[i]], units[[k]])[0]
+
+    return mirrored(range(len(sets)), value)

@@ -704,6 +704,18 @@ def test_config_values_of_the_wrong_type_exit_one(workspace, capsys, key, value)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["ingest", "chart"])
+def test_a_config_format_outside_the_flag_choices_exits_one(workspace, capsys, command):
+    tmp_path, config_path = workspace
+    config = json.loads(config_path.read_text())
+    config["format"] = "xml"
+    path = tmp_path / "format.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--accuracy-matrix", "reference"]) == 1
+    assert capsys.readouterr().err == "error: config 'format' must be one of jsonl, csv, got 'xml'\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("k, message", [
     ("", "no K values given"), ("2,2", "K values listed more than once: 2"),
 ])

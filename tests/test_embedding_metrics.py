@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from conftest import build_corpus
 from domainsim.corpus import load_corpus
 from domainsim.embedding_metrics import (
     AdjectiveLexicon,
-    angular_similarity,
     load_adjectives,
     load_sentence_vectors,
     load_word_vectors,
@@ -133,6 +133,11 @@ def test_sentence_vector_ids_past_the_last_kept_review_are_rejected(tmp_path):
         load_sentence_vectors(vec_path, corpus)
 
 
+def angular_similarity(x, y):
+    """The sentence metric of two one-row sets: the mean of a one-row set is its row, exactly."""
+    return sentence_metric_matrix([x[None], y[None]])[0][1]
+
+
 def test_angular_similarity_reference_points():
     assert abs(angular_similarity(np.array([2.0, 0.0]), np.array([5.0, 0.0])) - 1.0) < 1e-12
     assert abs(angular_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) - 0.5) < 1e-12
@@ -180,7 +185,7 @@ def test_word_metric_jaccard_term():
     # Common adjective set {good}; each side has 2 adjectives; J = 1/3.
     t1 = {"good": np.array([1.0, 1.0]), "bad": np.array([1.0, 0.0])}
     t2 = {"good": np.array([1.0, 2.0]), "fair": np.array([0.0, 1.0])}
-    expected = angular_similarity(t1["good"], t2["good"]) + 1.0 / 3.0
+    expected = oracles.sequential_angular(t1["good"].tolist(), t2["good"].tolist()) + 1.0 / 3.0
     assert abs(word_metric(t1, t2) - expected) < 1e-12
 
 
@@ -237,6 +242,21 @@ def test_sentence_metric_zero_mean_unrankable():
     assert np.isnan(values[0][1]) and np.isnan(values[1][0])
     assert np.isnan(values[0][2]) and np.isnan(values[2][0])
     assert abs(values[1][2] - 0.75) < 1e-12
+
+
+def test_sentence_metric_zero_mean_threshold_at_its_edge():
+    # Mean norms 0.9e-12, 1.1e-12 and exactly 0: the first and last leave their whole rows
+    # and columns NaN, without a division by zero; the second is ranked.
+    sets = [np.array([[1.8e-12, 0.0], [0.0, 0.0]]), np.array([[1.1e-12, 0.0]]),
+            np.array([[1.0, -2.0], [-1.0, 2.0]]), np.array([[0.0, 3.0]]), np.array([[5.0, 0.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sentence_metric_matrix(sets)
+    for i in (0, 2):
+        assert np.isnan(values[i]).all() and np.isnan([row[i] for row in values]).all()
+    assert abs(values[1][3] - 0.5) < 1e-12 and values[1][3] == values[3][1]
+    assert abs(values[1][4] - 1.0) < 1e-12
+    assert values[3][4] == 0.5
 
 
 def _scored_corpus(n, strong_positions=()):

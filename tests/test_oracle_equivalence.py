@@ -16,11 +16,12 @@ oracle accepts, |cos| <= 0.999, acos magnifies rounding at most 23-fold. The
 baseline's accuracy matrix must equal, bit for bit, the one from training
 and scoring one model and one example at a time. The sentence metrics must
 pick the same reviews as when each review was scored once per pick, and
-their matrix must equal ``angular_similarity`` of each pair's mean vectors.
-``angular_similarity``, ``_mean_similarity``, ``word_metric`` and every cell
-of ``word_metric_matrix`` must equal, bit for bit, the angle computed in
-plain Python with left-to-right sums, on drawn near-parallel,
-near-antiparallel and unrelated vectors. A drawn vector file, its numbers
+their matrix must equal, bit for bit, ``oracles.sequential_angular`` of each
+pair's mean vectors, the means and their zero check taken in plain Python.
+The sentence metric of two one-row sets, ``word_metric`` and every cell of
+``word_metric_matrix`` must equal, bit for bit, that angle computed in plain
+Python with left-to-right sums, on drawn near-parallel, near-antiparallel
+and unrelated vectors. A drawn vector file, its numbers
 repr floats, short decimals and exponents amid tabs, blank lines and CRLF
 ends, must load with the bits ``float`` gives each number
 (``oracles.read_vectors``), or name the line of its first non-finite one.
@@ -71,9 +72,7 @@ from domainsim.corpus import (
 )
 from domainsim.embedding_metrics import (
     AdjectiveLexicon,
-    _mean_similarity,
     _parse_vector_file,
-    angular_similarity,
     load_adjectives,
     load_sentence_vectors,
     load_word_vectors,
@@ -397,14 +396,15 @@ def test_sentence_metric_matrix_equals_the_pair_loop(domains):
     sets = [np.array([vec for _, vec in s.vectors]) for s in synth.synthetic_sentence_sets(corpora)]
     sets.append(zero_mean)
     matrix = sentence_metric_matrix(sets)
-    means = [np.mean(s, axis=0) for s in sets]
+    means = [[oracles.left_to_right(column) / len(s) for column in zip(*s.tolist())] for s in sets]
+    norms = [math.sqrt(oracles.left_to_right(x * x for x in mean)) for mean in means]
     for i, j in ordered_pairs(len(sets)):
         # A mean vector of norm below 1e-12 on either side leaves the pair unrankable.
-        if min(np.linalg.norm(means[i]), np.linalg.norm(means[j])) < 1e-12:
+        if min(norms[i], norms[j]) < 1e-12:
             assert sets[i] is zero_mean or sets[j] is zero_mean
             assert math.isnan(matrix[i][j]), (i, j)
         else:
-            assert matrix[i][j] == angular_similarity(means[i], means[j]), (i, j)
+            assert matrix[i][j] == oracles.sequential_angular(means[i], means[j]), (i, j)
 
 
 @pytest.fixture(scope="module")
@@ -498,8 +498,8 @@ def drawn_vector_pairs(dims):
 def test_angles_equal_the_left_to_right_oracle_bit_for_bit(dims):
     pairs = drawn_vector_pairs(dims)
     expected = [oracles.sequential_angular(x.tolist(), y.tolist()) for x, y in pairs]
-    assert [angular_similarity(x, y) for x, y in pairs] == expected
-    assert [_mean_similarity(x, y) for x, y in pairs] == expected
+    # The sentence metric: the pairs as one-row sets, whose means are their rows.
+    assert [sentence_metric_matrix([x[None], y[None]])[0][1] for x, y in pairs] == expected
     # The word metric: the pairs as one table each, every 7th word missing from the second.
     adj_s = {f"w{i}": x for i, (x, _) in enumerate(pairs)}
     adj_t = {f"w{i}": y for i, (_, y) in enumerate(pairs) if i % 7}
